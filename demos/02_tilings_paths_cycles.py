@@ -14,13 +14,13 @@ from transtile import (
     complete_blowup,
     delta_star,
     exact_transversal_factor,
+    exact_transversal_factor_search,
     find_transversal_cycle,
     find_transversal_path,
     greedy_clique_tiling,
     random_spanning_subgraph,
     space_barrier,
 )
-from transtile.tiling import exact_transversal_factor_search
 
 K3 = Pattern.complete(3)
 C4 = Pattern.cycle(4)

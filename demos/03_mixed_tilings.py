@@ -18,6 +18,7 @@ this instance.
 from itertools import product
 
 from transtile import (
+    MixedCopy,
     MixedTiling,
     Pattern,
     check_appendix_invariants,
@@ -26,7 +27,6 @@ from transtile import (
     maximal_mixed_tiling,
 )
 from transtile.core import bits
-from transtile.tiling import MixedCopy
 
 k, n, s = 4, 5, 2
 G = complete_blowup(Pattern.cycle(k), n)

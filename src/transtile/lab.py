@@ -346,8 +346,9 @@ def _worklist(config: ExperimentConfig) -> list[tuple[int, dict, dict]]:
 def run(config: ExperimentConfig) -> list[ResultRecord]:
     """Execute the scenario; one record per instance, failures recorded.
 
-    Raises ValueError only for configuration problems; anything an
-    individual instance throws lands in that instance's metrics.
+    Raises ValueError only for configuration problems, at config load;
+    any exception an individual instance throws, whatever its type,
+    lands in that instance's metrics as a failed row.
     """
     fn = _SCENARIO_FN[config.scenario]
     chash = config.config_hash()
@@ -359,7 +360,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
         try:
             G = _load_instance(desc)
             metrics = {**extra, **fn(G, config.params, subseed(config.seed, "run", index))}
-        except (ValueError, KeyError, OSError, RecursionError) as exc:
+        except Exception as exc:  # per-instance boundary: record, keep running
             metrics = {**extra, "failed": True, "error": str(exc)}
         return ResultRecord(
             config_hash=chash,

@@ -19,6 +19,16 @@ Search strategy notes
   uncovered vertex of part 1 (fail-first ordering).  It is exponential
   in the worst case and guarded by a size cap; absence answers come
   with search statistics.
+* The factor solver prunes by Hall's condition, lazily.  A factor of
+  the remaining vertices restricts to a perfect matching between the
+  remaining vertices of parts p and q for every pattern edge pq, so a
+  node where some such bipartite graph has no perfect matching holds no
+  factor.  The check runs at a node only after its first child has
+  failed, before the second is tried: a search that never backtracks
+  pays nothing for it.  The prune only cuts subtrees without a factor
+  and leaves the branching order alone, so the first factor found (the
+  witness) is the one the unpruned search finds, and None is still a
+  proof; only `nodes` and `max_depth` shrink.
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
 vertex per part by isolated filler vertices: a 3-vertex path across
@@ -336,14 +346,49 @@ def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
 # -- exact factor decision ---------------------------------------------------------
 
 
+def _has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int) -> bool:
+    """Perfect matching between mp (in part p) and mq (in part q)?
+
+    The masks must have equal sizes.  Kuhn's augmenting paths; each
+    augment takes a free neighbour when there is one and only then
+    recurses through matched ones.
+    """
+    owner: dict[int, int] = {}
+    taken = 0
+    seen = 0
+
+    def augment(u: int) -> bool:
+        nonlocal taken, seen
+        cand = G.nbr_mask(p, u, q) & mq & ~seen
+        free = cand & ~taken
+        if free:
+            w = (free & -free).bit_length() - 1
+            taken |= 1 << w
+            owner[w] = u
+            return True
+        seen |= cand
+        for w in bits(cand):
+            if augment(owner[w]):
+                owner[w] = u
+                return True
+        return False
+
+    for u in bits(mp):
+        seen = 0
+        if not augment(u):
+            return False
+    return True
+
+
 def exact_transversal_factor_search(
     G: PartiteGraph, cap: Optional[int] = FACTOR_CAP_DEFAULT
 ) -> tuple[Optional[Tiling], SearchStats]:
     """Complete factor decision with search statistics.
 
     Branches on the copies through the lowest-degree uncovered part-1
-    vertex.  Returns (factor, stats) or (None, stats); None is a proof
-    of absence.  Refuses n above the cap unless cap is None.
+    vertex, and prunes a node by Hall's condition once its first child
+    has failed.  Returns (factor, stats) or (None, stats); None is a
+    proof of absence.  Refuses n above the cap unless cap is None.
     """
     if cap is not None and G.n > cap:
         raise ValueError(
@@ -355,6 +400,7 @@ def exact_transversal_factor_search(
         for v in range(G.n)
     ]
     order = sorted(range(G.n), key=lambda v: (total_deg[v], v))
+    pairs = G.pattern.edge_list()
     nodes = 0
     best_depth = 0
     acc: list[TransversalCopy] = []
@@ -367,7 +413,11 @@ def exact_transversal_factor_search(
             return True
         cand = list(masks)
         cand[1] = 1 << v1
-        for found in iter_transversal_copies(G, cand):
+        for tried, found in enumerate(iter_transversal_copies(G, cand)):
+            if tried == 1 and not all(
+                _has_perfect_matching(G, p, q, masks[p], masks[q]) for p, q in pairs
+            ):
+                return False
             nodes += 1
             nxt = list(masks)
             for p in range(1, k + 1):

@@ -7,7 +7,7 @@ library's pruned searches are checked against independent ground truth.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from transtile.core import Pattern, PartiteGraph, mask_of
 
@@ -68,3 +68,16 @@ def naive_alpha_star(G: PartiteGraph, r: int) -> int:
 
 def mask(ids) -> int:
     return mask_of(ids)
+
+
+def naive_has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int) -> bool:
+    """Perfect matching between the vertices of masks mp (part p) and mq
+    (part q)?  Tries every bijection."""
+    left = [v for v in range(G.n) if mp >> v & 1]
+    right = [v for v in range(G.n) if mq >> v & 1]
+    if len(left) != len(right):
+        return False
+    return any(
+        all(G.has_edge((p, a), (q, b)) for a, b in zip(left, perm))
+        for perm in permutations(right)
+    )

@@ -7,7 +7,9 @@ as a hash mismatch before it can silently change published results.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -177,6 +179,30 @@ def test_instance_failures_are_recorded_not_raised():
     records = run(cfg)
     assert all(r.failed for r in records)
     assert "exact mode refused" in records[0].metrics["error"]
+
+
+def test_absorber_census_bad_target_is_a_failed_row():
+    # a bare int target makes the scenario raise TypeError per instance
+    cfg = ExperimentConfig(
+        scenario="absorber_census",
+        gen=GenSpec(family="complete", pattern=K3, n=6),
+        params={"target": 5, "instances": 2},
+    )
+    records = run(cfg)
+    assert len(records) == 2 and all(r.failed for r in records)
+    assert "not iterable" in records[0].metrics["error"]
+
+
+def test_hole_scan_null_r_is_a_failed_row():
+    cfg = ExperimentConfig(
+        scenario="hole_scan",
+        gen=GenSpec(family="complete", pattern=K3, n=4),
+        params={"r": None},
+    )
+    (record,) = run(cfg)
+    assert record.failed and "NoneType" in record.metrics["error"]
+    (row,) = csv.DictReader(io.StringIO(render_csv([record])))
+    assert row["failed"] == "true" and row["error"] == record.metrics["error"]
 
 
 def test_sweep_instances_are_reloadable_and_recomputable():

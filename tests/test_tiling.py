@@ -5,6 +5,7 @@ tuples, permutation enumeration for factors. The engine must agree.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -27,8 +28,9 @@ from transtile.tiling import (
     iter_transversal_copies,
     maximal_mixed_tiling,
 )
+from transtile.tiling import _has_perfect_matching
 
-from conftest import random_instance
+from conftest import naive_has_perfect_matching, random_instance
 
 
 K3 = Pattern.complete(3)
@@ -360,7 +362,7 @@ def test_factor_minus_cross_matching():
     assert (exact_transversal_factor(G) is not None) == naive_factor_exists(G)
 
 
-@pytest.mark.parametrize("pattern", [Pattern.complete(2), K3])
+@pytest.mark.parametrize("pattern", [Pattern.complete(2), K3, C4])
 @pytest.mark.parametrize("seed", range(8))
 def test_factor_agrees_with_permutation_scan(pattern, seed):
     G = random_instance(pattern, 3, 0.6, seed)
@@ -383,6 +385,113 @@ def test_factor_space_barrier_absence():
     G, _, _ = space_barrier(Pattern.cycle(4), 8, seed=5)
     t, stats = exact_transversal_factor_search(G)
     assert t is None and stats.nodes > 0
+
+
+def unpruned_factor_search(G):
+    """The factor DFS without the Hall prune: same branching, same order.
+
+    Returns (copies or None, nodes)."""
+    total_deg = [
+        sum(G.nbr_mask(1, v, q).bit_count() for q in G.pattern.neighbors(1))
+        for v in range(G.n)
+    ]
+    order = sorted(range(G.n), key=lambda v: (total_deg[v], v))
+    acc, nodes = [], 0
+
+    def rec(masks):
+        nonlocal nodes
+        v1 = next((v for v in order if masks[1] >> v & 1), None)
+        if v1 is None:
+            return True
+        cand = list(masks)
+        cand[1] = 1 << v1
+        for found in iter_transversal_copies(G, cand):
+            nodes += 1
+            nxt = [m & ~(1 << found[p - 1]) if p else m for p, m in enumerate(masks)]
+            acc.append(found)
+            if rec(nxt):
+                return True
+            acc.pop()
+        return False
+
+    ok = rec([G.full_mask] * (G.k + 1))
+    return (tuple(acc) if ok else None), nodes
+
+
+def assert_same_as_unpruned(G):
+    t, stats = exact_transversal_factor_search(G, cap=None)
+    ref, ref_nodes = unpruned_factor_search(G)
+    assert (t is None) == (ref is None)
+    if t is not None:
+        assert tuple(c.verts for c in t.copies) == ref
+    assert stats.nodes <= ref_nodes
+    return t
+
+
+@pytest.mark.parametrize("pattern", [K3, C4, C5])
+@pytest.mark.parametrize("seed", range(20))
+def test_factor_witness_matches_unpruned_search(pattern, seed):
+    n = 4 + seed % 4
+    p = (0.4, 0.5, 0.6, 0.7)[seed // 4 % 4]
+    assert_same_as_unpruned(random_instance(pattern, n, p, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_space_barrier_matches_unpruned_search(seed):
+    G, _, _ = space_barrier(C4, 8, seed=seed)
+    assert assert_same_as_unpruned(G) is None
+
+
+def test_factor_space_barrier_node_budget():
+    # Work-count guard for the Hall prune: these eight absence proofs
+    # took 30462 nodes unpruned and take 41 with the prune.
+    total = 0
+    for seed in range(8):
+        G, _, _ = space_barrier(C4, 8, seed=seed)
+        t, stats = exact_transversal_factor_search(G)
+        assert t is None
+        total += stats.nodes
+    assert total <= 82
+
+
+def _random_masks(rng, n, size):
+    return sum(1 << v for v in rng.sample(range(n), size))
+
+
+@pytest.mark.parametrize("pattern", [K3, C4])
+@pytest.mark.parametrize("seed", range(10))
+def test_has_perfect_matching_agrees_with_permutation_scan(pattern, seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    G = random_instance(pattern, n, rng.uniform(0.2, 0.8), seed)
+    for p, q in pattern.edge_list():
+        for _ in range(8):
+            size = rng.randint(0, n)
+            mp, mq = _random_masks(rng, n, size), _random_masks(rng, n, size)
+            for a, b, ma, mb in ((p, q, mp, mq), (q, p, mq, mp)):
+                assert _has_perfect_matching(G, a, b, ma, mb) == (
+                    naive_has_perfect_matching(G, a, b, ma, mb)
+                )
+
+
+def test_has_perfect_matching_complete_and_empty_pairs():
+    full = complete_blowup(K3, 5)
+    empty = PartiteGraph.from_edges(K3, 5, [])
+    m = full.full_mask
+    assert _has_perfect_matching(full, 1, 2, m, m)
+    assert _has_perfect_matching(full, 2, 3, 0b10110, 0b01101)
+    assert not _has_perfect_matching(empty, 1, 2, m, m)
+    assert not _has_perfect_matching(empty, 1, 3, 0b1, 0b100)
+    assert _has_perfect_matching(empty, 1, 2, 0, 0)
+
+
+def test_factor_search_names_are_exported():
+    import transtile
+
+    for name in ("MixedCopy", "SearchStats", "exact_transversal_factor_search"):
+        assert name in transtile.__all__
+    assert transtile.exact_transversal_factor_search is exact_transversal_factor_search
+    assert transtile.MixedCopy is MixedCopy
 
 
 # -- mixed tilings -------------------------------------------------------------------
