@@ -1,8 +1,8 @@
 """Batch experiments: a keep-probability sweep for factor existence.
 
-The lab runs a scenario over many generated instances, in parallel
-workers whose RNG streams are keyed by instance index, so rerunning the
-same config reproduces every output byte for byte.  Results land in CSV
+The lab runs a scenario over many generated instances, one after
+another, on RNG streams keyed by instance index, so rerunning the same
+config reproduces every output byte for byte.  Results land in CSV
 and JSON plus a hand-emitted SVG chart; instances are serialized into
 the records, so any row can be rebuilt and recomputed later.
 

@@ -46,7 +46,7 @@ from transtile.core import (
     mask_of,
 )
 from transtile.generators import rng_for
-from transtile.holes import _clique_in_sets
+from transtile.search import iter_copies
 from transtile.tiling import TransversalCopy, exact_transversal_factor_search
 
 __all__ = [
@@ -169,9 +169,8 @@ def _fan_sets(
     out: list[tuple[VertexId, ...]] = []
     while len(out) < target_size:
         parts = [p for p in range(1, G.k + 1) if p != p0]
-        found = _clique_in_sets(
-            G, [p0] + parts, [masks[p0]] + [masks[p] & G.nbr_mask(p0, v.idx, p) for p in parts]
-        )
+        cand = [masks[p0]] + [masks[p] & G.nbr_mask(p0, v.idx, p) for p in parts]
+        found = next(iter_copies(G, [p0] + parts, cand), None)
         if found is None:
             break
         picked = tuple(
@@ -260,7 +259,7 @@ def _connector_t1(
     masks = [
         common_neighborhood(G, (u, v), p) & ~wmask[p] for p in parts
     ]
-    found = _clique_in_sets(G, parts, masks)
+    found = next(iter_copies(G, parts, masks), None)
     if found is None:
         return None
     s = tuple(VertexId(p, found[t]) for t, p in enumerate(parts))
@@ -327,17 +326,13 @@ def _connector_t2_construct(
     apex_pool = G.full_mask & ~wmask[p0] & ~(1 << u.idx) & ~(1 << v.idx)
     for w_idx in bits(apex_pool):
         w = VertexId(p0, w_idx)
-        k1 = _clique_in_sets(G, [p0] + others, [1 << w_idx] + [d1[j] for j in others])
+        k1 = next(iter_copies(G, [p0] + others, [1 << w_idx] + [d1[j] for j in others]), None)
         if k1 is None:
             continue
         k1_ids = tuple(VertexId(p, k1[t]) for t, p in enumerate([p0] + others))
         used = {vid for vid in k1_ids if vid != w}
-        k2 = _clique_in_sets(
-            G,
-            [p0] + others,
-            [1 << w_idx]
-            + [d2[j] & ~mask_of(i for q, i in used if q == j) for j in others],
-        )
+        free2 = [d2[j] & ~mask_of(i for q, i in used if q == j) for j in others]
+        k2 = next(iter_copies(G, [p0] + others, [1 << w_idx] + free2), None)
         if k2 is None:
             continue
         k2_ids = tuple(VertexId(p, k2[t]) for t, p in enumerate([p0] + others))
@@ -552,11 +547,8 @@ def find_absorber(
     avoid = [0] * (k + 1)
     for p, i in blocked:
         avoid[p] |= 1 << i
-    clique = _clique_in_sets(
-        G,
-        list(range(1, k + 1)),
-        [G.full_mask & ~avoid[p] for p in range(1, k + 1)],
-    )
+    free = [G.full_mask & ~avoid[p] for p in range(1, k + 1)]
+    clique = next(iter_copies(G, range(1, k + 1), free), None)
     if clique is None:
         return None
     t_ids = tuple(VertexId(p, clique[p - 1]) for p in range(1, k + 1))

@@ -24,10 +24,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits, mask_of
 from transtile.holes import EXACT_CAP_DEFAULT, certify_no_hole
+from transtile.search import sweep
 
 __all__ = [
     "GenSpec",
@@ -136,31 +137,6 @@ def hole_suppressed_process(
     }
 
 
-def _cycle_through_edge(
-    adj: dict, k: int, outside: Sequence[int], i: int, a: int, j: int, b: int
-) -> bool:
-    """Would edge (i,a)-(j,b) close a transversal cycle avoiding U?
-
-    i and j are consecutive cycle parts (j follows i).  Sweeps the layer
-    sets from b forward around the cycle back to part i and tests
-    whether a is reachable; layered reachability is exact, so this
-    decides existence.
-    """
-    cur_part = j
-    layer = 1 << b
-    for _ in range(k - 1):
-        nxt_part = cur_part % k + 1
-        nxt = 0
-        rows = adj[(cur_part, nxt_part)]
-        for v in bits(layer):
-            nxt |= rows[v]
-        layer = nxt & outside[nxt_part]
-        if not layer:
-            return False
-        cur_part = nxt_part
-    return bool(layer >> a & 1)
-
-
 def space_barrier(
     pattern: Pattern,
     n: int,
@@ -217,6 +193,14 @@ def space_barrier(
     if check_every is None:
         check_every = max(1, n)
 
+    # per orientation i -> j, the cycle parts from j round to i and the
+    # outside masks of the parts strictly between them: an edge (i,a)-(j,b)
+    # closes a transversal cycle avoiding U iff a walk from b reaches a
+    arcs = {}
+    for j in range(1, k + 1):
+        seq = [(j - 1 + t) % k + 1 for t in range(k)]
+        arcs[j] = seq, [outside[p] for p in seq[1:-1]]
+
     def freeze() -> PartiteGraph:
         return PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
 
@@ -237,7 +221,8 @@ def space_barrier(
             pi, pa, pj, pb = i, a, j, b
         adj[(pi, pj)][pa] |= 1 << pb
         adj[(pj, pi)][pb] |= 1 << pa
-        if _cycle_through_edge(adj, k, outside, pi, pa, pj, pb):
+        seq, between = arcs[pj]
+        if sweep(adj, seq, [1 << pb, *between, outside[pi] & 1 << pa]) is not None:
             adj[(pi, pj)][pa] &= ~(1 << pb)
             adj[(pj, pi)][pb] &= ~(1 << pa)
             continue

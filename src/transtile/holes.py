@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from transtile.core import PartiteGraph, VertexId, bits, mask_of
+from transtile.core import PartiteGraph, bits, mask_of
+from transtile.search import iter_copies
 
 __all__ = [
     "HoleCertificate",
@@ -37,8 +37,6 @@ __all__ = [
     "alpha_star_exact",
     "alpha_star_lower_bound",
     "certify_no_hole",
-    "eps_regular_check",
-    "regular_pair_degree_check",
 ]
 
 EXACT_CAP_DEFAULT = 10
@@ -94,37 +92,6 @@ class HoleReport:
         }
 
 
-def _clique_in_sets(
-    G: PartiteGraph, parts: Sequence[int], masks: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """One transversal clique with the i-th vertex drawn from masks[i],
-    or None.  Complete backtracking with neighborhood propagation."""
-    r = len(parts)
-    order = sorted(range(r), key=lambda t: (masks[t].bit_count(), parts[t]))
-    chosen = [0] * r
-
-    def rec(level: int, cur: Sequence[int]) -> bool:
-        if level == r:
-            return True
-        t = order[level]
-        for v in bits(cur[t]):
-            chosen[t] = v
-            nxt = list(cur)
-            ok = True
-            for u in order[level + 1 :]:
-                nxt[u] &= G.nbr_mask(parts[t], v, parts[u])
-                if not nxt[u]:
-                    ok = False
-                    break
-            if ok and rec(level + 1, nxt):
-                return True
-        return False
-
-    if any(not m for m in masks):
-        return None
-    return tuple(chosen) if rec(0, list(masks)) else None
-
-
 def _check_arena(G: PartiteGraph, r: int, parts: Sequence[int]) -> None:
     if len(parts) != r or len(set(parts)) != r:
         raise ValueError(f"invalid hole arena: need {r} distinct parts, got {parts}")
@@ -156,7 +123,7 @@ def verify_hole(G: PartiteGraph, cand: HoleCertificate) -> bool:
     if sizes == {0}:
         return True
     masks = [mask_of(u) for u in cand.sets]
-    return _clique_in_sets(G, cand.parts, masks) is None
+    return next(iter_copies(G, cand.parts, masks), None) is None
 
 
 # -- exact regime -----------------------------------------------------------
@@ -197,25 +164,7 @@ def _exists_hole(
     """
     n = G.n
     r = len(parts)
-    all_cliques: list[tuple[int, ...]] = []
-    fulls = [G.full_mask] * r
-
-    def enum(level: int, cur: list[int], acc: list[int]) -> None:
-        if level == r:
-            all_cliques.append(tuple(acc))
-            return
-        for v in bits(cur[level]):
-            nxt = list(cur)
-            ok = True
-            for u in range(level + 1, r):
-                nxt[u] &= G.nbr_mask(parts[level], v, parts[u])
-                if not nxt[u]:
-                    ok = False
-                    break
-            if ok:
-                enum(level + 1, nxt, acc + [v])
-
-    enum(0, fulls, [])
+    all_cliques = list(iter_copies(G, parts, [G.full_mask] * r))
     lowest = mask_of(range(s))
 
     def rec(level: int, active: list[tuple[int, ...]], chosen: list[int]) -> Optional[list[int]]:
@@ -327,7 +276,7 @@ def alpha_star_lower_bound(
             for v in bits(G.full_mask & ~masks[t]):
                 probe = list(masks)
                 probe[t] = 1 << v
-                if all(probe) and _clique_in_sets(G, parts, probe) is not None:
+                if next(iter_copies(G, parts, probe), None) is not None:
                     continue
                 good.append(v)
             if good:
@@ -365,116 +314,3 @@ def certify_no_hole(
         return True, "exact", None
     found = alpha_star_lower_bound(G, r, s, trials=trials, seed=seed)
     return found is None, "randomized-lower-bound", found
-
-
-# -- regularity checks ---------------------------------------------------------
-
-
-REGULARITY_CAP = 12
-
-
-def _positions(vs: Iterable[VertexId | tuple[int, int]]) -> list[tuple[int, int]]:
-    out = list(dict.fromkeys((p, i) for p, i in vs))
-    return out
-
-
-def eps_regular_check(
-    G: PartiteGraph,
-    X: Iterable[VertexId | tuple[int, int]],
-    Y: Iterable[VertexId | tuple[int, int]],
-    eps,
-    d,
-) -> tuple[bool, Optional[tuple[tuple[VertexId, ...], tuple[VertexId, ...]]]]:
-    """Exhaustive epsilon-regularity check on a small pair.
-
-    Verifies d(X, Y) >= d and that every pair of subsets X' and Y' with
-    |X'| >= eps|X|, |Y'| >= eps|Y| satisfies |d(X',Y') - d(X,Y)| <= eps.
-    All arithmetic is exact rational.  Returns (True, None) or
-    (False, violating pair).  Both sides are capped at 12 vertices.
-    """
-    eps = Fraction(eps)
-    d = Fraction(d)
-    xs = _positions(X)
-    ys = _positions(Y)
-    if not xs or not ys:
-        raise ValueError("empty side: regularity check needs two nonempty sets")
-    if set(xs) & set(ys):
-        raise ValueError("regularity check needs disjoint sets")
-    nx, ny = len(xs), len(ys)
-    if nx > REGULARITY_CAP or ny > REGULARITY_CAP:
-        raise ValueError(f"regularity check capped at {REGULARITY_CAP} per side")
-    ymask_of_x = []
-    for p, i in xs:
-        m = 0
-        for pos, (q, j) in enumerate(ys):
-            if G.has_edge((p, i), (q, j)):
-                m |= 1 << pos
-        ymask_of_x.append(m)
-    e_full = sum(m.bit_count() for m in ymask_of_x)
-    if Fraction(e_full, nx * ny) < d:
-        return False, (
-            tuple(VertexId(*v) for v in xs),
-            tuple(VertexId(*v) for v in ys),
-        )
-    a, b = eps.numerator, eps.denominator
-    xy = nx * ny
-    cnt = [0] * nx
-    esub = [0] * (1 << nx)
-    xsize_ok = [b * m.bit_count() >= a * nx for m in range(1 << nx)]
-    xpop = [m.bit_count() for m in range(1 << nx)]
-    for ymask in range(1, 1 << ny):
-        sy = ymask.bit_count()
-        if b * sy < a * ny:
-            continue
-        for t in range(nx):
-            cnt[t] = (ymask_of_x[t] & ymask).bit_count()
-        for xmask in range(1, 1 << nx):
-            low = xmask & -xmask
-            esub[xmask] = esub[xmask ^ low] + cnt[low.bit_length() - 1]
-            if not xsize_ok[xmask]:
-                continue
-            sxy = xpop[xmask] * sy
-            if b * abs(esub[xmask] * xy - e_full * sxy) > a * sxy * xy:
-                xv = tuple(VertexId(*xs[t]) for t in bits(xmask))
-                yv = tuple(VertexId(*ys[t]) for t in bits(ymask))
-                return False, (xv, yv)
-    return True, None
-
-
-def regular_pair_degree_check(
-    G: PartiteGraph,
-    X: Iterable[VertexId | tuple[int, int]],
-    Y: Iterable[VertexId | tuple[int, int]],
-    eps,
-    d,
-) -> bool:
-    """Degree spread implied by regularity, checked by brute force: for
-    every B inside Y with |B| >= eps|Y|, at most eps|X| vertices of X
-    have fewer than (d - eps)|B| neighbors in B."""
-    eps = Fraction(eps)
-    f = Fraction(d) - eps
-    xs = _positions(X)
-    ys = _positions(Y)
-    nx, ny = len(xs), len(ys)
-    if nx > REGULARITY_CAP or ny > REGULARITY_CAP:
-        raise ValueError(f"degree check capped at {REGULARITY_CAP} per side")
-    ymask_of_x = []
-    for p, i in xs:
-        m = 0
-        for pos, (q, j) in enumerate(ys):
-            if G.has_edge((p, i), (q, j)):
-                m |= 1 << pos
-        ymask_of_x.append(m)
-    a, b = eps.numerator, eps.denominator
-    for bmask in range(1, 1 << ny):
-        sb = bmask.bit_count()
-        if b * sb < a * ny:
-            continue
-        low = sum(
-            1
-            for m in ymask_of_x
-            if (m & bmask).bit_count() * f.denominator < f.numerator * sb
-        )
-        if b * low > a * nx:
-            return False
-    return True

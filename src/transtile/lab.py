@@ -4,9 +4,9 @@ A config names one scenario, one instance source, and a seed; `run`
 executes the scenario over the instance list and returns one record
 per instance.  Records serialize to CSV plus a lossless JSON mirror,
 and `emit_plot` renders them to SVG.  Everything derived from the same
-config is byte-identical across runs: worker threads own RNG streams
-keyed by (seed, instance index), so parallelism cannot reorder or
-perturb results, and wall-clock times stay out of the files.
+config is byte-identical across runs: instances run one after another
+in index order, each on RNG streams keyed by (seed, instance index),
+and wall-clock times stay out of the files.
 
 Per-instance failures (a refused exact cap, an unsatisfiable pipeline
 stage) are recorded as rows with `failed=true` and the run continues;
@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -115,6 +114,10 @@ class ExperimentConfig:
         else:
             if int(self.params.get("instances", 1)) < 1:
                 raise ValueError("params.instances must be >= 1")
+        if self.scenario == "absorbing_pipeline":
+            for key in ("q", "tau", "beta_prime", "m"):
+                if key not in self.params:
+                    raise ValueError(f"absorbing_pipeline needs params.{key}")
 
     def gen_descriptor(self) -> dict:
         if isinstance(self.gen, str):
@@ -352,34 +355,24 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     """
     fn = _SCENARIO_FN[config.scenario]
     chash = config.config_hash()
-    work = _worklist(config)
-
-    def one(item: tuple[int, dict, dict]) -> ResultRecord:
-        index, desc, extra = item
+    records = []
+    for index, desc, extra in _worklist(config):
         started = time.perf_counter()
         try:
             G = _load_instance(desc)
             metrics = {**extra, **fn(G, config.params, subseed(config.seed, "run", index))}
         except Exception as exc:  # per-instance boundary: record, keep running
-            metrics = {**extra, "failed": True, "error": str(exc)}
-        return ResultRecord(
-            config_hash=chash,
-            scenario=config.scenario,
-            index=index,
-            instance=desc,
-            metrics=metrics,
-            wall_ms=(time.perf_counter() - started) * 1000.0,
+            metrics = {**extra, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
+        records.append(
+            ResultRecord(
+                config_hash=chash,
+                scenario=config.scenario,
+                index=index,
+                instance=desc,
+                metrics=metrics,
+                wall_ms=(time.perf_counter() - started) * 1000.0,
+            )
         )
-
-    workers = int(os.environ.get("LAB_THREADS", "0") or "0")
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    if workers == 1 or len(work) == 1:
-        records = [one(item) for item in work]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, work))
-    records.sort(key=lambda r: r.index)
     if config.out_csv:
         write_csv(records, config.out_csv)
     if config.out_json:

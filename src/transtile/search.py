@@ -1,0 +1,114 @@
+"""The two search kernels that every transversal question reduces to.
+
+* `iter_copies` enumerates transversal copies: one vertex per listed
+  part, each drawn from that part's mask, realizing every pattern edge
+  among the listed parts.  Hole certificates, fans, connectors,
+  absorbers, greedy tilings and the factor search all take their copies
+  from it.
+* `sweep` computes layered reachability along a sequence of parts, and
+  `trace_back` reads one walk out of the layers.  Transversal paths,
+  transversal cycles (one sweep per anchor vertex) and the
+  space-barrier generator's edge test are such walks.
+
+Both are complete: an exhausted enumeration or a None sweep is a proof
+that no copy or walk exists inside the masks.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Mapping, Optional, Sequence
+
+from transtile.core import PartiteGraph, bits
+
+__all__ = ["iter_copies", "sweep", "trace_back"]
+
+
+def iter_copies(
+    G: PartiteGraph, parts: Sequence[int], masks: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every transversal copy on `parts` with position t's vertex in masks[t].
+
+    Copies are tuples aligned with `parts`.  Complete backtracking in a
+    deterministic order: branch on the open position with the fewest
+    candidates (ties to the lower part index), try its vertices in
+    ascending order, and narrow the candidates of the open positions
+    whose parts the pattern joins to it.
+    """
+    if not all(masks):
+        return
+    adj = G._adj
+    chosen = [0] * len(parts)
+
+    def rec(cur: list[int], left: list[int]) -> Iterator[tuple[int, ...]]:
+        # `left` stays in ascending part order, so min() breaks ties
+        # toward the lower part index
+        t = min(left, key=lambda u: cur[u].bit_count())
+        if len(left) == 1:
+            for chosen[t] in bits(cur[t]):
+                yield tuple(chosen)
+            return
+        p = parts[t]
+        rest = []
+        narrow = []
+        for u in left:
+            if u != t:
+                rest.append(u)
+                rows = adj.get((p, parts[u]))
+                if rows is not None:
+                    narrow.append((u, rows))
+        for v in bits(cur[t]):
+            nxt = cur.copy()
+            for u, rows in narrow:
+                nxt[u] &= rows[v]
+                if not nxt[u]:
+                    break
+            else:
+                chosen[t] = v
+                yield from rec(nxt, rest)
+
+    yield from rec(list(masks), sorted(range(len(parts)), key=parts.__getitem__))
+
+
+def sweep(
+    adj: Mapping[tuple[int, int], Sequence[int]], seq: Sequence[int], masks: Sequence[int]
+) -> Optional[list[int]]:
+    """Layered reachability along the parts seq[0], seq[1], ...
+
+    `adj[(p, q)][v]` is the mask of part-q neighbours of vertex v of
+    part p, and consecutive parts of `seq` must be joined.  Layer 0 is
+    masks[0]; layer t is the set of vertices of masks[t] adjacent to
+    some vertex of layer t-1.  Returns the layers, or None as soon as
+    one is empty, which proves that no walk through the masks exists.
+    """
+    layer = masks[0]
+    layers = [layer]
+    for t in range(1, len(seq)):
+        rows = adj[seq[t - 1], seq[t]]
+        reach = 0
+        while layer:  # the bits of layer, inlined: this loop is the hot path
+            low = layer & -layer
+            reach |= rows[low.bit_length() - 1]
+            layer ^= low
+        layer = reach & masks[t]
+        if not layer:
+            return None
+        layers.append(layer)
+    return layers if layer else None
+
+
+def trace_back(
+    adj: Mapping[tuple[int, int], Sequence[int]], seq: Sequence[int], layers: Sequence[int]
+) -> list[int]:
+    """One walk through the layers of a successful `sweep`, as vertex indices.
+
+    Takes the lowest vertex of the last layer, then, going back along
+    `seq`, the lowest vertex of each layer adjacent to the one after it.
+    """
+    walk = [0] * len(layers)
+    cand = layers[-1]
+    for t in range(len(layers) - 1, -1, -1):
+        v = (cand & -cand).bit_length() - 1
+        walk[t] = v
+        if t:
+            cand = layers[t - 1] & adj[seq[t], seq[t - 1]][v]
+    return walk

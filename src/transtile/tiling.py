@@ -7,14 +7,17 @@ one vertex per part.  A *factor* is a tiling with empty leftover.
 
 Search strategy notes
 ---------------------
-* Copy searches are complete backtracking over parts with bitmask
+* Both search kernels live in `transtile.search`.  Copy searches use
+  `iter_copies`: complete backtracking over parts with bitmask
   neighborhood propagation, always branching on the part with the
   fewest candidates and breaking ties toward the lowest part index and
   lowest vertex index.  "None" answers are therefore proofs.
-* The cycle finder anchors on every vertex of one part in turn and
-  sweeps layer sets around the cycle; layered reachability is exact for
-  each anchor, and all anchors are tried, so this search is complete at
-  every size (no fallback needed for negative answers).
+* Paths and cycles use `sweep` and `trace_back`.  The cycle finder
+  anchors on every vertex of one part in turn and sweeps layer sets
+  around the cycle, its first and last layers restricted to the
+  anchor's neighbours; layered reachability is exact for each anchor,
+  and all anchors are tried, so this search is complete at every size
+  (no fallback needed for negative answers).
 * The factor solver branches on the copies covering the lowest-degree
   uncovered vertex of part 1 (fail-first ordering).  It is exponential
   in the worst case and guarded by a size cap; absence answers come
@@ -66,6 +69,7 @@ from transtile.core import (
     is_transversal_copy,
     mask_of,
 )
+from transtile.search import iter_copies, sweep, trace_back
 
 __all__ = [
     "TransversalCopy",
@@ -102,8 +106,32 @@ class TransversalCopy:
         return list(self.verts)
 
 
+class _DisjointCopies:
+    """Masks of `copies`, disjoint copies with one vertex per part each
+    (`verts[p-1]` in part p), in a balanced instance of part size `n`."""
+
+    copies: tuple
+    n: int
+    k: int
+
+    def covered_masks(self) -> list[int]:
+        masks = [0] * (self.k + 1)
+        for c in self.copies:
+            for p in range(1, self.k + 1):
+                masks[p] |= 1 << c.verts[p - 1]
+        return masks
+
+    def leftover_masks(self) -> list[int]:
+        full = (1 << self.n) - 1
+        return [0] + [full & ~m for m in self.covered_masks()[1:]]
+
+    @property
+    def leftover_per_part(self) -> int:
+        return self.n - len(self.copies)
+
+
 @dataclass(frozen=True)
-class Tiling:
+class Tiling(_DisjointCopies):
     """Disjoint transversal copies plus the derived covered masks."""
 
     copies: tuple[TransversalCopy, ...]
@@ -121,21 +149,6 @@ class Tiling:
             raise ValueError("copies overlap")
         return t
 
-    def covered_masks(self) -> list[int]:
-        masks = [0] * (self.k + 1)
-        for c in self.copies:
-            for p in range(1, self.k + 1):
-                masks[p] |= 1 << c.verts[p - 1]
-        return masks
-
-    def leftover_masks(self) -> list[int]:
-        full = (1 << self.n) - 1
-        return [0] + [full & ~m for m in self.covered_masks()[1:]]
-
-    @property
-    def leftover_per_part(self) -> int:
-        return self.n - len(self.copies)
-
     def to_json_dict(self) -> dict:
         return {
             "copies": [c.to_json() for c in self.copies],
@@ -152,7 +165,7 @@ class SearchStats:
         return {"nodes": self.nodes, "max_depth": self.max_depth}
 
 
-# -- generic complete copy search ---------------------------------------------
+# -- copy search ----------------------------------------------------------------
 
 
 def iter_transversal_copies(
@@ -160,35 +173,10 @@ def iter_transversal_copies(
 ) -> Iterator[tuple[int, ...]]:
     """All transversal copies with part-p vertex inside masks[p].
 
-    `masks` is indexed 1..k (slot 0 ignored).  Complete backtracking;
-    deterministic order (fewest candidates first, lowest indices first).
+    `masks` is indexed 1..k (slot 0 ignored).  The copy kernel of
+    `transtile.search` over all parts: complete, deterministic order.
     """
-    k = G.k
-    chosen = [-1] * (k + 1)
-
-    def rec(cur: list[int], left: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        if not left:
-            yield tuple(chosen[1:])
-            return
-        p = min(left, key=lambda q: (cur[q].bit_count(), q))
-        rest = left - {p}
-        for v in bits(cur[p]):
-            chosen[p] = v
-            nxt = list(cur)
-            dead = False
-            for q in rest:
-                if G.pattern.adjacent(p, q):
-                    nxt[q] &= G.nbr_mask(p, v, q)
-                    if not nxt[q]:
-                        dead = True
-                        break
-            if not dead:
-                yield from rec(nxt, rest)
-        chosen[p] = -1
-
-    if any(not masks[p] for p in range(1, k + 1)):
-        return
-    yield from rec(list(masks), frozenset(range(1, k + 1)))
+    return iter_copies(G, range(1, G.k + 1), masks[1:])
 
 
 def _first_copy(G: PartiteGraph, masks: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -261,23 +249,12 @@ def find_transversal_path(
     for a in range(i, j):
         if not G.pattern.adjacent(a, a + 1):
             raise ValueError(f"non-consecutive parts: {a} and {a + 1} not joined")
-    layers = {i: X.mask(i)}
     if any(not 0 <= v < G.n for p in span for v in X.subset(p)):
         raise ValueError("constraint index out of range")
-    for a in range(i, j):
-        cur = 0
-        for v in bits(layers[a]):
-            cur |= G.nbr_mask(a, v, a + 1)
-        layers[a + 1] = cur & X.mask(a + 1)
-        if not layers[a + 1]:
-            return None
-    path = [0] * (j - i + 1)
-    last = next(bits(layers[j]))
-    path[-1] = last
-    for a in range(j - 1, i - 1, -1):
-        prev = layers[a] & G.nbr_mask(a + 1, path[a + 1 - i], a)
-        path[a - i] = next(bits(prev))
-    return tuple(VertexId(i + t, v) for t, v in enumerate(path))
+    layers = sweep(G._adj, span, [X.mask(p) for p in span])
+    if layers is None:
+        return None
+    return tuple(VertexId(p, v) for p, v in zip(span, trace_back(G._adj, span, layers)))
 
 
 def find_transversal_cycle(
@@ -295,33 +272,16 @@ def find_transversal_cycle(
     k = G.k
     c = min(range(1, k + 1), key=lambda p: (masks[p].bit_count(), p))
     seq = [(c - 1 + t) % k + 1 for t in range(1, k)]
+    arc = [masks[p] for p in seq]
     for v in bits(masks[c]):
-        layers = []
-        cur = masks[seq[0]] & G.nbr_mask(c, v, seq[0])
-        layers.append(cur)
-        dead = not cur
-        for t in range(1, k - 1):
-            if dead:
-                break
-            prev_part, part = seq[t - 1], seq[t]
-            nxt = 0
-            for u in bits(layers[t - 1]):
-                nxt |= G.nbr_mask(prev_part, u, part)
-            nxt &= masks[part]
-            layers.append(nxt)
-            dead = not nxt
-        if dead:
-            continue
-        closing = layers[-1] & G.nbr_mask(c, v, seq[-1])
-        if not closing:
+        first, last = G.nbr_mask(c, v, seq[0]), G.nbr_mask(c, v, seq[-1])
+        layers = sweep(G._adj, seq, [arc[0] & first, *arc[1:-1], arc[-1] & last])
+        if layers is None:
             continue
         verts = [0] * (k + 1)
         verts[c] = v
-        verts[seq[-1]] = next(bits(closing))
-        for t in range(k - 3, -1, -1):
-            part, nxt_part = seq[t], seq[t + 1]
-            ok = layers[t] & G.nbr_mask(nxt_part, verts[nxt_part], part)
-            verts[part] = next(bits(ok))
+        for p, u in zip(seq, trace_back(G._adj, seq, layers)):
+            verts[p] = u
         return TransversalCopy(tuple(verts[1:]))
     return None
 
@@ -471,25 +431,10 @@ class MixedCopy:
 
 
 @dataclass(frozen=True)
-class MixedTiling:
+class MixedTiling(_DisjointCopies):
     copies: tuple[MixedCopy, ...]
     n: int
     k: int
-
-    def covered_masks(self) -> list[int]:
-        masks = [0] * (self.k + 1)
-        for c in self.copies:
-            for p in range(1, self.k + 1):
-                masks[p] |= 1 << c.verts[p - 1]
-        return masks
-
-    def leftover_masks(self) -> list[int]:
-        full = (1 << self.n) - 1
-        return [0] + [full & ~m for m in self.covered_masks()[1:]]
-
-    @property
-    def leftover_per_part(self) -> int:
-        return self.n - len(self.copies)
 
     @property
     def p3_copies(self) -> tuple[MixedCopy, ...]:

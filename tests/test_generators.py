@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import naive_alpha_star
+from conftest import naive_alpha_star, naive_has_transversal_tuple
 from transtile.core import Pattern, PartiteGraph, delta_star, is_transversal_copy
 from transtile.generators import (
     GenSpec,
@@ -121,6 +121,28 @@ def test_space_barrier_every_cycle_hits_u_small():
     for tup in product(*[sorted(outside[p]) for p in range(1, 5)]):
         ok = all(G.has_edge((p, tup[p - 1]), (p % 4 + 1, tup[p % 4])) for p in range(1, 5))
         assert not ok
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_space_barrier_is_maximal(seed):
+    # the process rejects an edge only if it closes a transversal cycle
+    # avoiding U, so every absent outside-outside edge must close one
+    k, n = 4, 8
+    G, U, _ = space_barrier(Pattern.cycle(k), n, seed=seed)
+    parts = tuple(range(1, k + 1))
+    outside = {p: sorted(set(range(n)) - U.subset(p)) for p in parts}
+    absent = [
+        (i, a, j, b)
+        for i, j in sorted(G.pattern.edges)
+        for a in outside[i]
+        for b in outside[j]
+        if not G.has_edge((i, a), (j, b))
+    ]
+    assert absent
+    for i, a, j, b in absent:
+        H = G.add_edges([(i, a, j, b)])
+        sets = [[a] if p == i else [b] if p == j else outside[p] for p in parts]
+        assert naive_has_transversal_tuple(H, parts, sets), (i, a, j, b)
 
 
 def test_space_barrier_validation():

@@ -1,19 +1,14 @@
-from fractions import Fraction
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_alpha_star, naive_has_transversal_tuple, random_instance
-from transtile.core import Pattern, PartiteGraph, VertexId
+from transtile.core import Pattern, PartiteGraph
 from transtile.holes import (
     HoleCertificate,
     alpha_star_exact,
     alpha_star_lower_bound,
     certify_no_hole,
-    eps_regular_check,
-    regular_pair_degree_check,
     verify_hole,
 )
 
@@ -192,90 +187,6 @@ def test_certify_oversized_hole_vacuous():
     G = PartiteGraph.complete(Pattern.complete(2), 3)
     ok, regime, _ = certify_no_hole(G, 2, 4)
     assert ok and regime == "exact"
-
-
-# -- regularity -----------------------------------------------------------------------
-
-
-def _pair(G, nx, ny):
-    return [VertexId(1, i) for i in range(nx)], [VertexId(2, j) for j in range(ny)]
-
-
-def test_eps_regular_complete_pair():
-    G = PartiteGraph.complete(Pattern.complete(2), 4)
-    X, Y = _pair(G, 4, 4)
-    ok, witness = eps_regular_check(G, X, Y, Fraction(1, 4), Fraction(1, 2))
-    assert ok and witness is None
-
-
-def test_eps_regular_low_density_fails():
-    G = empty_instance(Pattern.complete(2), 4)
-    X, Y = _pair(G, 4, 4)
-    ok, witness = eps_regular_check(G, X, Y, Fraction(1, 4), Fraction(1, 2))
-    assert not ok and witness == (tuple(X), tuple(Y))
-
-
-def test_eps_regular_structured_violation():
-    # density 1/2 but all edges packed on half of X: wildly irregular
-    G = PartiteGraph.from_edges(
-        Pattern.complete(2),
-        4,
-        [(1, a, 2, b) for a in (0, 1) for b in range(4)],
-    )
-    X, Y = _pair(G, 4, 4)
-    ok, witness = eps_regular_check(G, X, Y, Fraction(1, 4), Fraction(1, 2))
-    assert not ok
-    Xv, Yv = witness
-    # re-check the reported pair by independent rational arithmetic
-    e = sum(G.has_edge(x, y) for x in Xv for y in Yv)
-    dev = abs(Fraction(e, len(Xv) * len(Yv)) - Fraction(1, 2))
-    assert dev > Fraction(1, 4)
-    assert len(Xv) >= 1 and len(Yv) >= 1
-
-
-def test_eps_regular_brute_force_agreement():
-    # random 3+3 pair: compare against direct loops over all subsets
-    G = random_instance(Pattern.complete(2), 3, 0.6, seed=77)
-    X, Y = _pair(G, 3, 3)
-    eps, d = Fraction(1, 3), Fraction(1, 3)
-    ok, _ = eps_regular_check(G, X, Y, eps, d)
-    e_full = sum(G.has_edge(x, y) for x in X for y in Y)
-    expect = Fraction(e_full, 9) >= d
-    if expect:
-        for xr in range(1, 4):
-            for Xs in combinations(X, xr):
-                if Fraction(xr, 3) < eps:
-                    continue
-                for yr in range(1, 4):
-                    if Fraction(yr, 3) < eps:
-                        continue
-                    for Ys in combinations(Y, yr):
-                        e = sum(G.has_edge(x, y) for x in Xs for y in Ys)
-                        if abs(Fraction(e, xr * yr) - Fraction(e_full, 9)) > eps:
-                            expect = False
-    assert ok == expect
-
-
-def test_eps_regular_cap():
-    G = PartiteGraph.complete(Pattern.complete(2), 13)
-    X = [VertexId(1, i) for i in range(13)]
-    Y = [VertexId(2, j) for j in range(13)]
-    with pytest.raises(ValueError, match="capped"):
-        eps_regular_check(G, X, Y, Fraction(1, 2), Fraction(1, 2))
-
-
-def test_regular_pair_degree_property():
-    # complete pair: every vertex dominates every B, so the check holds
-    G = PartiteGraph.complete(Pattern.complete(2), 5)
-    X = [VertexId(1, i) for i in range(5)]
-    Y = [VertexId(2, j) for j in range(5)]
-    assert regular_pair_degree_check(G, X, Y, Fraction(1, 5), Fraction(1, 2))
-    # a single isolated vertex is exactly the allowed eps share of X
-    H1 = G.delete_edges([(1, 0, 2, b) for b in range(5)])
-    assert regular_pair_degree_check(H1, X, Y, Fraction(1, 5), Fraction(1, 2))
-    # two isolated vertices exceed it
-    H2 = H1.delete_edges([(1, 1, 2, b) for b in range(5)])
-    assert not regular_pair_degree_check(H2, X, Y, Fraction(1, 5), Fraction(1, 2))
 
 
 # -- property: verify matches naive tuple search ------------------------------------------

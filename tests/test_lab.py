@@ -193,6 +193,27 @@ def test_absorber_census_bad_target_is_a_failed_row():
     assert "not iterable" in records[0].metrics["error"]
 
 
+def test_failed_row_error_names_the_exception_type():
+    cfg = ExperimentConfig(
+        scenario="factor_decision",
+        gen=GenSpec(family="complete", pattern=K3, n=13),
+    )
+    (record,) = run(cfg)
+    assert record.metrics["error"].startswith("ValueError: exact mode refused")
+
+
+@pytest.mark.parametrize("missing", ["q", "tau", "beta_prime", "m"])
+def test_absorbing_pipeline_missing_param_is_a_config_error(missing):
+    params = {"q": 0.2, "tau": 3, "beta_prime": 0.01, "m": 1}
+    del params[missing]
+    with pytest.raises(ValueError, match=f"absorbing_pipeline needs params.{missing}"):
+        ExperimentConfig(
+            scenario="absorbing_pipeline",
+            gen=GenSpec(family="complete", pattern=K3, n=12),
+            params=params,
+        )
+
+
 def test_hole_scan_null_r_is_a_failed_row():
     cfg = ExperimentConfig(
         scenario="hole_scan",
@@ -243,12 +264,12 @@ def test_threshold_sweep_golden_bytes_and_trend():
     assert rates[0] <= rates[-1] == 1.0  # keep probability 1 always factors
 
 
-def test_parallel_run_is_byte_identical(monkeypatch):
+def test_repeated_run_is_byte_identical():
     cfg = sweep_config()
-    serial = render_json(run(cfg))
-    monkeypatch.setenv("LAB_THREADS", "4")
-    parallel = render_json(run(cfg))
-    assert serial == parallel
+    first = run(cfg)
+    second = run(cfg)
+    assert render_json(first) == render_json(second)
+    assert render_csv(first) == render_csv(second)
 
 
 # -- serialization ------------------------------------------------------------------
@@ -382,6 +403,16 @@ def test_cli_run_exit_one_on_config_error(tmp_path, capsys):
     path = write_config(tmp_path, scenario="mystery")
     assert main(["run", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        scenario="absorbing_pipeline",
+        params={"tau": 3, "beta_prime": 0.01, "m": 1},
+    )
+    assert main(["run", path]) == 1
+    assert "absorbing_pipeline needs params.q" in capsys.readouterr().err
 
 
 def test_cli_plot_and_verify(tmp_path, capsys):
