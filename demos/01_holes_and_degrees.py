@@ -47,11 +47,11 @@ for p in (0.9, 0.6, 0.3):
         verify_hole(H, w)
 
 print()
-print("-- certification wrapper picks its regime from the instance size --")
-ok, regime, cert = certify_no_hole(G, r=2, s=1, trials=32, seed=0)
+print("-- certification decides one hole size exactly, with a counterexample --")
+ok, regime, cert = certify_no_hole(G, r=2, s=1)
 print(f"complete instance, s=1: certified={ok} via {regime}")
 H = random_spanning_subgraph(G, 0.4, seed=11)
-ok, regime, cert = certify_no_hole(H, r=2, s=2, trials=32, seed=0)
+ok, regime, cert = certify_no_hole(H, r=2, s=2)
 print(f"sparse instance, s=2: certified={ok} via {regime}")
 if cert is not None:
     print(f"  counterexample on parts {cert.parts}: {[sorted(s) for s in cert.sets]}")

@@ -31,7 +31,6 @@ feasible.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence

@@ -10,8 +10,8 @@ Families
 --------
 complete            complete n-blow-up of the pattern
 random_subgraph     keep each allowed edge independently with probability p
-hole_suppressed     random edge process run until no r-partite hole of
-                    size s is found (certified exactly at small n)
+hole_suppressed     shortest prefix of a random edge order that leaves no
+                    r-partite hole of size s (an exact decision)
 space_barrier       complete blow-up of a cycle pattern, thinned so that a
                     small transversal set U meets every transversal cycle;
                     the instance keeps high partite degree but has no
@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits, mask_of
-from transtile.holes import EXACT_CAP_DEFAULT, certify_no_hole
+from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits
+from transtile.holes import certify_no_hole
 from transtile.search import sweep
 
 __all__ = [
@@ -78,6 +79,26 @@ def random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGra
     return PartiteGraph.from_edges(G.pattern, G.n, kept)
 
 
+def _first_hole_free(base: PartiteGraph, edges: list, r: int, s: int) -> tuple:
+    """Shortest prefix of `edges` whose addition to `base` leaves no
+    r-partite hole of size s, as (graph, length, certified, checks).
+
+    Adding edges never creates a hole, so bisection finds the prefix
+    that a scan certifying after every edge would stop at.  If even the
+    whole list leaves a hole, all of it is added and certified is False.
+    """
+    checks = 0
+
+    def hole_free(t: int) -> bool:
+        nonlocal checks
+        checks += 1
+        return certify_no_hole(base.add_edges(edges[:t]), r, s)[0]
+
+    t = bisect_left(range(len(edges) + 1), True, key=hole_free)
+    kept = min(t, len(edges))
+    return base.add_edges(edges[:kept]), kept, t <= len(edges), checks
+
+
 def hole_suppressed_process(
     pattern: Pattern,
     n: int,
@@ -85,16 +106,13 @@ def hole_suppressed_process(
     s: int,
     seed: int,
     budget: Optional[int] = None,
-    trials: int = 64,
-    exact_cap: int = EXACT_CAP_DEFAULT,
-    check_every: int = 1,
 ) -> tuple[PartiteGraph, dict]:
-    """Add uniformly random absent cross edges until the hole certifier
-    reports no r-partite hole of size s, or the edge budget runs out.
+    """Add the absent cross edges in a seeded random order up to the
+    first prefix with no r-partite hole of size s, or `budget` edges.
 
-    Returns (graph, report) with report keys `edges_added`, `certified`,
-    `regime`, and `checks`.  Certification is exact for n <= exact_cap
-    and randomized above it, as reported in `regime`.
+    The prefix is found by bisection with the exact `certify_no_hole`,
+    so "certified" is a proof.  Returns (graph, report) with report keys
+    `edges_added`, `certified`, `regime` (always "exact") and `checks`.
     """
     if not 1 <= s <= n:
         raise ValueError(f"hole size s={s} out of range [1..{n}]")
@@ -105,34 +123,13 @@ def hole_suppressed_process(
         for b in range(n)
     ]
     rng_for(seed, "order").shuffle(order)
-    if budget is None:
-        budget = len(order)
-    G = PartiteGraph.from_edges(pattern, n, [])
-    added = 0
-    checks = 0
-
-    def certify(g):
-        nonlocal checks
-        checks += 1
-        ok, regime, _ = certify_no_hole(
-            g, r, s, trials=trials, seed=subseed(seed, "cert", checks), exact_cap=exact_cap
-        )
-        return ok, regime
-
-    certified, regime = certify(G)
-    for edge in order:
-        if certified or added >= budget:
-            break
-        G = G.add_edges([edge])
-        added += 1
-        if added % check_every == 0 or added == budget:
-            certified, regime = certify(G)
-    if not certified and added % check_every != 0:
-        certified, regime = certify(G)
+    order = order[: len(order) if budget is None else max(budget, 0)]
+    empty = PartiteGraph.from_edges(pattern, n, [])
+    G, added, certified, checks = _first_hole_free(empty, order, r, s)
     return G, {
         "edges_added": added,
         "certified": certified,
-        "regime": regime,
+        "regime": "exact",
         "checks": checks,
     }
 
@@ -143,8 +140,6 @@ def space_barrier(
     seed: int = 0,
     hole_target_s: Optional[int] = None,
     budget: Optional[int] = None,
-    trials: int = 64,
-    check_every: Optional[int] = None,
 ) -> tuple[PartiteGraph, VertexSetFamily, dict]:
     """Cycle-pattern instance with high partite degree but no transversal
     cycle factor.
@@ -161,9 +156,10 @@ def space_barrier(
     exists.  The partite minimum degree stays >= n/k - 1 because U is
     completely joined to everything.
 
-    If `hole_target_s` is given, the 2-partite hole certifier runs every
-    `check_every` accepted edges and the process stops early once no
-    hole of that size is found.
+    If `hole_target_s` is given, only the shortest prefix of the accepted
+    edges that leaves no 2-partite hole of that size is kept (bisection
+    with the exact `certify_no_hole`); if there is one, `candidates_tried`
+    counts up to and including the last kept edge.
     """
     if not pattern.is_cycle or pattern.k < 4:
         raise ValueError("space barrier needs a cycle pattern with k >= 4")
@@ -190,8 +186,6 @@ def space_barrier(
     rng_for(seed, "order").shuffle(candidates)
     if budget is None:
         budget = len(candidates)
-    if check_every is None:
-        check_every = max(1, n)
 
     # per orientation i -> j, the cycle parts from j round to i and the
     # outside masks of the parts strictly between them: an edge (i,a)-(j,b)
@@ -201,16 +195,11 @@ def space_barrier(
         seq = [(j - 1 + t) % k + 1 for t in range(k)]
         arcs[j] = seq, [outside[p] for p in seq[1:-1]]
 
-    def freeze() -> PartiteGraph:
-        return PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
-
-    added = 0
+    base = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
+    kept = []
     tried = 0
-    certified = None
-    regime = None
-    checks = 0
     for i, a, j, b in candidates:
-        if tried >= budget or certified:
+        if tried >= budget:
             break
         tried += 1
         # orient so that pj follows pi on the cycle; sorted cycle edges
@@ -226,17 +215,15 @@ def space_barrier(
             adj[(pi, pj)][pa] &= ~(1 << pb)
             adj[(pj, pi)][pb] &= ~(1 << pa)
             continue
-        added += 1
-        if hole_target_s is not None and added % check_every == 0:
-            checks += 1
-            certified, regime, _ = certify_no_hole(
-                freeze(), 2, hole_target_s, trials=trials, seed=subseed(seed, "cert", checks)
-            )
-    if hole_target_s is not None and certified is None:
-        checks += 1
-        certified, regime, _ = certify_no_hole(
-            freeze(), 2, hole_target_s, trials=trials, seed=subseed(seed, "cert", checks)
-        )
+        kept.append((i, a, j, b))
+    G, added = base.add_edges(kept), len(kept)
+    certified = regime = None
+    checks = 0
+    if hole_target_s is not None:
+        G, added, certified, checks = _first_hole_free(base, kept, 2, hole_target_s)
+        regime = "exact"
+        if certified:
+            tried = candidates.index(kept[added - 1]) + 1 if added else 0
     U = VertexSetFamily([(p, range(u_size)) for p in range(1, k + 1)])
     report = {
         "u_size": u_size,
@@ -246,7 +233,7 @@ def space_barrier(
         "regime": regime,
         "checks": checks,
     }
-    return freeze(), U, report
+    return G, U, report
 
 
 def sample_balanced_partition(m: int, k: int, seed: int) -> list[list[int]]:
@@ -329,7 +316,9 @@ class GenResult:
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Declarative instance description used by experiment configs."""
+    """Declarative instance description used by experiment configs;
+    `params` holds the family's arguments (p; r, s, budget; hole_target_s,
+    budget; host_file or host_edges, m), and other keys are ignored."""
 
     family: str
     pattern: Pattern
@@ -368,8 +357,6 @@ class GenSpec:
                 p["s"],
                 self.seed,
                 budget=p.get("budget"),
-                trials=p.get("trials", 64),
-                check_every=p.get("check_every", 1),
             )
             return GenResult(G, {"report": report})
         if self.family == "space_barrier":
@@ -379,7 +366,6 @@ class GenSpec:
                 seed=self.seed,
                 hole_target_s=p.get("hole_target_s"),
                 budget=p.get("budget"),
-                trials=p.get("trials", 64),
             )
             extras = {
                 "U": [[part, sorted(U.subset(part))] for part in U.parts],

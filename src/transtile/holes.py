@@ -11,13 +11,13 @@ Holes are only hunted on pattern-clique part tuples: across a
 non-adjacent part pair the empty relation would make every pair of
 subsets a hole and the quantity degenerates.
 
-Two regimes are provided.  The exact solver (`alpha_star_exact`) runs a
-branch-and-bound over subset choices and is guarded by a size cap; its
-"none" answers are proofs.  The randomized search
-(`alpha_star_lower_bound`) grows candidate holes greedily with random
-restarts; it returns verified certificates, and finding none is
-evidence, never proof.  `certify_no_hole` packages the two regimes and
-always reports which one applied.
+`alpha_star_exact` computes the hole number with a maximum witness and
+refuses n above a cap.  `certify_no_hole` decides exactly whether an
+s-hole exists, without the hole number: for r=2 by a pruned subset
+search with no cap, for r>=3 by the same branch-and-bound under the cap.
+Both report absence only as a proof.  `alpha_star_lower_bound` is a
+randomized hole finder: its holes are verified, but finding none proves
+nothing, and no certification rests on it.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class HoleReport:
 
     alpha: int
     witness: HoleCertificate
-    method: str  # "exact" | "randomized-lower-bound"
+    method: str  # always "exact"
     explored: int
 
     def to_json_dict(self) -> dict:
@@ -126,7 +126,7 @@ def verify_hole(G: PartiteGraph, cand: HoleCertificate) -> bool:
     return next(iter_copies(G, cand.parts, masks), None) is None
 
 
-# -- exact regime -----------------------------------------------------------
+# -- exact decisions ---------------------------------------------------------
 
 
 def _alpha_pair_exact(G: PartiteGraph, pi: int, pj: int) -> tuple[int, tuple[int, int], int]:
@@ -150,6 +150,25 @@ def _alpha_pair_exact(G: PartiteGraph, pi: int, pj: int) -> tuple[int, tuple[int
         if val > best:
             best, wa, wt = val, m, t[m]
     return best, (wa, wt), (1 << n) - 1
+
+
+def _pair_hole(G: PartiteGraph, pi: int, pj: int, s: int) -> Optional[tuple[int, int]]:
+    """Masks (A, B) of an s-hole on parts pi, pj, or None (a proof).
+
+    Picks A in part pi in ascending order, keeping T(A), its common
+    non-neighbourhood in part pj, and cuts a branch once |T(A)| < s:
+    T only shrinks as A grows.  B is the s lowest vertices of T(A).
+    """
+    def rec(start: int, a_mask: int, t: int) -> Optional[tuple[int, int]]:
+        if a_mask.bit_count() == s:
+            return a_mask, mask_of(list(bits(t))[:s])
+        for a in range(start, G.n):
+            u = t & ~G.nbr_mask(pi, a, pj)
+            if u.bit_count() >= s and (found := rec(a + 1, a_mask | 1 << a, u)):
+                return found
+        return None
+
+    return rec(0, 0, G.full_mask)
 
 
 def _exists_hole(
@@ -239,7 +258,30 @@ def alpha_star_exact(
     return HoleReport(alpha=best, witness=witness, method="exact", explored=explored)
 
 
-# -- randomized regime --------------------------------------------------------
+def certify_no_hole(G: PartiteGraph, r: int, s: int) -> tuple[bool, str, Optional[HoleCertificate]]:
+    """Decide whether the instance has no r-partite hole of size s.
+
+    Returns (certified, "exact", counterexample-or-None).  Both answers
+    are proofs, and a counterexample is a verified hole of size exactly
+    s.  For r=2 the search is exact at every n; for r >= 3 it refuses n
+    above EXACT_CAP_DEFAULT, as `alpha_star_exact` does.
+    """
+    if not 2 <= r <= G.k or s < 1:
+        raise ValueError(f"hole order r={r} or size s={s} out of range")
+    if s > G.n:
+        return True, "exact", None
+    if r > 2 and G.n > EXACT_CAP_DEFAULT:
+        raise ValueError(f"exact mode refused: n={G.n} exceeds cap {EXACT_CAP_DEFAULT} for r={r}")
+    for parts in G.pattern.clique_part_tuples(r):
+        masks = _pair_hole(G, *parts, s) if r == 2 else _exists_hole(G, parts, s, [0])
+        if masks is not None:
+            witness = HoleCertificate(r, parts, tuple(frozenset(bits(m)) for m in masks), True)
+            assert verify_hole(G, witness)
+            return False, "exact", witness
+    return True, "exact", None
+
+
+# -- randomized hole finder ---------------------------------------------------
 
 
 def alpha_star_lower_bound(
@@ -288,29 +330,3 @@ def alpha_star_lower_bound(
                 d = rng.choice(donors)
                 masks[d] &= ~(1 << rng.choice(list(bits(masks[d]))))
     return None
-
-
-def certify_no_hole(
-    G: PartiteGraph,
-    r: int,
-    s: int,
-    trials: int = 64,
-    seed: int = 0,
-    exact_cap: int = EXACT_CAP_DEFAULT,
-) -> tuple[bool, str, Optional[HoleCertificate]]:
-    """Decide (or probe) whether the instance has no r-partite hole of
-    size s.  Returns (certified, regime, counterexample-or-None).
-
-    With n <= exact_cap the exact solver runs and "certified" is a
-    proof.  Above the cap the randomized search runs and "certified"
-    only means no hole surfaced within the trial budget.
-    """
-    if s > G.n:
-        return True, "exact", None
-    if G.n <= exact_cap:
-        report = alpha_star_exact(G, r, cap=exact_cap)
-        if report.alpha >= s:
-            return False, "exact", report.witness
-        return True, "exact", None
-    found = alpha_star_lower_bound(G, r, s, trials=trials, seed=seed)
-    return found is None, "randomized-lower-bound", found

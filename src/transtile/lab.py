@@ -34,7 +34,7 @@ from transtile.absorbing import (
     verify_absorbing_property,
 )
 from transtile.core import PartiteGraph, delta_star
-from transtile.generators import GenSpec, complete_blowup, random_spanning_subgraph, subseed
+from transtile.generators import GenSpec, subseed
 from transtile.holes import alpha_star_exact
 from transtile.svg import heatmap, line_plot
 from transtile.tiling import (

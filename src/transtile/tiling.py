@@ -57,11 +57,10 @@ does not force them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from transtile.core import (
-    Pattern,
     PartiteGraph,
     VertexId,
     VertexSetFamily,

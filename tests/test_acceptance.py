@@ -37,7 +37,7 @@ from transtile.generators import (
     hole_suppressed_process,
     space_barrier,
 )
-from transtile.holes import alpha_star_exact
+from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     check_appendix_invariants,
     exact_transversal_factor,
@@ -312,6 +312,19 @@ def test_criterion_7_absorbing_pipeline_end_to_end():
     )
     Gb, rep = hole_suppressed_process(K3, 60, 2, 2, seed=3)
     assert rep["certified"]
+    # independent naive recheck of "no 2x2 hole": every pair of vertices
+    # in one part has fewer than 2 common non-neighbours in the other
+    for i, j in sorted(K3.edges):
+        for a, a2 in combinations(range(Gb.n), 2):
+            common = [
+                b
+                for b in range(Gb.n)
+                if not Gb.has_edge((i, a), (j, b)) and not Gb.has_edge((i, a2), (j, b))
+            ]
+            assert len(common) < 2, (i, a, a2, j, common)
+    # the 2x2 hole that the 10557-edge prefix of this process still has
+    old_hole = HoleCertificate(2, (1, 3), (frozenset({9, 50}), frozenset({38, 39})))
+    assert not verify_hole(Gb, old_hole)
     pb = AbsorbParams(
         q=0.1, tau=3.0, beta_prime=0.003, m=1, beta_m=1, seed=7, connector_t=1
     )

@@ -12,6 +12,7 @@ from transtile.generators import (
     random_k_split,
     random_spanning_subgraph,
     read_edge_list,
+    rng_for,
     sample_balanced_partition,
     space_barrier,
     subseed,
@@ -95,6 +96,43 @@ def test_hole_suppressed_deterministic():
     assert a == b and ra == rb
 
 
+def linear_hole_suppressed(pattern, n, r, s, seed, budget=None):
+    """Reference process: add the seeded edge order one edge at a time and
+    stop at the first prefix whose exact hole number is below s."""
+    order = [(i, a, j, b) for i, j in sorted(pattern.edges) for a in range(n) for b in range(n)]
+    rng_for(seed, "order").shuffle(order)
+    if budget is not None:
+        order = order[:budget]
+    G = PartiteGraph.from_edges(pattern, n, [])
+    for t in range(len(order) + 1):
+        if t:
+            G = G.add_edges([order[t - 1]])
+        if alpha_star_exact(G, r).alpha < s:
+            return G, t, True
+    return G, len(order), False
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_hole_suppressed_matches_linear_scan(seed):
+    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.cycle(5))[
+        seed % 4
+    ]
+    n = 3 + seed % 3
+    for r in (2, 3):
+        if not pattern.clique_part_tuples(r):
+            continue
+        for s in (1, 2, 3):
+            G, t, certified = linear_hole_suppressed(pattern, n, r, s, seed)
+            H, rep = hole_suppressed_process(pattern, n, r, s, seed=seed)
+            assert (H, rep["edges_added"], rep["certified"]) == (G, t, certified)
+            assert rep["regime"] == "exact"
+            # a budget that stops short of the first hole-free prefix, and one past it
+            for budget in {max(t - 1, 0), t // 2, t + 3}:
+                G, t_b, certified = linear_hole_suppressed(pattern, n, r, s, seed, budget)
+                H, rep = hole_suppressed_process(pattern, n, r, s, seed=seed, budget=budget)
+                assert (H, rep["edges_added"], rep["certified"]) == (G, t_b, certified)
+
+
 # -- space barrier ------------------------------------------------------------------
 
 
@@ -164,6 +202,29 @@ def test_space_barrier_certification_loop():
     G, U, report = space_barrier(Pattern.cycle(4), 8, seed=29, hole_target_s=6)
     assert report["certified"] is True
     assert report["regime"] == "exact"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_space_barrier_hole_target_matches_linear_scan(seed):
+    # the process after b candidates is space_barrier(..., budget=b); the
+    # hole target must stop at the first b whose graph has no s-hole
+    C4 = Pattern.cycle(4)
+    full, _, untargeted = space_barrier(C4, 8, seed=seed)
+    tried = untargeted["candidates_tried"]
+    steps = [space_barrier(C4, 8, seed=seed, budget=b) for b in range(tried + 1)]
+    for s in (4, 5, 6, 7):  # 4-holes survive every barrier here; 5 to 7 do not
+        first = next(
+            (b for b, (G, _, _) in enumerate(steps) if alpha_star_exact(G, 2).alpha < s), None
+        )
+        G, _, rep = space_barrier(C4, 8, seed=seed, hole_target_s=s)
+        if first is None:
+            assert G == full and rep["certified"] is False
+            assert rep["candidates_tried"] == tried
+            assert rep["edges_added"] == untargeted["edges_added"]
+        else:
+            assert G == steps[first][0] and rep["certified"] is True
+            assert rep["candidates_tried"] == first
+            assert rep["edges_added"] == steps[first][2]["edges_added"]
 
 
 # -- random split ---------------------------------------------------------------------

@@ -177,10 +177,55 @@ def test_certify_exact_regime():
     assert not ok and regime == "exact" and witness.s >= 2
 
 
-def test_certify_randomized_regime():
-    G = PartiteGraph.complete(Pattern.complete(2), 12)
-    ok, regime, witness = certify_no_hole(G, 2, 2, trials=20, seed=5)
-    assert ok and regime == "randomized-lower-bound" and witness is None
+def test_certify_pairs_exact_above_cap():
+    # the r=2 decision has no size cap: it stays exact past EXACT_CAP_DEFAULT
+    for n in (12, 60):
+        G = PartiteGraph.complete(Pattern.complete(2), n)
+        ok, regime, witness = certify_no_hole(G, 2, 2)
+        assert ok and regime == "exact" and witness is None
+        H = G.delete_edges([(1, a, 2, b) for a in (3, n - 1) for b in (0, 5)])
+        ok, regime, witness = certify_no_hole(H, 2, 2)
+        assert not ok and regime == "exact"
+        # the only 2x2 hole is the deleted block
+        assert witness.sets == (frozenset({3, n - 1}), frozenset({0, 5}))
+        assert verify_hole(H, witness)
+
+
+def test_certify_r3_above_cap_refused():
+    G = PartiteGraph.complete(Pattern.complete(3), 11)
+    with pytest.raises(ValueError, match="exact mode refused"):
+        certify_no_hole(G, 3, 2)
+    assert certify_no_hole(G, 2, 2)[0]
+
+
+def test_certify_validation():
+    G = PartiteGraph.complete(Pattern.complete(3), 3)
+    for r, s in ((1, 1), (4, 1), (2, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            certify_no_hole(G, r, s)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certify_matches_exact_hole_number(seed):
+    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.cycle(5))[
+        seed % 4
+    ]
+    n = 2 + seed % 6
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 4 % 4], seed=2000 + seed)
+    for r in (2, 3):
+        if not G.pattern.clique_part_tuples(r):
+            continue
+        alpha = alpha_star_exact(G, r).alpha
+        for s in range(1, n + 2):
+            ok, regime, witness = certify_no_hole(G, r, s)
+            assert regime == "exact"
+            assert ok == (alpha < s), (seed, r, s, alpha)
+            if ok:
+                assert witness is None
+            else:
+                assert witness.verified and witness.r == r and witness.s == s
+                assert all(len(u) == s for u in witness.sets)
+                assert verify_hole(G, witness)
 
 
 def test_certify_oversized_hole_vacuous():

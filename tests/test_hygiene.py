@@ -1,0 +1,64 @@
+"""Source hygiene checks that need nothing beyond the standard library."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "transtile"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name each import binds in the module, with its line number."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including inside quoted annotations."""
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            quoted.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            quoted.append(node.annotation)
+    nodes = list(ast.walk(tree))
+    for ann in quoted:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            nodes.extend(ast.walk(ast.parse(ann.value, mode="eval")))
+    return {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def test_modules_found():
+    assert {"core.py", "holes.py", "generators.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _read_names(tree) | _exported_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
