@@ -23,9 +23,14 @@ never has to trust the search that produced them.
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
 here, sized by the caller for instances of a few dozen vertices per
-part; see AbsorbParams.  Witness factor checks run the exact solver on
-induced instances of at most 2k+1 vertices per part, which is always
-feasible.
+part; see AbsorbParams.  Every factor check runs the exact solver on G
+itself, restricted to per-part masks, so no relabelled copy of the graph
+is built.  Connector and absorber witnesses have at most 2k+1 vertices
+per part, which is always feasible.  `verify_absorbing_property` factors
+G[R u U] with no size cap, and that is most of the graph at the
+reference parameters (R alone holds 49 to 59 of 60 vertices per part in
+the check-7 and benchmark configs); those checks stay fast only while
+the search does not backtrack.
 """
 
 from __future__ import annotations
@@ -103,21 +108,20 @@ def _check_partition(
 def _factor_witness(
     G: PartiteGraph, verts: Iterable[VertexId]
 ) -> Optional[tuple[TransversalCopy, ...]]:
-    """Transversal factor of the induced instance, in original labels."""
+    """Transversal factor of G[verts], or None if it has none.
+
+    None also when `verts` is empty or unbalanced across the parts.  The
+    exact search runs on G itself with the per-part masks of `verts`, so
+    the copies come back in G's labels.
+    """
     masks = [0] * (G.k + 1)
     for p, i in verts:
         masks[p] |= 1 << i
     sizes = {masks[p].bit_count() for p in range(1, G.k + 1)}
     if len(sizes) != 1 or sizes == {0}:
         return None
-    H, keep = G.induced(masks)
-    tiling, _ = exact_transversal_factor_search(H, cap=None)
-    if tiling is None:
-        return None
-    return tuple(
-        TransversalCopy(tuple(keep[p + 1][v] for p, v in enumerate(c.verts)))
-        for c in tiling.copies
-    )
+    tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
+    return None if tiling is None else tiling.copies
 
 
 # -- fans ---------------------------------------------------------------------
@@ -1047,8 +1051,7 @@ def verify_absorbing_property(
         masks = [0] * (k + 1)
         for p in range(1, k + 1):
             masks[p] = r_masks[p] | mask_of(u_sets[p - 1])
-        H, _ = G.induced(masks)
-        tiling, _stats = exact_transversal_factor_search(H, cap=None)
+        tiling, _stats = exact_transversal_factor_search(G, cap=None, masks=masks)
         return tiling is not None
 
     space = 1

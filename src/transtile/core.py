@@ -44,6 +44,8 @@ __all__ = [
     "common_neighborhood",
     "mask_of",
     "bits",
+    "json_field",
+    "json_rows",
 ]
 
 
@@ -61,6 +63,49 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_REQUIRED = object()
+
+
+def _json_is(value, kind) -> bool:
+    """isinstance for JSON values, where a bool is not a number."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, bool) and bool not in kinds:
+        return False
+    return isinstance(value, kinds)
+
+
+def json_field(data, key: str, kind, where: str, default=_REQUIRED):
+    """`data[key]`, checked to be a `kind` (a type or tuple of types).
+
+    Raises ValueError naming `where` and the field when `data` is not a
+    JSON object, the field is missing and has no default, or its value
+    has another type.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} needs field {key!r}")
+        return default
+    value = data[key]
+    if not _json_is(value, kind):
+        raise ValueError(f"{where}.{key} has the wrong type: {value!r}")
+    return value
+
+
+def json_rows(data, key: str, width: int, where: str) -> list[tuple[int, ...]]:
+    """`data[key]` as a list of rows of `width` integers (see json_field)."""
+    rows = json_field(data, key, list, where)
+    for t, row in enumerate(rows):
+        if not (
+            isinstance(row, list)
+            and len(row) == width
+            and all(_json_is(x, int) for x in row)
+        ):
+            raise ValueError(f"{where}.{key}[{t}] must be {width} integers: {row!r}")
+    return [tuple(row) for row in rows]
 
 
 class VertexId(NamedTuple):
@@ -134,13 +179,14 @@ class Pattern:
 
     @staticmethod
     def from_json_dict(data: dict) -> "Pattern":
-        kind = data.get("kind")
+        kind = json_field(data, "kind", (str, type(None)), "pattern", None)
+        k = json_field(data, "k", int, "pattern")
         if kind == "complete":
-            return Pattern.complete(data["k"])
+            return Pattern.complete(k)
         if kind == "cycle":
-            return Pattern.cycle(data["k"])
+            return Pattern.cycle(k)
         if kind is None and "edges" in data:
-            return Pattern(data["k"], [tuple(e) for e in data["edges"]])
+            return Pattern(k, json_rows(data, "edges", 2, "pattern"))
         raise ValueError(f"unknown pattern description: {data!r}")
 
 
@@ -339,11 +385,14 @@ class PartiteGraph:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PartiteGraph":
-        if data.get("format") != GRAPH_FORMAT:
-            raise ValueError(f"unsupported graph format: {data.get('format')!r}")
-        pattern = Pattern(data["k"], [tuple(e) for e in data["pattern_edges"]])
+        fmt = json_field(data, "format", object, "graph", None)
+        if fmt != GRAPH_FORMAT:
+            raise ValueError(f"unsupported graph format: {fmt!r}")
+        pattern = Pattern(
+            json_field(data, "k", int, "graph"), json_rows(data, "pattern_edges", 2, "graph")
+        )
         return PartiteGraph.from_edges(
-            pattern, data["n"], [tuple(e) for e in data["edges"]]
+            pattern, json_field(data, "n", int, "graph"), json_rows(data, "edges", 4, "graph")
         )
 
     def save(self, path) -> None:

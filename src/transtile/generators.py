@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits
+from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits, json_field
 from transtile.holes import certify_no_hole
 from transtile.search import sweep
 
@@ -394,9 +394,9 @@ class GenSpec:
     @staticmethod
     def from_json_dict(data: dict) -> "GenSpec":
         return GenSpec(
-            family=data["family"],
-            pattern=Pattern.from_json_dict(data["pattern"]),
-            n=data["n"],
-            seed=data.get("seed", 0),
-            params=dict(data.get("params", {})),
+            family=json_field(data, "family", str, "gen"),
+            pattern=Pattern.from_json_dict(json_field(data, "pattern", dict, "gen")),
+            n=json_field(data, "n", int, "gen"),
+            seed=json_field(data, "seed", int, "gen", 0),
+            params=dict(json_field(data, "params", dict, "gen", {})),
         )

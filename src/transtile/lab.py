@@ -33,7 +33,7 @@ from transtile.absorbing import (
     find_absorber,
     verify_absorbing_property,
 )
-from transtile.core import PartiteGraph, delta_star
+from transtile.core import PartiteGraph, delta_star, json_field
 from transtile.generators import GenSpec, subseed
 from transtile.holes import alpha_star_exact
 from transtile.svg import heatmap, line_plot
@@ -85,6 +85,16 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _number(value, convert, where: str):
+    """convert(value), with ValueError naming `where` for anything else."""
+    if isinstance(value, bool):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One scenario run: instance source, scenario knobs, seed, outputs."""
@@ -107,12 +117,14 @@ class ExperimentConfig:
             if isinstance(self.gen, str):
                 raise ValueError("threshold_sweep varies a generator, not a file")
             grid = self.params.get("p_grid")
-            if not grid or not all(0 <= float(p) <= 1 for p in grid):
+            if not isinstance(grid, list) or not grid or not all(
+                0 <= _number(p, float, "params.p_grid") <= 1 for p in grid
+            ):
                 raise ValueError("threshold_sweep needs params.p_grid in [0,1]")
-            if int(self.params.get("seeds_per_p", 1)) < 1:
+            if _number(self.params.get("seeds_per_p", 1), int, "params.seeds_per_p") < 1:
                 raise ValueError("threshold_sweep needs seeds_per_p >= 1")
         else:
-            if int(self.params.get("instances", 1)) < 1:
+            if _number(self.params.get("instances", 1), int, "params.instances") < 1:
                 raise ValueError("params.instances must be >= 1")
         if self.scenario == "absorbing_pipeline":
             for key in ("q", "tau", "beta_prime", "m"):
@@ -135,23 +147,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict, base_dir: str = ".") -> "ExperimentConfig":
-        if "scenario" not in data or "gen" not in data:
-            raise ValueError("config needs scenario and gen")
-        raw_gen = data["gen"]
+        """Load a config; any malformed field raises ValueError naming it."""
+        scenario = json_field(data, "scenario", str, "config")
+        raw_gen = json_field(data, "gen", (str, dict), "config")
         if isinstance(raw_gen, str):
             gen: GenSpec | str = os.path.join(base_dir, raw_gen)
-        elif isinstance(raw_gen, dict) and "path" in raw_gen:
-            gen = os.path.join(base_dir, raw_gen["path"])
+        elif "path" in raw_gen:
+            gen = os.path.join(base_dir, json_field(raw_gen, "path", str, "config.gen"))
         else:
             gen = GenSpec.from_json_dict(raw_gen)
-        out = data.get("out", {})
+        out = json_field(data, "out", dict, "config", {})
+        csv_path = json_field(out, "csv", str, "config.out", None)
+        json_path = json_field(out, "json", str, "config.out", None)
         return ExperimentConfig(
-            scenario=data["scenario"],
+            scenario=scenario,
             gen=gen,
-            params=dict(data.get("params", {})),
-            seed=int(data.get("seed", 0)),
-            out_csv=os.path.join(base_dir, out["csv"]) if "csv" in out else None,
-            out_json=os.path.join(base_dir, out["json"]) if "json" in out else None,
+            params=dict(json_field(data, "params", dict, "config", {})),
+            seed=_number(data.get("seed", 0), int, "config.seed"),
+            out_csv=None if csv_path is None else os.path.join(base_dir, csv_path),
+            out_json=None if json_path is None else os.path.join(base_dir, json_path),
         )
 
 
@@ -544,7 +558,7 @@ def _cmd_run(args) -> int:
         config = ExperimentConfig.from_json_dict(
             data, base_dir=os.path.dirname(os.path.abspath(args.config))
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     records = run(config)
@@ -574,7 +588,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.graph) as fh:
             G = PartiteGraph.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

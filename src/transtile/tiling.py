@@ -22,6 +22,11 @@ Search strategy notes
   uncovered vertex of part 1 (fail-first ordering).  It is exponential
   in the worst case and guarded by a size cap; absence answers come
   with search statistics.
+* The factor solver takes optional per-part root masks and then decides
+  a factor of the induced instance in place, in G's own labels.  The
+  relabelling of `PartiteGraph.induced` is monotone within each part,
+  so on the induced copy every choice (fail-first order, copy order,
+  Hall matchings) would be the same; the masks only skip building it.
 * The factor solver prunes by Hall's condition, lazily.  A factor of
   the remaining vertices restricts to a perfect matching between the
   remaining vertices of parts p and q for every pattern edge pq, so a
@@ -340,45 +345,62 @@ def _has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int) -> 
 
 
 def exact_transversal_factor_search(
-    G: PartiteGraph, cap: Optional[int] = FACTOR_CAP_DEFAULT
+    G: PartiteGraph,
+    cap: Optional[int] = FACTOR_CAP_DEFAULT,
+    masks: Optional[Sequence[int]] = None,
 ) -> tuple[Optional[Tiling], SearchStats]:
     """Complete factor decision with search statistics.
 
-    Branches on the copies through the lowest-degree uncovered part-1
-    vertex, and prunes a node by Hall's condition once its first child
-    has failed.  Returns (factor, stats) or (None, stats); None is a
-    proof of absence.  Refuses n above the cap unless cap is None.
+    `masks`, indexed 1..k (slot 0 ignored), are per-part root masks: the
+    search decides a factor of the induced instance G[masks] in place,
+    without relabelling.  They must select equally many vertices in
+    every part, all below n; None means the whole graph.  Branches on
+    the copies through the lowest-degree uncovered part-1 vertex, and
+    prunes a node by Hall's condition once its first child has failed.
+    Returns (factor, stats) or (None, stats); None is a proof of
+    absence.  A factor is a `Tiling` of G in G's own labels whose
+    leftover is exactly the complement of the masks.  Refuses a mask
+    size above the cap unless cap is None.
     """
-    if cap is not None and G.n > cap:
-        raise ValueError(
-            f"exact mode refused: n={G.n} exceeds cap {cap}; pass a larger cap to force"
-        )
     k = G.k
-    total_deg = [
-        sum(G.nbr_mask(1, v, q).bit_count() for q in G.pattern.neighbors(1))
-        for v in range(G.n)
-    ]
-    order = sorted(range(G.n), key=lambda v: (total_deg[v], v))
+    if masks is None:
+        root = [G.full_mask] * (k + 1)
+    elif len(masks) != k + 1 or any(m & ~G.full_mask for m in masks[1:]):
+        raise ValueError(f"factor masks need slots 1..{k} with bits below n={G.n}")
+    else:
+        root = list(masks)
+    sizes = sorted({root[p].bit_count() for p in range(1, k + 1)})
+    if len(sizes) != 1:
+        raise ValueError(f"factor masks unbalanced: sizes {sizes}")
+    if cap is not None and sizes[0] > cap:
+        raise ValueError(
+            f"exact mode refused: n={sizes[0]} exceeds cap {cap}; pass a larger cap to force"
+        )
+    nbrs1 = G.pattern.neighbors(1)
+    order = sorted(
+        bits(root[1]),
+        key=lambda v: (sum((G.nbr_mask(1, v, q) & root[q]).bit_count() for q in nbrs1), v),
+    )
     pairs = G.pattern.edge_list()
     nodes = 0
     best_depth = 0
     acc: list[TransversalCopy] = []
 
-    def rec(masks: list[int], depth: int) -> bool:
+    def rec(cur: list[int], depth: int) -> bool:
         nonlocal nodes, best_depth
         best_depth = max(best_depth, depth)
-        v1 = next((v for v in order if masks[1] >> v & 1), None)
+        v1 = next((v for v in order if cur[1] >> v & 1), None)
         if v1 is None:
             return True
-        cand = list(masks)
+        cand = list(cur)
         cand[1] = 1 << v1
         for tried, found in enumerate(iter_transversal_copies(G, cand)):
             if tried == 1 and not all(
-                _has_perfect_matching(G, p, q, masks[p], masks[q]) for p, q in pairs
+                _has_perfect_matching(G, p, q, cur[p], cur[q]) for p, q in pairs
             ):
                 return False
             nodes += 1
-            nxt = list(masks)
+            nxt = list(cur)
             for p in range(1, k + 1):
                 nxt[p] &= ~(1 << found[p - 1])
             acc.append(TransversalCopy(found))
@@ -387,7 +409,7 @@ def exact_transversal_factor_search(
             acc.pop()
         return False
 
-    ok = rec([G.full_mask] * (k + 1), 0)
+    ok = rec(root, 0)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

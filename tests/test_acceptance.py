@@ -18,6 +18,7 @@ closures.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from itertools import combinations, product
@@ -337,6 +338,10 @@ def test_criterion_7_absorbing_pipeline_end_to_end():
         exhaustive = verify_absorbing_property(
             G, R, R.xi, trials=1, seed=11, exhaustive_limit=1000
         )
+        # the exhaustive call really enumerated: one check per transversal
+        # k-set outside R (125 on the complete instance, 1 on the other)
+        space = math.prod(G.n - len(R.R.subset(p)) for p in range(1, G.k + 1))
+        assert space <= 1000 and exhaustive.checks == space, (space, exhaustive)
         results.append(
             randomized.ok and randomized.checks >= 100 and exhaustive.ok
         )

@@ -62,3 +62,20 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_no_relabelling_outside_core(path):
+    # searches take per-part masks; a relabelled copy of the graph per
+    # query dominated the absorbing pipeline's run time
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "induced"
+    )
+    assert not calls, f"{path.name} calls .induced( on lines {calls}; pass masks instead"

@@ -15,6 +15,8 @@ import os
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transtile.core import Pattern, PartiteGraph
 from transtile.generators import GenSpec, complete_blowup
@@ -94,6 +96,122 @@ def test_config_hash_ignores_field_order():
 
 def test_config_hash_changes_with_seed():
     assert sweep_config(seed=1).config_hash() != sweep_config(seed=2).config_hash()
+
+
+# -- malformed documents ----------------------------------------------------------
+
+GEN_DOC = {
+    "family": "hole_suppressed",
+    "pattern": {"kind": "complete", "k": 3},
+    "n": 4,
+    "seed": 1,
+    "params": {"r": 2, "s": 2},
+}
+CONFIG_DOCS = [
+    {
+        "scenario": "threshold_sweep",
+        "gen": {"family": "random_subgraph", "pattern": {"k": 3, "edges": [[1, 2], [2, 3]]},
+                "n": 4, "params": {"p": 0.5}},
+        "params": {"p_grid": [0.5, 1.0], "seeds_per_p": 2, "cap": 12},
+        "seed": 3,
+        "out": {"csv": "out.csv", "json": "out.json"},
+    },
+    {"scenario": "hole_scan", "gen": GEN_DOC, "params": {"r": 2, "instances": 2}},
+    {"scenario": "absorbing_pipeline", "gen": {"path": "g.json"},
+     "params": {"q": 0.1, "tau": 3, "beta_prime": 0.01, "m": 1}},
+]
+GRAPH_DOC = complete_blowup(Pattern.cycle(4), 2).to_json_dict()
+
+# small integers only: a loader that accepts k or n builds objects of
+# that size, which says nothing about the load contract
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["k", "n", "kind", "path", "p", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for t, value in enumerate(doc):
+            yield from _paths(value, prefix + (t,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one field replaced by an arbitrary JSON value or deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(json_values)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _loads_or_value_error(load, doc) -> None:
+    try:
+        load(doc)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(mutated(d) for d in CONFIG_DOCS)))
+def test_config_loader_raises_only_value_error(doc):
+    _loads_or_value_error(ExperimentConfig.from_json_dict, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(GEN_DOC))
+def test_genspec_loader_raises_only_value_error(doc):
+    _loads_or_value_error(GenSpec.from_json_dict, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated(GRAPH_DOC))
+def test_graph_loader_raises_only_value_error(doc):
+    _loads_or_value_error(PartiteGraph.from_json_dict, doc)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"scenario": "hole_scan", "gen": 5}, "config.gen"),
+        ({**CONFIG_DOCS[1], "gen": {**GEN_DOC, "pattern": {"kind": "complete", "k": "3"}}},
+         "pattern.k"),
+        ({**CONFIG_DOCS[1], "params": {"instances": None}}, "params.instances"),
+        ({**CONFIG_DOCS[0], "out": {"csv": 1}}, "config.out.csv"),
+        ({**CONFIG_DOCS[1], "gen": {**GEN_DOC, "n": None}}, "gen.n"),
+    ],
+)
+def test_config_loader_names_the_bad_field(doc, field):
+    with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+        ExperimentConfig.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({key: v for key, v in GRAPH_DOC.items() if key != "k"}, "graph needs field 'k'"),
+        ({**GRAPH_DOC, "pattern_edges": 5}, "graph.pattern_edges"),
+        ({**GRAPH_DOC, "edges": [[1, 0, 2]]}, r"graph.edges\[0\]"),
+    ],
+)
+def test_graph_loader_names_the_bad_field(doc, field):
+    with pytest.raises(ValueError, match=field):
+        PartiteGraph.from_json_dict(doc)
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -403,6 +521,16 @@ def test_cli_run_exit_one_on_config_error(tmp_path, capsys):
     path = write_config(tmp_path, scenario="mystery")
     assert main(["run", path]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [5, {"family": "complete", "pattern": {"kind": "complete", "k": "3"}, "n": 4}],
+)
+def test_cli_run_exit_one_on_malformed_gen(tmp_path, capsys, gen):
+    path = write_config(tmp_path, scenario="hole_scan", gen=gen, params={})
+    assert main(["run", path]) == 1
+    assert "config error: " in capsys.readouterr().err
 
 
 def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):

@@ -458,6 +458,57 @@ def _random_masks(rng, n, size):
     return sum(1 << v for v in rng.sample(range(n), size))
 
 
+@pytest.mark.parametrize("pattern", [K3, Pattern.complete(4), C4, C5])
+@pytest.mark.parametrize("seed", range(25))
+def test_factor_on_masks_matches_induced_instance(pattern, seed):
+    # the root-mask search must make every choice the search on the
+    # relabelled induced instance makes: same copies, same stats
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    G = random_instance(pattern, n, rng.uniform(0.4, 0.9), seed)
+    size = rng.randint(1, n)
+    masks = [0] + [_random_masks(rng, n, size) for _ in range(pattern.k)]
+    H, keep = G.induced(masks)
+    ref, ref_stats = exact_transversal_factor_search(H, None)
+    t, stats = exact_transversal_factor_search(G, None, masks)
+    assert stats == ref_stats
+    assert (t is None) == (ref is None)
+    if t is not None:
+        assert [c.verts for c in t.copies] == [
+            tuple(keep[p + 1][v] for p, v in enumerate(c.verts)) for c in ref.copies
+        ]
+        Tiling.build(G, t.copies)
+        assert t.leftover_masks()[1:] == [G.full_mask & ~m for m in masks[1:]]
+
+
+def test_factor_on_masks_whole_graph_is_the_default():
+    G = random_instance(K3, 5, 0.7, 3)
+    t, stats = exact_transversal_factor_search(G, None)
+    assert exact_transversal_factor_search(G, None, [0] + [G.full_mask] * 3) == (t, stats)
+
+
+def test_factor_on_masks_rejects_bad_masks():
+    G = complete_blowup(K3, 4)
+    with pytest.raises(ValueError, match="unbalanced"):
+        exact_transversal_factor_search(G, None, [0, 0b11, 0b11, 0b1])
+    for bad in (1 << 4, 0b10001, -1):
+        with pytest.raises(ValueError, match="bits below n=4"):
+            exact_transversal_factor_search(G, None, [0, 0b1, 0b1, bad])
+    with pytest.raises(ValueError, match="slots"):
+        exact_transversal_factor_search(G, None, [0, 0b1, 0b1])
+
+
+def test_factor_on_masks_cap_counts_the_mask_size():
+    G = complete_blowup(Pattern.complete(2), 13)
+    masks = [0, (1 << 12) - 1, (1 << 13) - 2]
+    t, _ = exact_transversal_factor_search(G, 12, masks)
+    assert t is not None and len(t.copies) == 12
+    with pytest.raises(ValueError, match="n=13 exceeds cap 12"):
+        exact_transversal_factor_search(G, 12, [0, G.full_mask, G.full_mask])
+    with pytest.raises(ValueError, match="n=3 exceeds cap 2"):
+        exact_transversal_factor_search(G, 2, [0, 0b111, 0b111])
+
+
 @pytest.mark.parametrize("pattern", [K3, C4])
 @pytest.mark.parametrize("seed", range(10))
 def test_has_perfect_matching_agrees_with_permutation_scan(pattern, seed):
