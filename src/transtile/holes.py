@@ -15,6 +15,8 @@ subsets a hole and the quantity degenerates.
 refuses n above a cap.  `certify_no_hole` decides exactly whether an
 s-hole exists, without the hole number: for r=2 by a pruned subset
 search with no cap, for r>=3 by the same branch-and-bound under the cap.
+That branch-and-bound keeps the transversal cliques still realizable as
+one bitmask over clique indices, so a branch on a subset costs one AND.
 Both report absence only as a proof.  `alpha_star_lower_bound` is a
 randomized hole finder: its holes are verified, but finding none proves
 nothing, and no certification rests on it.
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
@@ -176,39 +180,49 @@ def _exists_hole(
 ) -> Optional[tuple[int, ...]]:
     """Branch-and-bound: masks of an s-hole on `parts`, or None (a proof).
 
-    Enumerates transversal cliques on the parts once, then branches on
-    the subset choice for each part in ascending part order, keeping the
-    list of cliques still realizable inside the partial choice.  An
-    empty active list means any completion works.
+    Enumerates transversal cliques on the parts once and indexes them as
+    bitmasks over clique indices: rows[level][v] holds the cliques whose
+    vertex in parts[level] is v.  Then branches on the s-subset chosen
+    for each part in ascending part order (subsets in `combinations`
+    order), keeping the bitmask of cliques still realizable inside the
+    partial choice; one branch costs one AND with the OR of the subset's
+    rows.  An empty active set means any completion works; so does a
+    level whose vertices outside every active clique number at least s.
     """
-    n = G.n
+    n, full = G.n, G.full_mask
     r = len(parts)
-    all_cliques = list(iter_copies(G, parts, [G.full_mask] * r))
+    cliques = list(iter_copies(G, parts, [full] * r))
+    rows = [[0] * n for _ in parts]
+    for i, clique in enumerate(cliques):
+        for row, v in zip(rows, clique):
+            row[v] |= 1 << i
+    combos = list(combinations(range(n), s))
+    branches = [
+        [(mask_of(c), reduce(or_, (row[v] for v in c), 0)) for c in combos]
+        for row in rows[:-1]
+    ]
     lowest = mask_of(range(s))
 
-    def rec(level: int, active: list[tuple[int, ...]], chosen: list[int]) -> Optional[list[int]]:
+    def rec(level: int, active: int, chosen: list[int]) -> Optional[list[int]]:
         counter[0] += 1
         if not active:
             return chosen + [lowest] * (r - level)
-        if level == r - 1:
-            forbidden = mask_of(c[level] for c in active)
-            free = G.full_mask & ~forbidden
-            if free.bit_count() >= s:
-                return chosen + [mask_of(list(bits(free))[:s])]
-            return None
-        used = {c[level] for c in active}
-        if n - len(used) >= s:
-            free = G.full_mask & ~mask_of(used)
+        used = 0
+        for v, row in enumerate(rows[level]):
+            if row & active:
+                used |= 1 << v
+        free = full & ~used
+        if free.bit_count() >= s:
             return chosen + [mask_of(list(bits(free))[:s])] + [lowest] * (r - level - 1)
-        for combo in combinations(range(n), s):
-            u = mask_of(combo)
-            nxt = [c for c in active if u >> c[level] & 1]
-            res = rec(level + 1, nxt, chosen + [u])
+        if level == r - 1:
+            return None
+        for u, keep in branches[level]:
+            res = rec(level + 1, active & keep, chosen + [u])
             if res is not None:
                 return res
         return None
 
-    out = rec(0, all_cliques, [])
+    out = rec(0, (1 << len(cliques)) - 1, [])
     return tuple(out) if out is not None else None
 
 

@@ -360,13 +360,23 @@ def _worklist(config: ExperimentConfig) -> list[tuple[int, dict, dict]]:
     return out
 
 
+def _check_output_dirs(config: ExperimentConfig) -> None:
+    # checked when a run starts, not at load: a caller may load the
+    # config first and make its output directory afterwards
+    for path in (config.out_csv, config.out_json):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"output directory not found for {path}")
+
+
 def run(config: ExperimentConfig) -> list[ResultRecord]:
     """Execute the scenario; one record per instance, failures recorded.
 
-    Raises ValueError only for configuration problems, at config load;
-    any exception an individual instance throws, whatever its type,
-    lands in that instance's metrics as a failed row.
+    Raises ValueError only for configuration problems: at config load,
+    or for an output path in a missing directory before any instance
+    runs.  Any exception an individual instance throws, whatever its
+    type, lands in that instance's metrics as a failed row.
     """
+    _check_output_dirs(config)
     fn = _SCENARIO_FN[config.scenario]
     chash = config.config_hash()
     records = []
@@ -558,6 +568,7 @@ def _cmd_run(args) -> int:
         config = ExperimentConfig.from_json_dict(
             data, base_dir=os.path.dirname(os.path.abspath(args.config))
         )
+        _check_output_dirs(config)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

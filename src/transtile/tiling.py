@@ -386,12 +386,16 @@ def exact_transversal_factor_search(
     best_depth = 0
     acc: list[TransversalCopy] = []
 
-    def rec(cur: list[int], depth: int) -> bool:
+    def rec(cur: list[int], depth: int, start: int) -> bool:
+        # part 1 only loses vertices along a branch, and each branch
+        # removes its branching vertex order[i], so the scan for the next
+        # uncovered vertex resumes at i + 1
         nonlocal nodes, best_depth
         best_depth = max(best_depth, depth)
-        v1 = next((v for v in order if cur[1] >> v & 1), None)
-        if v1 is None:
+        i = next((j for j in range(start, len(order)) if cur[1] >> order[j] & 1), None)
+        if i is None:
             return True
+        v1 = order[i]
         cand = list(cur)
         cand[1] = 1 << v1
         for tried, found in enumerate(iter_transversal_copies(G, cand)):
@@ -404,12 +408,12 @@ def exact_transversal_factor_search(
             for p in range(1, k + 1):
                 nxt[p] &= ~(1 << found[p - 1])
             acc.append(TransversalCopy(found))
-            if rec(nxt, depth + 1):
+            if rec(nxt, depth + 1, i + 1):
                 return True
             acc.pop()
         return False
 
-    ok = rec(root, 0)
+    ok = rec(root, 0, 0)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

@@ -1,16 +1,21 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_alpha_star, naive_has_transversal_tuple, random_instance
-from transtile.core import Pattern, PartiteGraph
+from transtile.core import Pattern, PartiteGraph, bits, mask_of
+from transtile.generators import hole_suppressed_process
 from transtile.holes import (
     HoleCertificate,
+    _exists_hole,
     alpha_star_exact,
     alpha_star_lower_bound,
     certify_no_hole,
     verify_hole,
 )
+from transtile.search import iter_copies
 
 
 def empty_instance(pattern, n):
@@ -132,6 +137,64 @@ def test_alpha_exact_monotone_under_deletion(seed, p):
     H = G.delete_edges(rng.sample(edges, 1 + rng.randrange(len(edges))))
     # removing edges can only create or enlarge holes
     assert alpha_star_exact(H, 2).alpha >= alpha_star_exact(G, 2).alpha
+
+
+def list_exists_hole(G, parts, s, counter):
+    """Reference for `_exists_hole`: the same branch-and-bound, keeping
+    the active cliques as a list of tuples refiltered per subset."""
+    n = G.n
+    r = len(parts)
+    all_cliques = list(iter_copies(G, parts, [G.full_mask] * r))
+    lowest = mask_of(range(s))
+
+    def rec(level, active, chosen):
+        counter[0] += 1
+        if not active:
+            return chosen + [lowest] * (r - level)
+        if level == r - 1:
+            free = G.full_mask & ~mask_of(c[level] for c in active)
+            if free.bit_count() >= s:
+                return chosen + [mask_of(list(bits(free))[:s])]
+            return None
+        used = {c[level] for c in active}
+        if n - len(used) >= s:
+            free = G.full_mask & ~mask_of(used)
+            return chosen + [mask_of(list(bits(free))[:s])] + [lowest] * (r - level - 1)
+        for combo in combinations(range(n), s):
+            u = mask_of(combo)
+            res = rec(level + 1, [c for c in active if u >> c[level] & 1], chosen + [u])
+            if res is not None:
+                return res
+        return None
+
+    out = rec(0, all_cliques, [])
+    return tuple(out) if out is not None else None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exists_hole_matches_list_reference(seed):
+    # same masks and the same node count: the clique bitsets change the
+    # cost of a node, never the branching order
+    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(3))[seed % 3]
+    n = 2 + seed % 6
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 3 % 4], seed=3000 + seed)
+    arenas = list(pattern.clique_part_tuples(3))
+    if pattern.k == 4 and n <= 6:
+        arenas.append((1, 2, 3, 4))
+    for parts in arenas:
+        for s in range(1, n + 1):
+            want, got = [0], [0]
+            assert _exists_hole(G, parts, s, got) == list_exists_hole(G, parts, s, want)
+            assert got == want, (parts, s)
+
+
+def test_alpha_exact_work_count_pinned():
+    # explored counts branch nodes; a faster node must not change it
+    G, _ = hole_suppressed_process(Pattern.complete(4), 8, r=2, s=2, seed=3)
+    report = alpha_star_exact(G, 3)
+    assert report.alpha == 2 and report.explored == 49382
+    assert report.witness.parts == (1, 2, 3)
+    assert report.witness.sets == (frozenset({2, 3}), frozenset({3, 4}), frozenset({2, 5}))
 
 
 # -- randomized lower bound ----------------------------------------------------------

@@ -523,6 +523,20 @@ def test_cli_run_exit_one_on_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["csv", "json"])
+def test_cli_run_exit_one_on_missing_output_directory(tmp_path, capsys, key):
+    out = {"csv": "out.csv", "json": "out.json", key: f"missing/out.{key}"}
+    path = write_config(tmp_path, out=out)
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert f"config error: output directory not found for {tmp_path / 'missing'}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
+    config = sweep_config(**{f"out_{key}": str(tmp_path / "missing" / f"out.{key}")})
+    with pytest.raises(ValueError, match="output directory not found"):
+        run(config)
+
+
 @pytest.mark.parametrize(
     "gen",
     [5, {"family": "complete", "pattern": {"kind": "complete", "k": "3"}, "n": 4}],
