@@ -20,6 +20,12 @@ Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.
 
+Inside the module a vertex set is only ever held as per-part masks, a
+`list[int]` with slots 1..k as `iter_copies` and the factor search take
+them.  `_masks` converts each vertex argument once and rejects a vertex
+outside G; `_ids` turns masks back into sorted vertex tuples where a
+returned object or another public function needs them.
+
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
 here, sized by the caller for instances of a few dozen vertices per
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Optional, Sequence
 
 from transtile.core import (
@@ -50,7 +56,7 @@ from transtile.core import (
     mask_of,
 )
 from transtile.generators import rng_for
-from transtile.search import iter_copies
+from transtile.search import has_perfect_matching, iter_copies
 from transtile.tiling import TransversalCopy, exact_transversal_factor_search
 
 __all__ = [
@@ -74,12 +80,36 @@ __all__ = [
 ]
 
 TEMPLATE_X_CAP = 20
+TEMPLATE_TRIES = 1000
+SAMPLE_TRIES = 64
 CONNECTOR_EXHAUSTIVE_CAP = 6
 
 
-def _vid(v) -> VertexId:
-    p, i = v
-    return VertexId(p, i)
+def _masks(G: PartiteGraph, ids: Iterable[VertexId | tuple[int, int]]) -> list[int]:
+    """Per-part masks, slots 1..k, of the vertices `ids`, which must lie in G."""
+    masks = [0] * (G.k + 1)
+    for p, i in ids:
+        if not (1 <= p <= G.k and 0 <= i < G.n):
+            raise ValueError(
+                f"vertex ({p}, {i}) is not in G: parts run 1..{G.k}, "
+                f"indices 0..{G.n - 1}"
+            )
+        masks[p] |= 1 << i
+    return masks
+
+
+def _ids(masks: Sequence[int]) -> tuple[VertexId, ...]:
+    """The vertices of per-part masks, sorted."""
+    return tuple(VertexId(p, i) for p in range(1, len(masks)) for i in bits(masks[p]))
+
+
+def _union(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    return [x | y for x, y in zip(a, b)]
+
+
+def _copy(parts: Sequence[int], idxs: Sequence[int]) -> TransversalCopy:
+    """The copy with vertex idxs[t] in part parts[t], for parts 1..k in any order."""
+    return TransversalCopy(tuple(i for _, i in sorted(zip(parts, idxs))))
 
 
 def _vids_json(vs: Iterable[VertexId]) -> list[list[int]]:
@@ -106,17 +136,14 @@ def _check_partition(
 
 
 def _factor_witness(
-    G: PartiteGraph, verts: Iterable[VertexId]
+    G: PartiteGraph, masks: Sequence[int]
 ) -> Optional[tuple[TransversalCopy, ...]]:
-    """Transversal factor of G[verts], or None if it has none.
+    """Transversal factor of G[masks], or None if it has none.
 
-    None also when `verts` is empty or unbalanced across the parts.  The
-    exact search runs on G itself with the per-part masks of `verts`, so
-    the copies come back in G's labels.
+    None also when the masks are empty or unbalanced across the parts.
+    The exact search runs on G itself, so the copies come back in G's
+    labels.
     """
-    masks = [0] * (G.k + 1)
-    for p, i in verts:
-        masks[p] |= 1 << i
     sizes = {masks[p].bit_count() for p in range(1, G.k + 1)}
     if len(sizes) != 1 or sizes == {0}:
         return None
@@ -158,30 +185,18 @@ class Fan:
 
 
 def _fan_sets(
-    G: PartiteGraph,
-    v: VertexId,
-    target_size: int,
-    arena: Optional[Sequence[int]] = None,
+    G: PartiteGraph, v: VertexId, target_size: int, arena: Sequence[int]
 ) -> list[tuple[VertexId, ...]]:
-    """Greedy disjoint completion sets for v, drawn from `arena` masks."""
-    p0 = v.part
-    masks = [0] * (G.k + 1)
-    for p in range(1, G.k + 1):
-        masks[p] = G.full_mask if arena is None else arena[p]
-    masks[p0] = 1 << v.idx
+    """Greedy disjoint completion sets for v, drawn from the `arena` masks."""
+    parts = [p for p in range(1, G.k + 1) if p != v.part]
+    masks = [arena[p] & G.nbr_mask(v.part, v.idx, p) for p in parts]
     out: list[tuple[VertexId, ...]] = []
     while len(out) < target_size:
-        parts = [p for p in range(1, G.k + 1) if p != p0]
-        cand = [masks[p0]] + [masks[p] & G.nbr_mask(p0, v.idx, p) for p in parts]
-        found = next(iter_copies(G, [p0] + parts, cand), None)
+        found = next(iter_copies(G, parts, masks), None)
         if found is None:
             break
-        picked = tuple(
-            VertexId(p, found[t]) for t, p in enumerate([p0] + parts) if p != p0
-        )
-        out.append(picked)
-        for q, i in picked:
-            masks[q] &= ~(1 << i)
+        out.append(tuple(VertexId(p, i) for p, i in zip(parts, found)))
+        masks = [m & ~(1 << i) for m, i in zip(masks, found)]
     return out
 
 
@@ -193,7 +208,9 @@ def find_fan(G: PartiteGraph, v: VertexId, target_size: int) -> Fan:
     """
     if not G.pattern.is_complete:
         raise ValueError("fan search needs a complete pattern")
-    fan = Fan(at=v, sets=tuple(_fan_sets(G, v, target_size)))
+    _masks(G, [v])  # rejects a vertex outside G
+    arena = [G.full_mask] * (G.k + 1)
+    fan = Fan(at=v, sets=tuple(_fan_sets(G, v, target_size, arena)))
     fan.validate(G)
     return fan
 
@@ -237,15 +254,8 @@ class Connector:
         }
 
 
-def _normalize_forbidden(
-    W: Iterable[VertexId | tuple[int, int]], u: VertexId, v: VertexId
-) -> set[VertexId]:
-    # W never contains the endpoints themselves: drop them if passed
-    return {_vid(w) for w in W} - {u, v}
-
-
 def _connector_t1(
-    G: PartiteGraph, u: VertexId, v: VertexId, W: set[VertexId]
+    G: PartiteGraph, u: VertexId, v: VertexId, W: Sequence[int]
 ) -> Optional[Connector]:
     """Complete search for a (k-1)-set in the joint neighborhood.
 
@@ -254,110 +264,69 @@ def _connector_t1(
     searching the joint neighborhoods is exhaustive and None is a
     proof that no size-(k-1) connector avoids W.
     """
-    k = G.k
-    wmask = [0] * (k + 1)
-    for p, i in W:
-        wmask[p] |= 1 << i
-    parts = [p for p in range(1, k + 1) if p != u.part]
-    masks = [
-        common_neighborhood(G, (u, v), p) & ~wmask[p] for p in parts
-    ]
+    parts = [p for p in range(1, G.k + 1) if p != u.part]
+    masks = [common_neighborhood(G, (u, v), p) & ~W[p] for p in parts]
     found = next(iter_copies(G, parts, masks), None)
     if found is None:
         return None
-    s = tuple(VertexId(p, found[t]) for t, p in enumerate(parts))
-    wit_u = (TransversalCopy(_verts_tuple(G.k, (u, *s))),)
-    wit_v = (TransversalCopy(_verts_tuple(G.k, (v, *s))),)
+    s = tuple(VertexId(p, i) for p, i in zip(parts, found))
+    wit_u = (_copy([u.part, *parts], (u.idx, *found)),)
+    wit_v = (_copy([u.part, *parts], (v.idx, *found)),)
     conn = Connector(pair=(u, v), verts=s, t=1, witness_u=wit_u, witness_v=wit_v)
     conn.validate(G)
     return conn
 
 
-def _verts_tuple(k: int, ids: Iterable[VertexId]) -> tuple[int, ...]:
-    verts = [-1] * k
-    for p, i in ids:
-        verts[p - 1] = i
-    return tuple(verts)
-
-
 def _connector_t2_construct(
-    G: PartiteGraph,
-    u: VertexId,
-    v: VertexId,
-    W: set[VertexId],
-    d_cap: Optional[int],
+    G: PartiteGraph, u: VertexId, v: VertexId, W: Sequence[int]
 ) -> Optional[Connector]:
     """Two-clique construction: split candidate pools, find a shared apex.
 
     Per part j, the u-side pool takes the lower-index half of u's free
-    neighborhood (capped at d_cap) and the v-side pool takes what is
-    left of v's.  An apex w in the endpoint part must complete a clique
-    into each pool; the union of the two cliques is the connector.
+    neighborhood and the v-side pool takes what is left of v's, so the
+    two pools are disjoint.  An apex w in the endpoint part must
+    complete a clique into each pool; the union of the two cliques is
+    the connector.
     """
     k = G.k
     p0 = u.part
-    wmask = [0] * (k + 1)
-    for p, i in W:
-        wmask[p] |= 1 << i
     others = [p for p in range(1, k + 1) if p != p0]
-    d1: dict[int, int] = {}
-    d2: dict[int, int] = {}
+    d1: list[int] = []
+    d2: list[int] = []
     for j in others:
-        pool_u = G.nbr_mask(p0, u.idx, j) & ~wmask[j]
-        take = (pool_u.bit_count() + 1) // 2
-        if d_cap is not None:
-            take = min(take, d_cap)
-        m1 = 0
-        for idx in bits(pool_u):
-            if take == 0:
-                break
-            m1 |= 1 << idx
-            take -= 1
-        d2_j = G.nbr_mask(p0, v.idx, j) & ~wmask[j] & ~m1
-        if d_cap is not None:
-            m2 = 0
-            left = d_cap
-            for idx in bits(d2_j):
-                if left == 0:
-                    break
-                m2 |= 1 << idx
-                left -= 1
-            d2_j = m2
-        if not m1 or not d2_j:
+        pool_u = G.nbr_mask(p0, u.idx, j) & ~W[j]
+        m1 = mask_of(islice(bits(pool_u), (pool_u.bit_count() + 1) // 2))
+        m2 = G.nbr_mask(p0, v.idx, j) & ~W[j] & ~m1
+        if not m1 or not m2:
             return None
-        d1[j], d2[j] = m1, d2_j
-    apex_pool = G.full_mask & ~wmask[p0] & ~(1 << u.idx) & ~(1 << v.idx)
+        d1.append(m1)
+        d2.append(m2)
+    parts = [p0, *others]
+    apex_pool = G.full_mask & ~W[p0] & ~(1 << u.idx) & ~(1 << v.idx)
     for w_idx in bits(apex_pool):
-        w = VertexId(p0, w_idx)
-        k1 = next(iter_copies(G, [p0] + others, [1 << w_idx] + [d1[j] for j in others]), None)
+        k1 = next(iter_copies(G, parts, [1 << w_idx, *d1]), None)
         if k1 is None:
             continue
-        k1_ids = tuple(VertexId(p, k1[t]) for t, p in enumerate([p0] + others))
-        used = {vid for vid in k1_ids if vid != w}
-        free2 = [d2[j] & ~mask_of(i for q, i in used if q == j) for j in others]
-        k2 = next(iter_copies(G, [p0] + others, [1 << w_idx] + free2), None)
+        k2 = next(iter_copies(G, parts, [1 << w_idx, *d2]), None)
         if k2 is None:
             continue
-        k2_ids = tuple(VertexId(p, k2[t]) for t, p in enumerate([p0] + others))
-        s = tuple(sorted(set(k1_ids) | set(k2_ids)))
+        s = [0] * (k + 1)
+        for p, a, b in zip(parts, k1, k2):
+            s[p] = 1 << a | 1 << b
         # u completes the u-side clique through its own pool; the apex
         # clique into the v-side pool covers the rest, and symmetrically
-        wit_u = (
-            TransversalCopy(_verts_tuple(k, (u, *(x for x in k1_ids if x != w)))),
-            TransversalCopy(_verts_tuple(k, k2_ids)),
+        wit_u = (_copy(parts, (u.idx, *k1[1:])), _copy(parts, k2))
+        wit_v = (_copy(parts, (v.idx, *k2[1:])), _copy(parts, k1))
+        conn = Connector(
+            pair=(u, v), verts=_ids(s), t=2, witness_u=wit_u, witness_v=wit_v
         )
-        wit_v = (
-            TransversalCopy(_verts_tuple(k, (v, *(x for x in k2_ids if x != w)))),
-            TransversalCopy(_verts_tuple(k, k1_ids)),
-        )
-        conn = Connector(pair=(u, v), verts=s, t=2, witness_u=wit_u, witness_v=wit_v)
         conn.validate(G)
         return conn
     return None
 
 
 def _connector_t2_exhaustive(
-    G: PartiteGraph, u: VertexId, v: VertexId, W: set[VertexId]
+    G: PartiteGraph, u: VertexId, v: VertexId, W: Sequence[int]
 ) -> Optional[Connector]:
     """Every candidate set of the (1, 2, ..., 2) per-part profile.
 
@@ -367,25 +336,27 @@ def _connector_t2_exhaustive(
     """
     k = G.k
     p0 = u.part
-    wmask = [0] * (k + 1)
-    for p, i in W:
-        wmask[p] |= 1 << i
     others = [p for p in range(1, k + 1) if p != p0]
-    apex_pool = list(bits(G.full_mask & ~wmask[p0] & ~(1 << u.idx) & ~(1 << v.idx)))
-    pools = {j: list(bits(G.full_mask & ~wmask[j])) for j in others}
-    for w_idx in apex_pool:
-        for pick in product(*(combinations(pools[j], 2) for j in others)):
-            s = [VertexId(p0, w_idx)]
-            for j, pair_j in zip(others, pick):
-                s.extend(VertexId(j, i) for i in pair_j)
-            wit_u = _factor_witness(G, [u, *s])
+    pools = [list(bits(G.full_mask & ~W[j])) for j in others]
+    um, vm = _masks(G, [u]), _masks(G, [v])
+    for w_idx in bits(G.full_mask & ~W[p0] & ~(1 << u.idx) & ~(1 << v.idx)):
+        for pick in product(*(combinations(pool, 2) for pool in pools)):
+            s = [0] * (k + 1)
+            s[p0] = 1 << w_idx
+            for j, (a, b) in zip(others, pick):
+                s[j] = 1 << a | 1 << b
+            wit_u = _factor_witness(G, _union(s, um))
             if wit_u is None:
                 continue
-            wit_v = _factor_witness(G, [v, *s])
+            wit_v = _factor_witness(G, _union(s, vm))
             if wit_v is None:
                 continue
+            verts = (
+                VertexId(p0, w_idx),
+                *(VertexId(j, i) for j, pair in zip(others, pick) for i in pair),
+            )
             conn = Connector(
-                pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v
+                pair=(u, v), verts=verts, t=2, witness_u=wit_u, witness_v=wit_v
             )
             conn.validate(G)
             return conn
@@ -398,36 +369,34 @@ def find_connector(
     v: VertexId | tuple[int, int],
     W: Iterable[VertexId | tuple[int, int]] = (),
     t: int = 1,
-    d_cap: Optional[int] = None,
-    exhaustive_cap: int = CONNECTOR_EXHAUSTIVE_CAP,
 ) -> Optional[Connector]:
     """Connector for same-part u, v avoiding W, or None.
 
-    t=1 runs the complete joint-neighborhood search: None is a proof.
-    t=2 first tries the split-pool apex construction; when that fails
-    and n <= exhaustive_cap, falls through to full enumeration (making
-    None a proof there too).  At larger n a t=2 None only means the
-    construction failed.
+    Endpoints listed in W are ignored.  t=1 runs the complete
+    joint-neighborhood search: None is a proof.  t=2 first tries the
+    split-pool apex construction; when that fails and
+    n <= CONNECTOR_EXHAUSTIVE_CAP, falls through to full enumeration
+    (making None a proof there too).  At larger n a t=2 None only means
+    the construction failed.  A vertex outside G raises ValueError.
     """
     if not G.pattern.is_complete:
         raise ValueError("connector search needs a complete pattern")
-    u, v = _vid(u), _vid(v)
+    _masks(G, (u, v))  # rejects an endpoint outside G
+    u, v = VertexId(*u), VertexId(*v)
     if u.part != v.part or u == v:
         raise ValueError("connector endpoints must be distinct same-part vertices")
     if t not in (1, 2):
         raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
-    wset = _normalize_forbidden(W, u, v)
-    if t == 1:
-        return _connector_t1(G, u, v, wset)
-    conn = _connector_t1(G, u, v, wset)
-    if conn is not None:
+    # no search reads u or v from W: the t=1 search reads only the other
+    # parts, and both t=2 searches leave the endpoints out of the apex pool
+    wm = _masks(G, W)
+    conn = _connector_t1(G, u, v, wm)
+    if conn is not None or t == 1:
         return conn
-    conn = _connector_t2_construct(G, u, v, wset, d_cap)
-    if conn is not None:
-        return conn
-    if G.n <= exhaustive_cap:
-        return _connector_t2_exhaustive(G, u, v, wset)
-    return None
+    conn = _connector_t2_construct(G, u, v, wm)
+    if conn is None and G.n <= CONNECTOR_EXHAUSTIVE_CAP:
+        conn = _connector_t2_exhaustive(G, u, v, wm)
+    return conn
 
 
 @dataclass(frozen=True)
@@ -459,22 +428,18 @@ def is_reachable(
     to m) plus `trials` random ones.  A pass is evidence, not a proof;
     a fail carries the defeating W, which is a proof whenever the
     connector search itself was complete (t=1 always, t=2 at small n).
+    A vertex outside G raises ValueError.
     """
-    u, v = _vid(u), _vid(v)
+    _masks(G, (u, v))  # rejects an endpoint outside G
+    u, v = VertexId(*u), VertexId(*v)
     if u.part != v.part or u == v:
         raise ValueError("reachability needs distinct same-part vertices")
     everything = [x for x in G.vertices() if x != u and x != v]
 
-    def neighborhood(x: VertexId) -> list[VertexId]:
-        out = []
-        for q in G.pattern.neighbors(x.part):
-            out.extend(VertexId(q, i) for i in bits(G.nbr_mask(x.part, x.idx, q)))
-        return sorted(out)[:m]
+    def neighborhood(x: VertexId) -> tuple[VertexId, ...]:
+        return _ids([0] + [G.nbr_mask(x.part, x.idx, q) for q in range(1, G.k + 1)])[:m]
 
-    candidates: list[tuple[VertexId, ...]] = [
-        tuple(neighborhood(u)),
-        tuple(neighborhood(v)),
-    ]
+    candidates = [neighborhood(u), neighborhood(v)]
     rng = rng_for(seed, "reach")
     for _ in range(trials):
         size = min(m, len(everything))
@@ -528,7 +493,6 @@ def find_absorber(
     G: PartiteGraph,
     S: Sequence[VertexId | tuple[int, int]],
     forbidden: Iterable[VertexId | tuple[int, int]] = (),
-    t: Optional[int] = None,
     connector_t: int = 2,
 ) -> Optional[Absorber]:
     """Absorber for the transversal k-set S, or None.
@@ -536,49 +500,44 @@ def find_absorber(
     One transversal clique T plus, per part, a connector between the
     S-vertex and the T-vertex; the uniform connector parameter keeps
     the union balanced, so the witness instances stay factorable.
-    connector_t=2 gives |A| <= 2k^2, connector_t=1 gives |A| <= k^2.
+    connector_t=2 gives |A| <= 2k^2, connector_t=1 gives |A| <= k^2;
+    the absorber records t = 2k, so |A| <= k*t either way.  A vertex
+    outside G raises ValueError.
     """
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
     k = G.k
-    if t is None:
-        t = 2 * k
-    s_ids = tuple(sorted((_vid(x) for x in S)))
-    if sorted(p for p, _ in s_ids) != list(range(1, k + 1)):
+    target = _masks(G, S)
+    if len(S) != k or any(m.bit_count() != 1 for m in target[1:]):
         raise ValueError("absorber target must have one vertex in each part")
-    blocked = {_vid(x) for x in forbidden} | set(s_ids)
-    avoid = [0] * (k + 1)
-    for p, i in blocked:
-        avoid[p] |= 1 << i
-    free = [G.full_mask & ~avoid[p] for p in range(1, k + 1)]
+    s_ids = _ids(target)
+    blocked = _union(_masks(G, forbidden), target)
+    free = [G.full_mask & ~b for b in blocked[1:]]
     clique = next(iter_copies(G, range(1, k + 1), free), None)
     if clique is None:
         return None
-    t_ids = tuple(VertexId(p, clique[p - 1]) for p in range(1, k + 1))
-    acc: set[VertexId] = set(t_ids)
+    acc = [0, *(1 << i for i in clique)]
     for p in range(1, k + 1):
         conn = find_connector(
             G,
             s_ids[p - 1],
-            t_ids[p - 1],
-            blocked | acc,
+            VertexId(p, clique[p - 1]),
+            _ids(_union(blocked, acc)),
             t=connector_t,
         )
         if conn is None:
             return None
-        acc.update(conn.verts)
-    if len(acc) > k * t:
-        return None
+        acc = _union(acc, _masks(G, conn.verts))
     wit_inner = _factor_witness(G, acc)
     if wit_inner is None:
         return None
-    wit_full = _factor_witness(G, acc | set(s_ids))
+    wit_full = _factor_witness(G, _union(acc, target))
     if wit_full is None:
         return None
     absorber = Absorber(
         target=s_ids,
-        verts=tuple(sorted(acc)),
-        t=t,
+        verts=_ids(acc),
+        t=2 * k,
         witness_inner=wit_inner,
         witness_full=wit_full,
     )
@@ -594,14 +553,14 @@ def disjoint_absorbers(
     connector_t: int = 2,
 ) -> list[Absorber]:
     """Greedy maximal family of pairwise-disjoint absorbers for S."""
-    used = {_vid(x) for x in forbidden}
+    used = _masks(G, forbidden)
     out: list[Absorber] = []
     while len(out) < count_target:
-        a = find_absorber(G, S, used, connector_t=connector_t)
+        a = find_absorber(G, S, _ids(used), connector_t=connector_t)
         if a is None:
             break
         out.append(a)
-        used.update(a.verts)
+        used = _union(used, _masks(G, a.verts))
     return out
 
 
@@ -677,26 +636,6 @@ class Template:
         )
 
 
-def _max_matching(adj: Sequence[Sequence[int]], z_size: int) -> int:
-    """Augmenting-path maximum matching from the left side."""
-    match_z = [-1] * z_size
-
-    def augment(l: int, seen: list[bool]) -> bool:
-        for z in adj[l]:
-            if not seen[z]:
-                seen[z] = True
-                if match_z[z] < 0 or augment(match_z[z], seen):
-                    match_z[z] = l
-                    return True
-        return False
-
-    total = 0
-    for l in range(len(adj)):
-        if augment(l, [False] * z_size):
-            total += 1
-    return total
-
-
 def verify_template(T: Template) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustive robustness check; returns (ok, violating X' or None)."""
     T.validate()
@@ -704,13 +643,13 @@ def verify_template(T: Template) -> tuple[bool, Optional[tuple[int, ...]]]:
         raise ValueError(
             f"template verification refused: |X| = {T.x_size} exceeds cap {TEMPLATE_X_CAP}"
         )
-    nbrs: list[list[int]] = [[] for _ in range(T.left_size)]
+    rows = [0] * T.left_size
     for l, z in T.edges:
-        nbrs[l].append(z)
-    y_rows = [nbrs[T.x_size + i] for i in range(T.y_size)]
+        rows[l] |= 1 << z
+    y_mask = ((1 << T.y_size) - 1) << T.x_size
+    z_mask = (1 << T.z_size) - 1
     for chosen in combinations(range(T.x_size), T.m):
-        rows = [nbrs[l] for l in chosen] + y_rows
-        if _max_matching(rows, T.z_size) != T.z_size:
+        if not has_perfect_matching(rows, mask_of(chosen) | y_mask, z_mask):
             return False, chosen
     return True, None
 
@@ -784,7 +723,8 @@ class AbsorbParams:
     beta_prime sets the per-vertex fan requirement inside the X sample
     (ceil(2*k*beta_prime*n)); m and beta_m size the per-part template.
     connector_t picks the connector flavor used inside absorbers: 1
-    keeps absorbers at k vertices per part, 2 doubles that.
+    keeps absorbers at k vertices per part, 2 doubles that.  The stages
+    try at most SAMPLE_TRIES X samples and TEMPLATE_TRIES templates.
     """
 
     q: float
@@ -794,8 +734,6 @@ class AbsorbParams:
     seed: int
     beta_m: int = 1
     connector_t: int = 1
-    template_tries: int = 1000
-    sample_tries: int = 64
 
 
 @dataclass(frozen=True)
@@ -823,12 +761,6 @@ class AbsorbingSet:
             "r": {str(p): sorted(self.R.subset(p)) for p in sorted(self.R.parts)},
             "provenance": self.provenance,
         }
-
-
-def _fan_count_at_least(
-    G: PartiteGraph, v: VertexId, arena: Sequence[int], need: int
-) -> bool:
-    return len(_fan_sets(G, v, need, arena)) >= need
 
 
 def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
@@ -879,7 +811,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     # stage sample-x
     xs: Optional[list[list[int]]] = None
     attempts = 0
-    for attempt in range(params.sample_tries):
+    for attempt in range(SAMPLE_TRIES):
         attempts = attempt + 1
         cand = [
             sorted(rng_for(params.seed, "x", attempt, i).sample(range(n), qn))
@@ -887,14 +819,14 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         ]
         arena = [0] + [mask_of(cand[i - 1]) for i in range(1, k + 1)]
         if fan_min == 0 or all(
-            _fan_count_at_least(G, v, arena, fan_min) for v in G.vertices()
+            len(_fan_sets(G, v, fan_min, arena)) >= fan_min for v in G.vertices()
         ):
             xs = cand
             break
     if xs is None:
         raise ValueError(
             f"stage sample-x: no sample kept fans of size {fan_min} "
-            f"after {params.sample_tries} tries"
+            f"after {SAMPLE_TRIES} tries"
         )
 
     # stage select-yz
@@ -916,25 +848,23 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         tpl = generate_template(
             m,
             beta_m,
-            max_tries=params.template_tries,
+            max_tries=TEMPLATE_TRIES,
             seed=params.seed * (k + 1) + i,
         )
         if tpl is None:
             raise ValueError(
                 f"stage template: no verified template for part {i} "
-                f"within {params.template_tries} tries"
+                f"within {TEMPLATE_TRIES} tries"
             )
         templates.append(tpl)
 
     # stage absorbers
-    fixed: set[VertexId] = set()
+    reserved = [0] * (k + 1)
     for i in range(1, k + 1):
-        fixed.update(VertexId(i, v) for v in xs[i - 1])
-        fixed.update(VertexId(i, v) for v in ys[i - 1])
+        reserved[i] = mask_of(xs[i - 1]) | mask_of(ys[i - 1])
     for (i, j), block in zs.items():
-        fixed.update(VertexId(i, v) for v in block)
+        reserved[i] |= mask_of(block)
     absorbers: list[tuple[tuple[int, int, int], Absorber]] = []
-    reserved: set[VertexId] = set(fixed)
     total_edges = sum(len(t.edges) for t in templates)
     for j in range(1, k + 1):
         tpl = templates[j - 1]
@@ -946,9 +876,10 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
             partner = [
                 VertexId(i, zs[(i, j)][z]) for i in range(1, k + 1) if i != j
             ]
-            target = sorted([left_vertex, *partner])
+            # the target lies inside `reserved`, and find_absorber keeps
+            # its target out of the absorber anyway
             a = find_absorber(
-                G, target, reserved - set(target), connector_t=params.connector_t
+                G, [left_vertex, *partner], _ids(reserved), connector_t=params.connector_t
             )
             if a is None:
                 raise ValueError(
@@ -956,16 +887,13 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
                     f"({j},{l},{z}); {len(absorbers)} of {total_edges} placed"
                 )
             absorbers.append(((j, l, z), a))
-            reserved.update(a.verts)
+            reserved = _union(reserved, _masks(G, a.verts))
 
     # stage assemble
-    r_sets: dict[int, set[int]] = {p: set() for p in range(1, k + 1)}
-    for p, idx in reserved:
-        r_sets[p].add(idx)
-    sizes = {len(s) for s in r_sets.values()}
+    sizes = {reserved[p].bit_count() for p in range(1, k + 1)}
     if len(sizes) != 1:
         raise ValueError(f"stage assemble: R unbalanced across parts: {sorted(sizes)}")
-    total = sum(len(s) for s in r_sets.values())
+    total = sum(reserved[p].bit_count() for p in range(1, k + 1))
     if total > params.tau * n:
         raise ValueError(
             f"stage assemble: |R| = {total} exceeds tau*n = {params.tau * n:g}"
@@ -997,7 +925,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         ],
     }
     out = AbsorbingSet(
-        R=VertexSetFamily.of({p: sorted(r_sets[p]) for p in range(1, k + 1)}),
+        R=VertexSetFamily.of({p: bits(reserved[p]) for p in range(1, k + 1)}),
         xi=xi,
         provenance=provenance,
     )
@@ -1048,11 +976,8 @@ def verify_absorbing_property(
         return AbsorbVerdict(ok=True, failing=None, checks=0)
 
     def factors(u_sets: Sequence[Sequence[int]]) -> bool:
-        masks = [0] * (k + 1)
-        for p in range(1, k + 1):
-            masks[p] = r_masks[p] | mask_of(u_sets[p - 1])
-        tiling, _stats = exact_transversal_factor_search(G, cap=None, masks=masks)
-        return tiling is not None
+        masks = _union(r_masks, [0, *map(mask_of, u_sets)])
+        return exact_transversal_factor_search(G, cap=None, masks=masks)[0] is not None
 
     space = 1
     for o in outside[1:]:

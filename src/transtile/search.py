@@ -1,4 +1,4 @@
-"""The two search kernels that every transversal question reduces to.
+"""The three search kernels that every transversal question reduces to.
 
 * `iter_copies` enumerates transversal copies: one vertex per listed
   part, each drawn from that part's mask, realizing every pattern edge
@@ -9,9 +9,13 @@
   `trace_back` reads one walk out of the layers.  Transversal paths,
   transversal cycles (one sweep per anchor vertex) and the
   space-barrier generator's edge test are such walks.
+* `has_perfect_matching` decides a perfect matching of a bipartite
+  graph given by neighbour-mask rows.  The factor search's Hall prune
+  and robust-template verification ask it.
 
-Both are complete: an exhausted enumeration or a None sweep is a proof
-that no copy or walk exists inside the masks.
+All three are complete: an exhausted enumeration, a None sweep or a
+False matching answer is a proof that no copy, walk or perfect matching
+exists inside the masks.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits
 
-__all__ = ["iter_copies", "sweep", "trace_back"]
+__all__ = ["has_perfect_matching", "iter_copies", "sweep", "trace_back"]
 
 
 def iter_copies(
@@ -112,3 +116,38 @@ def trace_back(
         if t:
             cand = layers[t - 1] & adj[seq[t], seq[t - 1]][v]
     return walk
+
+
+def has_perfect_matching(rows: Sequence[int], left: int, right: int) -> bool:
+    """Perfect matching between the vertices of the masks `left` and `right`?
+
+    `rows[u]` is the mask of right-side neighbours of left vertex u, and
+    the two masks must have equal sizes.  Kuhn's augmenting paths; each
+    augment takes a free neighbour when there is one and only then
+    recurses through matched ones.
+    """
+    owner: dict[int, int] = {}
+    taken = 0
+    seen = 0
+
+    def augment(u: int) -> bool:
+        nonlocal taken, seen
+        cand = rows[u] & right & ~seen
+        free = cand & ~taken
+        if free:
+            w = (free & -free).bit_length() - 1
+            taken |= 1 << w
+            owner[w] = u
+            return True
+        seen |= cand
+        for w in bits(cand):
+            if augment(owner[w]):
+                owner[w] = u
+                return True
+        return False
+
+    for u in bits(left):
+        seen = 0
+        if not augment(u):
+            return False
+    return True

@@ -7,7 +7,7 @@ one vertex per part.  A *factor* is a tiling with empty leftover.
 
 Search strategy notes
 ---------------------
-* Both search kernels live in `transtile.search`.  Copy searches use
+* The search kernels live in `transtile.search`.  Copy searches use
   `iter_copies`: complete backtracking over parts with bitmask
   neighborhood propagation, always branching on the part with the
   fewest candidates and breaking ties toward the lowest part index and
@@ -31,9 +31,10 @@ Search strategy notes
   the remaining vertices restricts to a perfect matching between the
   remaining vertices of parts p and q for every pattern edge pq, so a
   node where some such bipartite graph has no perfect matching holds no
-  factor.  The check runs at a node only after its first child has
-  failed, before the second is tried: a search that never backtracks
-  pays nothing for it.  The prune only cuts subtrees without a factor
+  factor.  `has_perfect_matching` from `transtile.search` decides each
+  matching on the graph's own neighbour rows.  The check runs at a node
+  only after its first child has failed, before the second is tried: a
+  search that never backtracks pays nothing for it.  The prune only cuts subtrees without a factor
   and leaves the branching order alone, so the first factor found (the
   witness) is the one the unpruned search finds, and None is still a
   proof; only `nodes` and `max_depth` shrink.
@@ -73,7 +74,7 @@ from transtile.core import (
     is_transversal_copy,
     mask_of,
 )
-from transtile.search import iter_copies, sweep, trace_back
+from transtile.search import has_perfect_matching, iter_copies, sweep, trace_back
 
 __all__ = [
     "TransversalCopy",
@@ -310,40 +311,6 @@ def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
 # -- exact factor decision ---------------------------------------------------------
 
 
-def _has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int) -> bool:
-    """Perfect matching between mp (in part p) and mq (in part q)?
-
-    The masks must have equal sizes.  Kuhn's augmenting paths; each
-    augment takes a free neighbour when there is one and only then
-    recurses through matched ones.
-    """
-    owner: dict[int, int] = {}
-    taken = 0
-    seen = 0
-
-    def augment(u: int) -> bool:
-        nonlocal taken, seen
-        cand = G.nbr_mask(p, u, q) & mq & ~seen
-        free = cand & ~taken
-        if free:
-            w = (free & -free).bit_length() - 1
-            taken |= 1 << w
-            owner[w] = u
-            return True
-        seen |= cand
-        for w in bits(cand):
-            if augment(owner[w]):
-                owner[w] = u
-                return True
-        return False
-
-    for u in bits(mp):
-        seen = 0
-        if not augment(u):
-            return False
-    return True
-
-
 def exact_transversal_factor_search(
     G: PartiteGraph,
     cap: Optional[int] = FACTOR_CAP_DEFAULT,
@@ -400,7 +367,7 @@ def exact_transversal_factor_search(
         cand[1] = 1 << v1
         for tried, found in enumerate(iter_transversal_copies(G, cand)):
             if tried == 1 and not all(
-                _has_perfect_matching(G, p, q, cur[p], cur[q]) for p, q in pairs
+                has_perfect_matching(G._adj[p, q], cur[p], cur[q]) for p, q in pairs
             ):
                 return False
             nodes += 1

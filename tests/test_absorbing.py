@@ -7,6 +7,7 @@ outputs for fixed seeds so regressions show up as value drift.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import combinations, permutations, product
 
@@ -25,6 +26,7 @@ from transtile.core import (
 )
 from transtile.generators import complete_blowup
 from transtile.absorbing import (
+    _connector_t2_construct,
     Absorber,
     AbsorbingSet,
     AbsorbParams,
@@ -130,6 +132,12 @@ def test_fan_at_isolated_vertex_is_empty():
         [(1, 0, p, a) for p in (2, 3) for a in range(3)]
     )
     assert find_fan(G, VertexId(1, 0), 5).sets == ()
+
+
+def test_fan_rejects_a_vertex_outside_the_graph():
+    G = complete_blowup(K3, 3)
+    with pytest.raises(ValueError, match=r"vertex \(1, 3\) is not in G"):
+        find_fan(G, VertexId(1, 3), 2)
 
 
 def test_fan_requires_complete_pattern():
@@ -241,6 +249,22 @@ def test_two_clique_connector_when_joint_neighborhood_splits():
     c.validate(G)
 
 
+def test_two_clique_connector_gives_u_the_larger_half_of_an_odd_pool():
+    # u's free part-3 neighbourhood has five vertices: the u-side pool
+    # takes the lower three, so the v-side clique starts at index 3
+    G = complete_blowup(K3, 5).delete_edges(
+        [(1, 0, 2, 3), (1, 0, 2, 4), (1, 1, 2, 0), (1, 1, 2, 1), (1, 1, 2, 2)]
+    )
+    u, v = VertexId(1, 0), VertexId(1, 1)
+    assert find_connector(G, u, v, t=1) is None
+    c = find_connector(G, u, v, t=2)
+    assert c.verts == (
+        VertexId(1, 2), VertexId(2, 0), VertexId(2, 3), VertexId(3, 0), VertexId(3, 3)
+    )
+    assert [w.verts for w in c.witness_u] == [(0, 0, 0), (2, 3, 3)]
+    assert [w.verts for w in c.witness_v] == [(1, 3, 3), (2, 0, 0)]
+
+
 def test_exhaustive_fallback_finds_what_the_construction_misses():
     # the split-pool construction pins part 3 candidates to index 0 for
     # the u-side clique, and both edges into it are gone; full
@@ -250,9 +274,56 @@ def test_exhaustive_fallback_finds_what_the_construction_misses():
          (2, 0, 3, 0), (2, 1, 3, 0)]
     )
     u, v = VertexId(1, 0), VertexId(1, 1)
-    assert find_connector(G, u, v, t=2, exhaustive_cap=0) is None
+    assert find_connector(G, u, v, t=1) is None
+    assert _connector_t2_construct(G, u, v, [0] * 4) is None
     c = find_connector(G, u, v, t=2)
-    assert c is not None and c.t == 2 and len(c.verts) == 5
+    assert c is not None and c.t == 2
+    assert c.verts == (
+        VertexId(1, 2), VertexId(2, 0), VertexId(2, 1), VertexId(3, 1), VertexId(3, 2)
+    )
+    assert [w.verts for w in c.witness_u] == [(0, 0, 1), (2, 1, 2)]
+    assert [w.verts for w in c.witness_v] == [(1, 0, 2), (2, 1, 1)]
+    c.validate(G)
+
+
+@pytest.mark.parametrize(
+    "W",
+    [
+        [(-1, 0), (-1, 1), (-1, 2)],  # part -1 would index the last mask slot
+        [(0, 1)],
+        [(4, 0)],
+        [(2, -1)],
+        [(2, 3)],
+    ],
+)
+def test_connector_rejects_forbidden_vertices_outside_the_graph(W):
+    G = complete_blowup(K3, 3)
+    with pytest.raises(ValueError, match="is not in G"):
+        find_connector(G, (1, 0), (1, 1), W=W, t=1)
+
+
+@pytest.mark.parametrize("u, v", [((1, 0), (1, 3)), ((1, -1), (1, 0)), ((0, 0), (0, 1))])
+def test_connector_and_reachability_reject_endpoints_outside_the_graph(u, v):
+    G = complete_blowup(K3, 3)
+    with pytest.raises(ValueError, match="is not in G"):
+        find_connector(G, u, v, t=1)
+    with pytest.raises(ValueError, match="is not in G"):
+        is_reachable(G, u, v, m=1)
+
+
+def test_exhaustive_connector_lists_the_apex_first():
+    # the fallback instance above with parts 1 and 2 swapped: the
+    # enumerated set keeps its apex-then-pairs order
+    G = complete_blowup(K3, 4).delete_edges(
+        [(2, 0, 3, 2), (2, 0, 3, 3), (2, 1, 3, 0), (2, 1, 3, 1),
+         (1, 0, 3, 0), (1, 1, 3, 0)]
+    )
+    c = find_connector(G, (2, 0), (2, 1), t=2)
+    assert c.verts == (
+        VertexId(2, 2), VertexId(1, 0), VertexId(1, 1), VertexId(3, 1), VertexId(3, 2)
+    )
+    assert [w.verts for w in c.witness_u] == [(0, 0, 1), (1, 2, 2)]
+    assert [w.verts for w in c.witness_v] == [(0, 1, 2), (1, 2, 1)]
     c.validate(G)
 
 
@@ -360,6 +431,22 @@ def test_absorber_requires_transversal_target():
     G = complete_blowup(K3, 4)
     with pytest.raises(ValueError, match="one vertex in each part"):
         find_absorber(G, [(1, 0), (1, 1), (2, 0)])
+
+
+def test_absorber_rejects_vertices_outside_the_graph():
+    G = complete_blowup(K3, 3)
+    with pytest.raises(ValueError, match=r"vertex \(1, 7\) is not in G"):
+        find_absorber(G, [(1, 7), (2, 0), (3, 0)])
+    with pytest.raises(ValueError, match=r"vertex \(-1, 0\) is not in G"):
+        find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=[(-1, 0)])
+    with pytest.raises(ValueError, match=r"vertex \(1, 7\) is not in G"):
+        disjoint_absorbers(G, [(1, 7), (2, 0), (3, 0)], 2)
+
+
+def test_absorber_rejects_a_repeated_target_vertex():
+    G = complete_blowup(K3, 4)
+    with pytest.raises(ValueError, match="one vertex in each part"):
+        find_absorber(G, [(1, 0), (1, 0), (2, 0), (3, 0)])
 
 
 def test_absorber_forbidden_everything_is_none():
@@ -530,6 +617,20 @@ def test_build_keeps_stage_sets_inside_r():
         seen |= verts
 
 
+def test_build_output_is_pinned():
+    # canonical JSON of the check-7 complete instance, pinned so that a
+    # change of representation inside the pipeline cannot move a byte
+    G = complete_blowup(K3, 60)
+    params = AbsorbParams(
+        q=1 / 30, tau=3.0, beta_prime=0.003, m=1, beta_m=1, seed=7, connector_t=1
+    )
+    data = build_absorbing_set(G, params).to_json_dict()
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(canon).hexdigest() == (
+        "0684fbcd8d3f69698a58bf5b1d41774191ccb75f7d4ec83638aeaa0a4b6df1f3"
+    )
+
+
 def test_build_is_deterministic():
     G = complete_blowup(K3, 90)
     a = build_absorbing_set(G, pipeline_params())
@@ -567,9 +668,7 @@ def test_build_fan_stage_fails_on_empty_graph():
     with pytest.raises(ValueError, match="no sample kept fans of size 1"):
         build_absorbing_set(
             G,
-            AbsorbParams(
-                q=1 / 6, tau=3.0, beta_prime=0.01, m=1, beta_m=1, seed=0, sample_tries=5
-            ),
+            AbsorbParams(q=1 / 6, tau=3.0, beta_prime=0.01, m=1, beta_m=1, seed=0),
         )
 
 

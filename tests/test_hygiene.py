@@ -79,3 +79,29 @@ def test_no_relabelling_outside_core(path):
         and node.func.attr == "induced"
     )
     assert not calls, f"{path.name} calls .induced( on lines {calls}; pass masks instead"
+
+
+def test_no_orphaned_private_helpers():
+    # a module-level private function or class must be read by some other
+    # top-level statement of the package; a recursive call alone is no use
+    readers: dict[str, set[tuple[str, int]]] = {}
+    defined = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for at, stmt in enumerate(tree.body):
+            one = ast.Module(body=[stmt], type_ignores=[])
+            attrs = {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            for name in _read_names(one) | attrs:
+                readers.setdefault(name, set()).add((path.name, at))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defined.append((path.name, at, stmt.name, stmt.lineno))
+    orphans = sorted(
+        f"{module}: {name} (line {line})"
+        for module, at, name, line in defined
+        if not readers.get(name, set()) - {(module, at)}
+    )
+    assert not orphans, f"private helpers nothing reads: {', '.join(orphans)}"

@@ -311,6 +311,17 @@ def test_absorber_census_bad_target_is_a_failed_row():
     assert "not iterable" in records[0].metrics["error"]
 
 
+def test_absorber_census_target_outside_the_graph_names_the_vertex():
+    cfg = ExperimentConfig(
+        scenario="absorber_census",
+        gen=GenSpec(family="complete", pattern=K3, n=3),
+        params={"target": [[1, 7], [2, 0], [3, 0]]},
+    )
+    (record,) = run(cfg)
+    assert record.failed
+    assert record.metrics["error"].startswith("ValueError: vertex (1, 7) is not in G")
+
+
 def test_failed_row_error_names_the_exception_type():
     cfg = ExperimentConfig(
         scenario="factor_decision",

@@ -28,7 +28,7 @@ from transtile.tiling import (
     iter_transversal_copies,
     maximal_mixed_tiling,
 )
-from transtile.tiling import _has_perfect_matching
+from transtile.search import has_perfect_matching
 
 from conftest import naive_has_perfect_matching, random_instance
 
@@ -520,7 +520,7 @@ def test_has_perfect_matching_agrees_with_permutation_scan(pattern, seed):
             size = rng.randint(0, n)
             mp, mq = _random_masks(rng, n, size), _random_masks(rng, n, size)
             for a, b, ma, mb in ((p, q, mp, mq), (q, p, mq, mp)):
-                assert _has_perfect_matching(G, a, b, ma, mb) == (
+                assert has_perfect_matching(G._adj[a, b], ma, mb) == (
                     naive_has_perfect_matching(G, a, b, ma, mb)
                 )
 
@@ -529,11 +529,11 @@ def test_has_perfect_matching_complete_and_empty_pairs():
     full = complete_blowup(K3, 5)
     empty = PartiteGraph.from_edges(K3, 5, [])
     m = full.full_mask
-    assert _has_perfect_matching(full, 1, 2, m, m)
-    assert _has_perfect_matching(full, 2, 3, 0b10110, 0b01101)
-    assert not _has_perfect_matching(empty, 1, 2, m, m)
-    assert not _has_perfect_matching(empty, 1, 3, 0b1, 0b100)
-    assert _has_perfect_matching(empty, 1, 2, 0, 0)
+    assert has_perfect_matching(full._adj[1, 2], m, m)
+    assert has_perfect_matching(full._adj[2, 3], 0b10110, 0b01101)
+    assert not has_perfect_matching(empty._adj[1, 2], m, m)
+    assert not has_perfect_matching(empty._adj[1, 3], 0b1, 0b100)
+    assert has_perfect_matching(empty._adj[1, 2], 0, 0)
 
 
 def test_factor_search_names_are_exported():
