@@ -177,12 +177,6 @@ class Fan:
             if not is_transversal_copy(G, (self.at, *s)):
                 raise ValueError(f"fan set {s} does not complete {self.at}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "at": list(self.at),
-            "sets": [_vids_json(s) for s in self.sets],
-        }
-
 
 def _fan_sets(
     G: PartiteGraph, v: VertexId, target_size: int, arena: Sequence[int]
@@ -200,7 +194,7 @@ def _fan_sets(
     return out
 
 
-def find_fan(G: PartiteGraph, v: VertexId, target_size: int) -> Fan:
+def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -> Fan:
     """Greedy fan at v: stops at target_size or exhaustion.
 
     Greedy extraction is maximal, not maximum; the reported size is a
@@ -209,6 +203,7 @@ def find_fan(G: PartiteGraph, v: VertexId, target_size: int) -> Fan:
     if not G.pattern.is_complete:
         raise ValueError("fan search needs a complete pattern")
     _masks(G, [v])  # rejects a vertex outside G
+    v = VertexId(*v)
     arena = [G.full_mask] * (G.k + 1)
     fan = Fan(at=v, sets=tuple(_fan_sets(G, v, target_size, arena)))
     fan.validate(G)
@@ -243,15 +238,6 @@ class Connector:
             )
         _check_partition(G, self.witness_u, s | {u}, "connector u-side")
         _check_partition(G, self.witness_v, s | {v}, "connector v-side")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pair": _vids_json(self.pair),
-            "t": self.t,
-            "verts": _vids_json(self.verts),
-            "witness_u": [c.to_json() for c in self.witness_u],
-            "witness_v": [c.to_json() for c in self.witness_v],
-        }
 
 
 def _connector_t1(
@@ -405,13 +391,6 @@ class ReachVerdict:
     witness: Optional[tuple[VertexId, ...]]
     checks: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": self.checks,
-            "witness": _vids_json(self.witness) if self.witness else None,
-        }
-
 
 def is_reachable(
     G: PartiteGraph,
@@ -478,15 +457,6 @@ class Absorber:
             raise ValueError(f"absorber too large: {len(a)} > k*t = {G.k * self.t}")
         _check_partition(G, self.witness_inner, a, "absorber inner")
         _check_partition(G, self.witness_full, a | s, "absorber full")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": _vids_json(self.target),
-            "t": self.t,
-            "verts": _vids_json(self.verts),
-            "witness_inner": [c.to_json() for c in self.witness_inner],
-            "witness_full": [c.to_json() for c in self.witness_full],
-        }
 
 
 def find_absorber(
@@ -938,12 +908,6 @@ class AbsorbVerdict:
     ok: bool
     failing: Optional[VertexSetFamily]
     checks: int
-
-    def to_json_dict(self) -> dict:
-        failing = None
-        if self.failing is not None:
-            failing = {str(p): sorted(self.failing.subset(p)) for p in self.failing.parts}
-        return {"ok": self.ok, "checks": self.checks, "failing": failing}
 
 
 def verify_absorbing_property(

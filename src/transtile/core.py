@@ -299,9 +299,6 @@ class PartiteGraph:
         (pu, iu), (pv, iv) = u, v
         return bool(self.nbr_mask(pu, iu, pv) >> iv & 1)
 
-    def degree(self, part: int, idx: int, other: int) -> int:
-        return self.nbr_mask(part, idx, other).bit_count()
-
     def edge_count(self) -> int:
         total = 0
         for i, j in self.pattern.edges:

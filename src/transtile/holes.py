@@ -59,24 +59,6 @@ class HoleCertificate:
     def s(self) -> int:
         return len(self.sets[0]) if self.sets else 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "parts": list(self.parts),
-            "sets": [sorted(u) for u in self.sets],
-            "verified": self.verified,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "HoleCertificate":
-        return HoleCertificate(
-            r=data["r"],
-            parts=tuple(data["parts"]),
-            sets=tuple(frozenset(u) for u in data["sets"]),
-            verified=bool(data["verified"]),
-        )
-
 
 @dataclass(frozen=True)
 class HoleReport:
@@ -86,14 +68,6 @@ class HoleReport:
     witness: HoleCertificate
     method: str  # always "exact"
     explored: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "method": self.method,
-            "explored": self.explored,
-            "witness": self.witness.to_json_dict(),
-        }
 
 
 def _check_arena(G: PartiteGraph, r: int, parts: Sequence[int]) -> None:

@@ -2,8 +2,10 @@
 
 A config names one scenario, one instance source, and a seed; `run`
 executes the scenario over the instance list and returns one record
-per instance.  Records serialize to CSV plus a lossless JSON mirror,
-and `emit_plot` renders them to SVG.  Everything derived from the same
+per instance.  Each scenario is declared once, in `SCENARIOS`: its
+fixed CSV metric columns and the body that measures one instance.
+Records serialize to CSV plus a lossless JSON mirror, and `emit_plot`
+renders them to SVG.  Everything derived from the same
 config is byte-identical across runs: instances run one after another
 in index order, each on RNG streams keyed by (seed, instance index),
 and wall-clock times stay out of the files.
@@ -24,7 +26,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from transtile.absorbing import (
     AbsorbParams,
@@ -35,9 +37,10 @@ from transtile.absorbing import (
 )
 from transtile.core import PartiteGraph, delta_star, json_field
 from transtile.generators import GenSpec, subseed
-from transtile.holes import alpha_star_exact
+from transtile.holes import EXACT_CAP_DEFAULT, alpha_star_exact
 from transtile.svg import heatmap, line_plot
 from transtile.tiling import (
+    FACTOR_CAP_DEFAULT,
     check_appendix_invariants,
     exact_transversal_factor_search,
     greedy_clique_tiling,
@@ -46,39 +49,6 @@ from transtile.tiling import (
 )
 
 ARTIFACT_VERSION = "lab-v1"
-
-SCENARIOS = (
-    "hole_scan",
-    "greedy_tiling",
-    "factor_decision",
-    "absorber_census",
-    "absorbing_pipeline",
-    "appendix_invariants",
-    "threshold_sweep",
-)
-
-# fixed CSV schema per scenario; metrics not in this list never appear
-METRIC_COLUMNS = {
-    "hole_scan": ("r", "alpha", "method", "explored"),
-    "greedy_tiling": ("copies", "leftover_per_part"),
-    "factor_decision": ("exists", "copies", "nodes", "max_depth"),
-    "absorber_census": ("found", "requested", "vertices_used"),
-    "absorbing_pipeline": (
-        "built",
-        "total_size",
-        "per_part",
-        "verify_ok",
-        "verify_checks",
-    ),
-    "appendix_invariants": (
-        "maximal",
-        "vacuous",
-        "violations",
-        "copies_checked",
-        "leftover_per_part",
-    ),
-    "threshold_sweep": ("p", "delta_star", "exists", "greedy_leftover"),
-}
 
 
 def canonical_json(data) -> str:
@@ -109,7 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(
-                f"unknown scenario {self.scenario!r}; pick from {SCENARIOS}"
+                f"unknown scenario {self.scenario!r}; pick from {tuple(SCENARIOS)}"
             )
         if isinstance(self.gen, str) and not os.path.exists(self.gen):
             raise ValueError(f"graph file not found: {self.gen}")
@@ -123,9 +93,8 @@ class ExperimentConfig:
                 raise ValueError("threshold_sweep needs params.p_grid in [0,1]")
             if _number(self.params.get("seeds_per_p", 1), int, "params.seeds_per_p") < 1:
                 raise ValueError("threshold_sweep needs seeds_per_p >= 1")
-        else:
-            if _number(self.params.get("instances", 1), int, "params.instances") < 1:
-                raise ValueError("params.instances must be >= 1")
+        elif _number(self.params.get("instances", 1), int, "params.instances") < 1:
+            raise ValueError("params.instances must be >= 1")
         if self.scenario == "absorbing_pipeline":
             for key in ("q", "tau", "beta_prime", "m"):
                 if key not in self.params:
@@ -213,8 +182,7 @@ class ResultRecord:
 
 def _load_instance(desc: dict) -> PartiteGraph:
     if "path" in desc:
-        with open(desc["path"]) as fh:
-            return PartiteGraph.from_json_dict(json.load(fh))
+        return PartiteGraph.load(desc["path"])
     return GenSpec.from_json_dict(desc).build().graph
 
 
@@ -226,9 +194,14 @@ def _greedy_by_pattern(G: PartiteGraph):
     raise ValueError("greedy tiling needs a complete or cycle pattern")
 
 
+def _factor_search(G: PartiteGraph, params: dict):
+    cap = params.get("cap", FACTOR_CAP_DEFAULT)
+    return exact_transversal_factor_search(G, cap=None if cap is None else int(cap))
+
+
 def _scn_hole_scan(G: PartiteGraph, params: dict, seed: int) -> dict:
     r = int(params.get("r", 2))
-    report = alpha_star_exact(G, r, cap=int(params.get("cap", 10)))
+    report = alpha_star_exact(G, r, cap=int(params.get("cap", EXACT_CAP_DEFAULT)))
     return {
         "r": r,
         "alpha": report.alpha,
@@ -243,10 +216,7 @@ def _scn_greedy_tiling(G: PartiteGraph, params: dict, seed: int) -> dict:
 
 
 def _scn_factor_decision(G: PartiteGraph, params: dict, seed: int) -> dict:
-    cap = params.get("cap", 12)
-    tiling, stats = exact_transversal_factor_search(
-        G, cap=None if cap is None else int(cap)
-    )
+    tiling, stats = _factor_search(G, params)
     return {
         "exists": tiling is not None,
         "copies": 0 if tiling is None else len(tiling.copies),
@@ -306,10 +276,7 @@ def _scn_appendix_invariants(G: PartiteGraph, params: dict, seed: int) -> dict:
 def _scn_threshold_sweep(G: PartiteGraph, params: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
     # degree floor, the exact factor decision, and the greedy leftover
-    cap = params.get("cap", 12)
-    tiling, _stats = exact_transversal_factor_search(
-        G, cap=None if cap is None else int(cap)
-    )
+    tiling, _stats = _factor_search(G, params)
     greedy = _greedy_by_pattern(G)
     return {
         "delta_star": delta_star(G),
@@ -318,46 +285,49 @@ def _scn_threshold_sweep(G: PartiteGraph, params: dict, seed: int) -> dict:
     }
 
 
-_SCENARIO_FN: dict[str, Callable[[PartiteGraph, dict, int], dict]] = {
-    "hole_scan": _scn_hole_scan,
-    "greedy_tiling": _scn_greedy_tiling,
-    "factor_decision": _scn_factor_decision,
-    "absorber_census": _scn_absorber_census,
-    "absorbing_pipeline": _scn_absorbing_pipeline,
-    "appendix_invariants": _scn_appendix_invariants,
-    "threshold_sweep": _scn_threshold_sweep,
+# name -> (fixed CSV metric columns, body); metrics a body returns
+# outside its columns stay in the JSON mirror and never reach the CSV
+SCENARIOS: dict[str, tuple[tuple[str, ...], Callable[[PartiteGraph, dict, int], dict]]] = {
+    "hole_scan": (("r", "alpha", "method", "explored"), _scn_hole_scan),
+    "greedy_tiling": (("copies", "leftover_per_part"), _scn_greedy_tiling),
+    "factor_decision": (
+        ("exists", "copies", "nodes", "max_depth"),
+        _scn_factor_decision,
+    ),
+    "absorber_census": (("found", "requested", "vertices_used"), _scn_absorber_census),
+    "absorbing_pipeline": (
+        ("built", "total_size", "per_part", "verify_ok", "verify_checks"),
+        _scn_absorbing_pipeline,
+    ),
+    "appendix_invariants": (
+        ("maximal", "vacuous", "violations", "copies_checked", "leftover_per_part"),
+        _scn_appendix_invariants,
+    ),
+    "threshold_sweep": (
+        ("p", "delta_star", "exists", "greedy_leftover"),
+        _scn_threshold_sweep,
+    ),
 }
 
 
-def _worklist(config: ExperimentConfig) -> list[tuple[int, dict, dict]]:
-    """(index, instance descriptor, extra metrics) triples, pre-seeded."""
+def _worklist(config: ExperimentConfig) -> Iterator[tuple[int, dict, dict]]:
+    """(index, instance descriptor, extra metrics) triples, pre-seeded.
+
+    A threshold sweep takes `seeds_per_p` random spanning subgraphs of
+    the config's complete blow-up at each keep probability p.
+    """
     if config.scenario == "threshold_sweep":
-        assert isinstance(config.gen, GenSpec)
-        grid = [float(p) for p in config.params["p_grid"]]
         per_p = int(config.params.get("seeds_per_p", 1))
-        out = []
-        for pi, p in enumerate(grid):
-            for si in range(per_p):
-                index = pi * per_p + si
-                desc = {
-                    "family": "random_subgraph",
-                    "pattern": config.gen.pattern.to_json_dict(),
-                    "n": config.gen.n,
-                    "seed": subseed(config.seed, "instance", index),
-                    "params": {"p": p},
-                }
-                out.append((index, desc, {"p": p}))
-        return out
-    count = int(config.params.get("instances", 1))
-    out = []
-    for index in range(count):
-        if isinstance(config.gen, str):
-            desc: dict = {"path": config.gen}
-        else:
-            desc = config.gen.to_json_dict()
+        extras = [{"p": float(p)} for p in config.params["p_grid"] for _ in range(per_p)]
+    else:
+        extras = [{} for _ in range(int(config.params.get("instances", 1)))]
+    for index, extra in enumerate(extras):
+        desc = config.gen_descriptor()
+        if "path" not in desc:
             desc["seed"] = subseed(config.seed, "instance", index)
-        out.append((index, desc, {}))
-    return out
+        if "p" in extra:
+            desc.update(family="random_subgraph", params=dict(extra))
+        yield index, desc, extra
 
 
 def _check_output_dirs(config: ExperimentConfig) -> None:
@@ -377,14 +347,14 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     type, lands in that instance's metrics as a failed row.
     """
     _check_output_dirs(config)
-    fn = _SCENARIO_FN[config.scenario]
+    _, body = SCENARIOS[config.scenario]
     chash = config.config_hash()
     records = []
     for index, desc, extra in _worklist(config):
         started = time.perf_counter()
         try:
             G = _load_instance(desc)
-            metrics = {**extra, **fn(G, config.params, subseed(config.seed, "run", index))}
+            metrics = {**extra, **body(G, config.params, subseed(config.seed, "run", index))}
         except Exception as exc:  # per-instance boundary: record, keep running
             metrics = {**extra, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
         records.append(
@@ -417,13 +387,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(records: Sequence[ResultRecord]) -> str:
+def _scenario_of(records: Sequence[ResultRecord], use: str) -> str:
+    """The one scenario all records come from; raises if there are none."""
     if not records:
-        raise ValueError("no records to serialize")
+        raise ValueError(f"no records to {use}")
     scenario = records[0].scenario
     if any(r.scenario != scenario for r in records):
         raise ValueError("records mix scenarios")
-    columns = METRIC_COLUMNS[scenario]
+    return scenario
+
+
+def render_csv(records: Sequence[ResultRecord]) -> str:
+    columns, _ = SCENARIOS[_scenario_of(records, "serialize")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -475,84 +450,64 @@ def load_records(path: str) -> list[ResultRecord]:
 # -- plotting --------------------------------------------------------------------
 
 
-def _first_numeric_column(scenario: str, records: Sequence[ResultRecord]) -> str:
-    for col in METRIC_COLUMNS[scenario]:
-        for r in records:
-            v = r.metrics.get(col)
-            if isinstance(v, (bool, int, float)):
-                return col
-    raise ValueError("records carry no numeric metric to plot")
-
-
 def emit_plot(records: Sequence[ResultRecord], kind: str, path: str) -> str:
-    """Render records to a self-contained SVG file; returns the path."""
-    if not records:
-        raise ValueError("no records to plot")
-    scenario = records[0].scenario
-    if any(r.scenario != scenario for r in records):
-        raise ValueError("records mix scenarios")
+    """Render records to a self-contained SVG file; returns the path.
+
+    A threshold sweep plots its factor rate per keep probability p over
+    the rows that did not fail; any other scenario plots its numeric
+    metric columns per instance.
+    """
+    scenario = _scenario_of(records, "plot")
     if kind not in ("line", "heatmap"):
         raise ValueError(f"unknown plot kind {kind!r}")
-    if kind == "line":
-        if scenario == "threshold_sweep":
-            by_p: dict[float, list[bool]] = {}
-            for r in records:
-                if r.failed:
-                    continue
+    sweep = scenario == "threshold_sweep"
+    if sweep:
+        by_p: dict[float, list[float]] = {}
+        for r in records:
+            if not r.failed:
                 by_p.setdefault(float(r.metrics["p"]), []).append(
-                    bool(r.metrics["exists"])
+                    float(r.metrics["exists"])
                 )
-            if not by_p:
-                raise ValueError("records carry no numeric metric to plot")
-            points = [
-                (p, sum(flags) / len(flags)) for p, flags in sorted(by_p.items())
-            ]
-            svg = line_plot(points, "keep probability p", "factor rate", scenario)
-        else:
-            col = _first_numeric_column(scenario, records)
-            points = [
-                (r.index, float(r.metrics[col]))
-                for r in records
-                if isinstance(r.metrics.get(col), (bool, int, float))
-            ]
-            svg = line_plot(points, "instance", col, scenario)
+        cols = ["exists"] if by_p else []
     else:
-        if scenario == "threshold_sweep":
-            ps = sorted({float(r.metrics["p"]) for r in records if not r.failed})
-            per_p: dict[float, list[float]] = {p: [] for p in ps}
-            for r in records:
-                if not r.failed:
-                    per_p[float(r.metrics["p"])].append(float(r.metrics["exists"]))
-            if not ps:
-                raise ValueError("records carry no numeric metric to plot")
-            width = max(len(v) for v in per_p.values())
-            grid = [v + [0.0] * (width - len(v)) for _, v in sorted(per_p.items())]
-            svg = heatmap(
-                grid,
-                "seed slot",
-                "keep probability p",
-                y_ticks=[f"{p:g}" for p in ps],
-                title=scenario,
-            )
-        else:
-            cols = [
-                c
-                for c in METRIC_COLUMNS[scenario]
-                if any(isinstance(r.metrics.get(c), (bool, int, float)) for r in records)
-            ]
-            if not cols:
-                raise ValueError("records carry no numeric metric to plot")
-            grid = [
-                [float(r.metrics.get(c) or 0) for c in cols] for r in records
-            ]
-            svg = heatmap(
-                grid,
-                "metric",
-                "instance",
-                x_ticks=cols,
-                y_ticks=[str(r.index) for r in records],
-                title=scenario,
-            )
+        cols = [
+            c
+            for c in SCENARIOS[scenario][0]
+            if any(isinstance(r.metrics.get(c), (bool, int, float)) for r in records)
+        ]
+    if not cols:
+        raise ValueError("records carry no numeric metric to plot")
+    if kind == "line" and sweep:
+        points = [(p, sum(v) / len(v)) for p, v in sorted(by_p.items())]
+        svg = line_plot(points, "keep probability p", "factor rate", scenario)
+    elif kind == "line":
+        col = cols[0]
+        points = [
+            (r.index, float(r.metrics[col]))
+            for r in records
+            if isinstance(r.metrics.get(col), (bool, int, float))
+        ]
+        svg = line_plot(points, "instance", col, scenario)
+    elif sweep:
+        width = max(len(v) for v in by_p.values())
+        grid = [v + [0.0] * (width - len(v)) for _, v in sorted(by_p.items())]
+        svg = heatmap(
+            grid,
+            "seed slot",
+            "keep probability p",
+            y_ticks=[f"{p:g}" for p in sorted(by_p)],
+            title=scenario,
+        )
+    else:
+        grid = [[float(r.metrics.get(c) or 0) for c in cols] for r in records]
+        svg = heatmap(
+            grid,
+            "metric",
+            "instance",
+            x_ticks=cols,
+            y_ticks=[str(r.index) for r in records],
+            title=scenario,
+        )
     with open(path, "w") as fh:
         fh.write(svg)
     return path
@@ -597,8 +552,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.graph) as fh:
-            G = PartiteGraph.from_json_dict(json.load(fh))
+        G = PartiteGraph.load(args.graph)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -107,9 +107,6 @@ class TransversalCopy:
     def vertex_ids(self) -> tuple[VertexId, ...]:
         return tuple(VertexId(p + 1, v) for p, v in enumerate(self.verts))
 
-    def to_json(self) -> list[int]:
-        return list(self.verts)
-
 
 class _DisjointCopies:
     """Masks of `copies`, disjoint copies with one vertex per part each
@@ -153,12 +150,6 @@ class Tiling(_DisjointCopies):
         if any(covered[p].bit_count() != len(copies) for p in range(1, G.k + 1)):
             raise ValueError("copies overlap")
         return t
-
-    def to_json_dict(self) -> dict:
-        return {
-            "copies": [c.to_json() for c in self.copies],
-            "leftover_per_part": self.leftover_per_part,
-        }
 
 
 @dataclass(frozen=True)
@@ -431,10 +422,6 @@ class MixedTiling(_DisjointCopies):
     @property
     def p3_copies(self) -> tuple[MixedCopy, ...]:
         return tuple(c for c in self.copies if c.kind == "p3")
-
-    @property
-    def m2_copies(self) -> tuple[MixedCopy, ...]:
-        return tuple(c for c in self.copies if c.kind == "m2")
 
     def counts(self) -> dict:
         p3 = len(self.p3_copies)

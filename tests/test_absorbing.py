@@ -127,6 +127,12 @@ def test_fan_target_size_truncates():
     assert find_fan(G, VertexId(1, 0), 2).size == 2
 
 
+def test_fan_accepts_a_plain_tuple_vertex():
+    fan = find_fan(complete_blowup(K3, 3), (1, 0), 2)
+    assert fan.at == VertexId(1, 0)
+    assert fan.size == 2
+
+
 def test_fan_at_isolated_vertex_is_empty():
     G = complete_blowup(K3, 3).delete_edges(
         [(1, 0, p, a) for p in (2, 3) for a in range(3)]

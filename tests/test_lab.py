@@ -458,14 +458,52 @@ def test_single_record_plot_is_valid_svg(tmp_path):
     assert sum(1 for el in root.iter() if el.tag.endswith("circle")) == 1
 
 
+# SVG bytes of the sweep above and of a hole scan whose alpha varies
+GOLDEN_PLOT_SHA = {
+    ("threshold_sweep", "line"): (
+        "79df024441eed1475ec2d6bbecb66852d285bc3bc35ab859736e6087e269f087"
+    ),
+    ("threshold_sweep", "heatmap"): (
+        "496e0b9802bbf2eba484328e38146e6f15ffc6cb1686a18e67502778c6a76edb"
+    ),
+    ("hole_scan", "line"): (
+        "4cd39448e3a743ba2e57fea54bac770d081e9e4c668ba09e98bf7236b6b0518e"
+    ),
+    ("hole_scan", "heatmap"): (
+        "8becadbc54d4669b8735df57912095925863099ae35b9e17c18171a3ac058d2d"
+    ),
+}
+
+
+def golden_plot_records(scenario: str) -> list[ResultRecord]:
+    if scenario == "threshold_sweep":
+        return run(sweep_config())
+    return run(
+        ExperimentConfig(
+            scenario="hole_scan",
+            gen=GenSpec(family="random_subgraph", pattern=K3, n=5, params={"p": 0.5}),
+            params={"instances": 4},
+            seed=2,
+        )
+    )
+
+
 def test_sweep_line_plot_golden(tmp_path):
-    records = run(sweep_config())
-    out = str(tmp_path / "sweep.svg")
-    emit_plot(records, "line", out)
-    first = open(out, "rb").read()
-    emit_plot(records, "line", out)
-    assert open(out, "rb").read() == first
+    out = tmp_path / "sweep.svg"
+    emit_plot(golden_plot_records("threshold_sweep"), "line", str(out))
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_PLOT_SHA[("threshold_sweep", "line")]
     ET.parse(out)
+
+
+@pytest.mark.parametrize(
+    "scenario,kind",
+    [("threshold_sweep", "heatmap"), ("hole_scan", "line"), ("hole_scan", "heatmap")],
+)
+def test_plot_golden_bytes(tmp_path, scenario, kind):
+    out = tmp_path / "plot.svg"
+    emit_plot(golden_plot_records(scenario), kind, str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PLOT_SHA[(scenario, kind)]
 
 
 def test_heatmap_plot_renders(tmp_path):
