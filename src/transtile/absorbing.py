@@ -56,7 +56,7 @@ from transtile.core import (
     mask_of,
 )
 from transtile.generators import rng_for
-from transtile.search import has_perfect_matching, iter_copies
+from transtile.search import copy_enumerator, has_perfect_matching, iter_copies
 from transtile.tiling import TransversalCopy, exact_transversal_factor_search
 
 __all__ = [
@@ -184,9 +184,10 @@ def _fan_sets(
     """Greedy disjoint completion sets for v, drawn from the `arena` masks."""
     parts = [p for p in range(1, G.k + 1) if p != v.part]
     masks = [arena[p] & G.nbr_mask(v.part, v.idx, p) for p in parts]
+    first = copy_enumerator(G, parts)
     out: list[tuple[VertexId, ...]] = []
     while len(out) < target_size:
-        found = next(iter_copies(G, parts, masks), None)
+        found = next(first(masks), None)
         if found is None:
             break
         out.append(tuple(VertexId(p, i) for p, i in zip(parts, found)))
@@ -289,11 +290,12 @@ def _connector_t2_construct(
         d2.append(m2)
     parts = [p0, *others]
     apex_pool = G.full_mask & ~W[p0] & ~(1 << u.idx) & ~(1 << v.idx)
+    first = copy_enumerator(G, parts)
     for w_idx in bits(apex_pool):
-        k1 = next(iter_copies(G, parts, [1 << w_idx, *d1]), None)
+        k1 = next(first([1 << w_idx, *d1]), None)
         if k1 is None:
             continue
-        k2 = next(iter_copies(G, parts, [1 << w_idx, *d2]), None)
+        k2 = next(first([1 << w_idx, *d2]), None)
         if k2 is None:
             continue
         s = [0] * (k + 1)

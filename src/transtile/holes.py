@@ -32,7 +32,7 @@ from operator import or_
 from typing import Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
-from transtile.search import iter_copies
+from transtile.search import copy_enumerator, iter_copies
 
 __all__ = [
     "HoleCertificate",
@@ -289,6 +289,7 @@ def alpha_star_lower_bound(
     for trial in range(trials):
         rng = random.Random((seed * 0x9E3779B1 + trial) & 0xFFFFFFFF)
         parts = tuples[trial % len(tuples)]
+        first = copy_enumerator(G, parts)
         masks = [0] * r
         budget = 40 * (s * r + 4)
         while budget > 0:
@@ -306,7 +307,7 @@ def alpha_star_lower_bound(
             for v in bits(G.full_mask & ~masks[t]):
                 probe = list(masks)
                 probe[t] = 1 << v
-                if next(iter_copies(G, parts, probe), None) is not None:
+                if next(first(probe), None) is not None:
                     continue
                 good.append(v)
             if good:

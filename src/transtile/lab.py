@@ -425,12 +425,11 @@ def write_csv(records: Sequence[ResultRecord], path: str) -> None:
 
 
 def render_json(records: Sequence[ResultRecord]) -> str:
-    if not records:
-        raise ValueError("no records to serialize")
+    scenario = _scenario_of(records, "serialize")
     body = {
         "artifact_version": ARTIFACT_VERSION,
         "config_hash": records[0].config_hash,
-        "scenario": records[0].scenario,
+        "scenario": scenario,
         "records": [r.to_json_dict() for r in records],
     }
     return canonical_json(body) + "\n"
@@ -598,7 +597,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument(
         "--what", choices=("holes", "factor", "absorber"), default="factor"
     )
-    p_verify.add_argument("--cap", type=int, default=12)
+    p_verify.add_argument("--cap", type=int, default=FACTOR_CAP_DEFAULT)
     p_verify.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -1,10 +1,14 @@
 """The three search kernels that every transversal question reduces to.
 
-* `iter_copies` enumerates transversal copies: one vertex per listed
-  part, each drawn from that part's mask, realizing every pattern edge
-  among the listed parts.  Hole certificates, fans, connectors,
-  absorbers, greedy tilings and the factor search all take their copies
-  from it.
+* `copy_enumerator` enumerates transversal copies: one vertex per
+  listed part, each drawn from that part's mask, realizing every
+  pattern edge among the listed parts.  It plans once and iterates
+  many times: `copy_enumerator(G, parts)` looks up the neighbour rows
+  between the parts and returns a function from masks to copies, whose
+  search memoises each level's plan.  The factor search (asking at
+  every node), fans, connectors, greedy tilings and the randomized hole
+  search keep one enumerator per loop; `iter_copies` is the one-off
+  form for a single question, such as a hole check.
 * `sweep` computes layered reachability along a sequence of parts, and
   `trace_back` reads one walk out of the layers.  Transversal paths,
   transversal cycles (one sweep per anchor vertex) and the
@@ -20,11 +24,89 @@ exists inside the masks.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits
 
-__all__ = ["has_perfect_matching", "iter_copies", "sweep", "trace_back"]
+__all__ = [
+    "copy_enumerator",
+    "has_perfect_matching",
+    "iter_copies",
+    "sweep",
+    "trace_back",
+]
+
+
+def copy_enumerator(
+    G: PartiteGraph, parts: Sequence[int]
+) -> Callable[[Sequence[int]], Iterator[tuple[int, ...]]]:
+    """Plan the copy search on `parts` once; return masks -> copies.
+
+    The returned function yields every transversal copy on `parts` with
+    position t's vertex in masks[t], as tuples aligned with `parts`.
+    Complete backtracking in a deterministic order: branch on the open
+    position with the fewest candidates (ties to the lower part index),
+    try its vertices in ascending order, and narrow the candidates of
+    the open positions whose parts the pattern joins to it.  Which
+    positions stay open after branching at t, and which of them t's
+    neighbour rows narrow, depend only on `parts` and the branches
+    taken, so each level keeps its plan per branching position for the
+    enumerator's lifetime.
+    """
+    adj = G._adj
+    width = len(parts)
+
+    def plan(level: list, t: int) -> tuple:
+        # rows are looked up per level reached, not up front, so a
+        # one-off search (`iter_copies`) pays only for the levels it reaches
+        p = parts[t]
+        rest = []
+        narrow = []
+        for u in level[0]:
+            if u != t:
+                rest.append(u)
+                rows = adj.get((p, parts[u]))
+                if rows is not None:
+                    narrow.append((u, rows))
+        level[1][t] = got = (narrow, [rest, [None] * width])
+        return got
+
+    # a level is [open positions in ascending part order, plan per branch]
+    top = [sorted(range(width), key=parts.__getitem__), [None] * width]
+
+    def enumerate_copies(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        if not all(masks):
+            return
+        chosen = [0] * width
+
+        def rec(cur: list[int], level: list) -> Iterator[tuple[int, ...]]:
+            # only a strictly smaller count moves t, so ties go to the
+            # lower part index
+            left = level[0]
+            t = left[0]
+            least = cur[t].bit_count()
+            for u in left:
+                c = cur[u].bit_count()
+                if c < least:
+                    t, least = u, c
+            if len(left) == 1:
+                for chosen[t] in bits(cur[t]):
+                    yield tuple(chosen)
+                return
+            narrow, below = level[1][t] or plan(level, t)
+            for v in bits(cur[t]):
+                nxt = cur.copy()
+                for u, urows in narrow:
+                    nxt[u] &= urows[v]
+                    if not nxt[u]:
+                        break
+                else:
+                    chosen[t] = v
+                    yield from rec(nxt, below)
+
+        yield from rec(list(masks), top)
+
+    return enumerate_copies
 
 
 def iter_copies(
@@ -32,45 +114,11 @@ def iter_copies(
 ) -> Iterator[tuple[int, ...]]:
     """Every transversal copy on `parts` with position t's vertex in masks[t].
 
-    Copies are tuples aligned with `parts`.  Complete backtracking in a
-    deterministic order: branch on the open position with the fewest
-    candidates (ties to the lower part index), try its vertices in
-    ascending order, and narrow the candidates of the open positions
-    whose parts the pattern joins to it.
+    A one-off `copy_enumerator(G, parts)(masks)`; a caller that searches
+    the same parts under many masks should plan once and keep the
+    enumerator instead.
     """
-    if not all(masks):
-        return
-    adj = G._adj
-    chosen = [0] * len(parts)
-
-    def rec(cur: list[int], left: list[int]) -> Iterator[tuple[int, ...]]:
-        # `left` stays in ascending part order, so min() breaks ties
-        # toward the lower part index
-        t = min(left, key=lambda u: cur[u].bit_count())
-        if len(left) == 1:
-            for chosen[t] in bits(cur[t]):
-                yield tuple(chosen)
-            return
-        p = parts[t]
-        rest = []
-        narrow = []
-        for u in left:
-            if u != t:
-                rest.append(u)
-                rows = adj.get((p, parts[u]))
-                if rows is not None:
-                    narrow.append((u, rows))
-        for v in bits(cur[t]):
-            nxt = cur.copy()
-            for u, rows in narrow:
-                nxt[u] &= rows[v]
-                if not nxt[u]:
-                    break
-            else:
-                chosen[t] = v
-                yield from rec(nxt, rest)
-
-    yield from rec(list(masks), sorted(range(len(parts)), key=parts.__getitem__))
+    return copy_enumerator(G, parts)(masks)
 
 
 def sweep(

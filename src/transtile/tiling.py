@@ -8,7 +8,8 @@ one vertex per part.  A *factor* is a tiling with empty leftover.
 Search strategy notes
 ---------------------
 * The search kernels live in `transtile.search`.  Copy searches use
-  `iter_copies`: complete backtracking over parts with bitmask
+  its copy kernel (`copy_enumerator`, planned once per search, or the
+  one-off `iter_copies`): complete backtracking over parts with bitmask
   neighborhood propagation, always branching on the part with the
   fewest candidates and breaking ties toward the lowest part index and
   lowest vertex index.  "None" answers are therefore proofs.
@@ -74,7 +75,13 @@ from transtile.core import (
     is_transversal_copy,
     mask_of,
 )
-from transtile.search import has_perfect_matching, iter_copies, sweep, trace_back
+from transtile.search import (
+    copy_enumerator,
+    has_perfect_matching,
+    iter_copies,
+    sweep,
+    trace_back,
+)
 
 __all__ = [
     "TransversalCopy",
@@ -175,10 +182,6 @@ def iter_transversal_copies(
     return iter_copies(G, range(1, G.k + 1), masks[1:])
 
 
-def _first_copy(G: PartiteGraph, masks: Sequence[int]) -> Optional[tuple[int, ...]]:
-    return next(iter_transversal_copies(G, masks), None)
-
-
 def _family_masks(G: PartiteGraph, constraints: VertexSetFamily) -> list[int]:
     masks = [0] * (G.k + 1)
     for p in range(1, G.k + 1):
@@ -198,7 +201,7 @@ def find_transversal_clique(
     """First transversal clique inside the constraint sets, or None (a proof)."""
     if not G.pattern.is_complete:
         raise ValueError("transversal clique search needs a complete pattern")
-    found = _first_copy(G, _family_masks(G, constraints))
+    found = next(iter_transversal_copies(G, _family_masks(G, constraints)), None)
     return TransversalCopy(found) if found else None
 
 
@@ -210,15 +213,15 @@ def greedy_clique_tiling(G: PartiteGraph) -> Tiling:
     """
     if not G.pattern.is_complete:
         raise ValueError("transversal clique tiling needs a complete pattern")
-    masks = [G.full_mask] * (G.k + 1)
+    first = copy_enumerator(G, range(1, G.k + 1))
+    masks = [G.full_mask] * G.k  # by position: part p sits at p - 1
     copies = []
     while True:
-        found = _first_copy(G, masks)
+        found = next(first(masks), None)
         if found is None:
             break
         copies.append(TransversalCopy(found))
-        for p in range(1, G.k + 1):
-            masks[p] &= ~(1 << found[p - 1])
+        masks = [m & ~(1 << v) for m, v in zip(masks, found)]
     return Tiling(tuple(copies), G.n, G.k)
 
 
@@ -339,7 +342,10 @@ def exact_transversal_factor_search(
         bits(root[1]),
         key=lambda v: (sum((G.nbr_mask(1, v, q) & root[q]).bit_count() for q in nbrs1), v),
     )
-    pairs = G.pattern.edge_list()
+    # the search only ever narrows part masks: plan the copy kernel and
+    # look up the Hall prune's neighbour rows once, not at every node
+    copies = copy_enumerator(G, range(1, k + 1))
+    hall = [(G._adj[p, q], p, q) for p, q in G.pattern.edge_list()]
     nodes = 0
     best_depth = 0
     acc: list[TransversalCopy] = []
@@ -354,11 +360,11 @@ def exact_transversal_factor_search(
         if i is None:
             return True
         v1 = order[i]
-        cand = list(cur)
-        cand[1] = 1 << v1
-        for tried, found in enumerate(iter_transversal_copies(G, cand)):
+        cand = cur[1:]  # by position: part p sits at p - 1
+        cand[0] = 1 << v1
+        for tried, found in enumerate(copies(cand)):
             if tried == 1 and not all(
-                has_perfect_matching(G._adj[p, q], cur[p], cur[q]) for p, q in pairs
+                has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall
             ):
                 return False
             nodes += 1

@@ -81,6 +81,45 @@ def test_no_relabelling_outside_core(path):
     assert not calls, f"{path.name} calls .induced( on lines {calls}; pass masks instead"
 
 
+def _repeated_scopes(tree: ast.Module) -> list[ast.AST]:
+    """Code that runs again and again: loop bodies, while tests, recursive functions."""
+    out: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            out.extend(node.body)
+        elif isinstance(node, ast.While):
+            out.extend([node.test, *node.body])
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == node.name
+            for n in ast.walk(node)
+        ):
+            out.append(node)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_copy_search_planned_per_iteration(path):
+    # a one-off copy search plans the kernel anew; a loop or a recursive
+    # search that asks the same parts under many masks hoists one
+    # `copy_enumerator` instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    one_off = {"iter_copies", "iter_transversal_copies"}
+    calls = sorted(
+        {
+            node.lineno
+            for scope in _repeated_scopes(tree)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in one_off
+        }
+    )
+    assert not calls, (
+        f"{path.name} starts a one-off copy search per iteration on lines {calls}; "
+        "hoist a copy_enumerator"
+    )
+
+
 def test_no_orphaned_private_helpers():
     # a module-level private function or class must be read by some other
     # top-level statement of the package; a recursive call alone is no use

@@ -424,16 +424,17 @@ def test_json_mirror_round_trips(tmp_path):
 
 
 def test_render_rejects_empty_or_mixed():
-    with pytest.raises(ValueError, match="no records"):
-        render_csv([])
     a = run(sweep_config())[0]
     b = run(
         ExperimentConfig(
             scenario="hole_scan", gen=GenSpec(family="complete", pattern=K3, n=3)
         )
     )[0]
-    with pytest.raises(ValueError, match="mix scenarios"):
-        render_csv([a, b])
+    for render in (render_csv, render_json):
+        with pytest.raises(ValueError, match="no records to serialize"):
+            render([])
+        with pytest.raises(ValueError, match="mix scenarios"):
+            render([a, b])
 
 
 def test_wall_time_stays_out_of_serialized_records():
