@@ -17,6 +17,10 @@ s-hole exists, without the hole number: for r=2 by a pruned subset
 search with no cap, for r>=3 by the same branch-and-bound under the cap.
 That branch-and-bound keeps the transversal cliques still realizable as
 one bitmask over clique indices, so a branch on a subset costs one AND.
+The clique index is built once per part tuple and serves every s.
+Having an s-hole is monotone in s (dropping one vertex from each set of
+an s-hole leaves an (s-1)-hole), so for r>=3 `alpha_star_exact` asks
+each tuple for s = best+1, best+2, ... and stops at the first absence.
 Both report absence only as a proof.  `alpha_star_lower_bound` is a
 randomized hole finder: its holes are verified, but finding none proves
 nothing, and no certification rests on it.
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
 from transtile.search import copy_enumerator, iter_copies
@@ -149,19 +153,22 @@ def _pair_hole(G: PartiteGraph, pi: int, pj: int, s: int) -> Optional[tuple[int,
     return rec(0, 0, G.full_mask)
 
 
-def _exists_hole(
-    G: PartiteGraph, parts: Sequence[int], s: int, counter: list[int]
-) -> Optional[tuple[int, ...]]:
-    """Branch-and-bound: masks of an s-hole on `parts`, or None (a proof).
+def _hole_finder(
+    G: PartiteGraph, parts: Sequence[int]
+) -> Callable[[int, list[int]], Optional[tuple[int, ...]]]:
+    """Index the transversal cliques on `parts` once; return `exists`.
 
-    Enumerates transversal cliques on the parts once and indexes them as
-    bitmasks over clique indices: rows[level][v] holds the cliques whose
-    vertex in parts[level] is v.  Then branches on the s-subset chosen
-    for each part in ascending part order (subsets in `combinations`
-    order), keeping the bitmask of cliques still realizable inside the
-    partial choice; one branch costs one AND with the OR of the subset's
-    rows.  An empty active set means any completion works; so does a
-    level whose vertices outside every active clique number at least s.
+    `exists(s, counter)` is a branch-and-bound that returns the masks of
+    an s-hole on `parts`, or None (a proof), adding its branch nodes to
+    counter[0].  The index holds the cliques as bitmasks over clique
+    indices: rows[level][v] holds the cliques whose vertex in
+    parts[level] is v.  It does not depend on s, so one finder answers
+    every s.  The search branches on the s-subset chosen for each part
+    in ascending part order (subsets in `combinations` order), keeping
+    the bitmask of cliques still realizable inside the partial choice;
+    one branch costs one AND with the OR of the subset's rows.  An empty
+    active set means any completion works; so does a level whose
+    vertices outside every active clique number at least s.
     """
     n, full = G.n, G.full_mask
     r = len(parts)
@@ -170,34 +177,52 @@ def _exists_hole(
     for i, clique in enumerate(cliques):
         for row, v in zip(rows, clique):
             row[v] |= 1 << i
-    combos = list(combinations(range(n), s))
-    branches = [
-        [(mask_of(c), reduce(or_, (row[v] for v in c), 0)) for c in combos]
-        for row in rows[:-1]
-    ]
-    lowest = mask_of(range(s))
+    everything = (1 << len(cliques)) - 1
 
-    def rec(level: int, active: int, chosen: list[int]) -> Optional[list[int]]:
-        counter[0] += 1
-        if not active:
-            return chosen + [lowest] * (r - level)
-        used = 0
-        for v, row in enumerate(rows[level]):
-            if row & active:
-                used |= 1 << v
-        free = full & ~used
-        if free.bit_count() >= s:
-            return chosen + [mask_of(list(bits(free))[:s])] + [lowest] * (r - level - 1)
-        if level == r - 1:
+    def exists(s: int, counter: list[int]) -> Optional[tuple[int, ...]]:
+        combos = list(combinations(range(n), s))
+        branches = [
+            [(mask_of(c), reduce(or_, (row[v] for v in c), 0)) for c in combos]
+            for row in rows[:-1]
+        ]
+        lowest = mask_of(range(s))
+
+        def rec(level: int, active: int, chosen: list[int]) -> Optional[list[int]]:
+            counter[0] += 1
+            if not active:
+                return chosen + [lowest] * (r - level)
+            used = 0
+            for v, row in enumerate(rows[level]):
+                if row & active:
+                    used |= 1 << v
+            free = full & ~used
+            if free.bit_count() >= s:
+                return chosen + [mask_of(list(bits(free))[:s])] + [lowest] * (r - level - 1)
+            if level == r - 1:
+                return None
+            for u, keep in branches[level]:
+                res = rec(level + 1, active & keep, chosen + [u])
+                if res is not None:
+                    return res
             return None
-        for u, keep in branches[level]:
-            res = rec(level + 1, active & keep, chosen + [u])
-            if res is not None:
-                return res
-        return None
 
-    out = rec(0, (1 << len(cliques)) - 1, [])
-    return tuple(out) if out is not None else None
+        out = rec(0, everything, [])
+        return tuple(out) if out is not None else None
+
+    return exists
+
+
+def _checked(G: PartiteGraph, witness: HoleCertificate) -> HoleCertificate:
+    """The witness itself, after `verify_hole` confirms it is a hole.
+
+    An explicit raise, not an `assert`: a hole answer rests on this
+    check, and `python -O` strips asserts.
+    """
+    if not verify_hole(G, witness):
+        raise RuntimeError(
+            f"hole search returned a non-hole on parts {witness.parts}: sets {witness.sets}"
+        )
+    return witness
 
 
 def alpha_star_exact(
@@ -208,7 +233,13 @@ def alpha_star_exact(
     Guarded: refuses instances with n above `cap` since the search is
     exponential in n.  alpha_r = 0 is reported with the empty
     certificate.  Part tuples with no transversal-clique arena simply do
-    not contribute.
+    not contribute.  For r=2 each part pair sweeps a 2^n subset table.
+    For r>=3 each part tuple builds one clique index and climbs s from
+    the best value so far, stopping at the first s with no hole: holes
+    are monotone in s, so that None proves the tuple's maximum.  A tuple
+    replaces the witness only when it beats the best; the witness is the
+    hole its last successful decision found.  `explored` sums the branch
+    nodes of every decision.
     """
     if not 2 <= r <= G.k:
         raise ValueError(f"hole order r={r} out of range [2..{G.k}]")
@@ -232,17 +263,18 @@ def alpha_star_exact(
                 witness = HoleCertificate(r, parts, (ua, ub), verified=True)
         else:
             counter = [0]
-            for s in range(G.n, best, -1):
-                masks = _exists_hole(G, parts, s, counter)
-                if masks is not None:
-                    best = s
-                    witness = HoleCertificate(
-                        r, parts, tuple(frozenset(bits(m)) for m in masks), verified=True
-                    )
-                    break
+            exists = _hole_finder(G, parts)
+            top, found = best, None
+            while top < G.n and (masks := exists(top + 1, counter)) is not None:
+                top, found = top + 1, masks
+            if found is not None:
+                best = top
+                witness = HoleCertificate(
+                    r, parts, tuple(frozenset(bits(m)) for m in found), verified=True
+                )
             explored += counter[0]
     if best > 0:
-        assert verify_hole(G, witness)
+        _checked(G, witness)
     return HoleReport(alpha=best, witness=witness, method="exact", explored=explored)
 
 
@@ -261,11 +293,10 @@ def certify_no_hole(G: PartiteGraph, r: int, s: int) -> tuple[bool, str, Optiona
     if r > 2 and G.n > EXACT_CAP_DEFAULT:
         raise ValueError(f"exact mode refused: n={G.n} exceeds cap {EXACT_CAP_DEFAULT} for r={r}")
     for parts in G.pattern.clique_part_tuples(r):
-        masks = _pair_hole(G, *parts, s) if r == 2 else _exists_hole(G, parts, s, [0])
+        masks = _pair_hole(G, *parts, s) if r == 2 else _hole_finder(G, parts)(s, [0])
         if masks is not None:
             witness = HoleCertificate(r, parts, tuple(frozenset(bits(m)) for m in masks), True)
-            assert verify_hole(G, witness)
-            return False, "exact", witness
+            return False, "exact", _checked(G, witness)
     return True, "exact", None
 
 

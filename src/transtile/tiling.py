@@ -337,10 +337,10 @@ def exact_transversal_factor_search(
         raise ValueError(
             f"exact mode refused: n={sizes[0]} exceeds cap {cap}; pass a larger cap to force"
         )
-    nbrs1 = G.pattern.neighbors(1)
+    rows1 = [(G._adj[1, q], root[q]) for q in G.pattern.neighbors(1)]
     order = sorted(
         bits(root[1]),
-        key=lambda v: (sum((G.nbr_mask(1, v, q) & root[q]).bit_count() for q in nbrs1), v),
+        key=lambda v: (sum((rows[v] & m).bit_count() for rows, m in rows1), v),
     )
     # the search only ever narrows part masks: plan the copy kernel and
     # look up the Hall prune's neighbour rows once, not at every node

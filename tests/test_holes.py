@@ -9,7 +9,7 @@ from transtile.core import Pattern, PartiteGraph, bits, mask_of
 from transtile.generators import hole_suppressed_process
 from transtile.holes import (
     HoleCertificate,
-    _exists_hole,
+    _hole_finder,
     alpha_star_exact,
     alpha_star_lower_bound,
     certify_no_hole,
@@ -140,7 +140,7 @@ def test_alpha_exact_monotone_under_deletion(seed, p):
 
 
 def list_exists_hole(G, parts, s, counter):
-    """Reference for `_exists_hole`: the same branch-and-bound, keeping
+    """Reference for `_hole_finder`: the same branch-and-bound, keeping
     the active cliques as a list of tuples refiltered per subset."""
     n = G.n
     r = len(parts)
@@ -184,17 +184,97 @@ def test_exists_hole_matches_list_reference(seed):
     for parts in arenas:
         for s in range(1, n + 1):
             want, got = [0], [0]
-            assert _exists_hole(G, parts, s, got) == list_exists_hole(G, parts, s, want)
+            assert _hole_finder(G, parts)(s, got) == list_exists_hole(G, parts, s, want)
             assert got == want, (parts, s)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_hole_finder_reuse_matches_fresh(seed):
+    # the clique index does not depend on s: one finder asked for every
+    # s answers as a fresh finder per s does, node for node
+    pattern = (Pattern.complete(3), Pattern.complete(4))[seed % 2]
+    n = 3 + seed % 5
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 2 % 4], seed=4000 + seed)
+    for parts in pattern.clique_part_tuples(3) + pattern.clique_part_tuples(4):
+        exists = _hole_finder(G, parts)
+        for s in range(1, n + 1):
+            reused, fresh = [0], [0]
+            assert exists(s, reused) == _hole_finder(G, parts)(s, fresh)
+            assert reused == fresh, (parts, s)
+
+
+def descending_alpha(G, r):
+    """Reference for r >= 3 `alpha_star_exact`: each part tuple descends
+    from s = n to the best so far and stops at the first hole."""
+    best, witness, explored = 0, ((), ()), 0
+    for parts in G.pattern.clique_part_tuples(r):
+        counter = [0]
+        for s in range(G.n, best, -1):
+            masks = _hole_finder(G, parts)(s, counter)
+            if masks is not None:
+                best = s
+                witness = (parts, tuple(frozenset(bits(m)) for m in masks))
+                break
+        explored += counter[0]
+    return best, witness, explored
+
+
+def assert_matches_descending(G, r):
+    """Same alpha, witness parts and witness sets as the reference;
+    returns (explored, reference explored)."""
+    report = alpha_star_exact(G, r)
+    alpha, witness, explored = descending_alpha(G, r)
+    assert report.alpha == alpha
+    assert (report.witness.parts, report.witness.sets) == witness
+    return report.explored, explored
+
+
+def test_alpha_exact_matches_descending_reference():
+    # ascending from the best so far finds the same maximum and the same
+    # witness as the descending search.  Per instance it can take a few
+    # more nodes where alpha is near n, since every successful decision
+    # costs a node (with no transversal clique at all: 1 node descending,
+    # n ascending); summed, it takes fewer.  K5 stops at n=6: at n=8 the
+    # r=5 reference runs for minutes.
+    ascending = descending = 0
+    for seed in range(24):
+        pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.complete(5))[
+            seed % 4
+        ]
+        n = min(3 + seed % 6, 6 if pattern.k == 5 else 8)
+        G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 4 % 4], seed=5000 + seed)
+        for r in range(3, pattern.k + 1):
+            got, want = assert_matches_descending(G, r)
+            ascending, descending = ascending + got, descending + want
+    assert ascending < descending
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_alpha_exact_matches_descending_on_hole_suppressed(seed):
+    G, _ = hole_suppressed_process(Pattern.complete(4), 8, r=2, s=2, seed=seed)
+    ascending, descending = assert_matches_descending(G, 3)
+    assert ascending <= descending
+
+
 def test_alpha_exact_work_count_pinned():
-    # explored counts branch nodes; a faster node must not change it
+    # explored counts branch nodes summed over the ascending decisions
+    # s = best+1, best+2, ...; a faster node must not change it
     G, _ = hole_suppressed_process(Pattern.complete(4), 8, r=2, s=2, seed=3)
     report = alpha_star_exact(G, 3)
-    assert report.alpha == 2 and report.explored == 49382
+    assert report.alpha == 2 and report.explored == 13173
     assert report.witness.parts == (1, 2, 3)
     assert report.witness.sets == (frozenset({2, 3}), frozenset({3, 4}), frozenset({2, 5}))
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_unverified_witness_raises(monkeypatch, r):
+    # the witness check is an explicit raise, so `python -O` keeps it
+    G = empty_instance(Pattern.complete(3), 3)
+    monkeypatch.setattr("transtile.holes.verify_hole", lambda G, cand: False)
+    with pytest.raises(RuntimeError, match="non-hole"):
+        alpha_star_exact(G, r)
+    with pytest.raises(RuntimeError, match="non-hole"):
+        certify_no_hole(G, r, 2)
 
 
 # -- randomized lower bound ----------------------------------------------------------
