@@ -32,15 +32,20 @@ here, sized by the caller for instances of a few dozen vertices per
 part; see AbsorbParams.  Every factor check runs the exact solver on G
 itself, restricted to per-part masks, so no relabelled copy of the graph
 is built.  Connector and absorber witnesses have at most 2k+1 vertices
-per part, which is always feasible.  `verify_absorbing_property` factors
-G[R u U] with no size cap, and that is most of the graph at the
-reference parameters (R alone holds 49 to 59 of 60 vertices per part in
-the check-7 and benchmark configs); those checks stay fast only while
-the search does not backtrack.
+per part, which is always feasible.  `verify_absorbing_property` needs
+a factor of G[R u U], and R alone is most of the graph at the reference
+parameters (49 to 59 of 60 vertices per part in the check-7 and
+benchmark configs).  So it searches G[R] once, with no size cap, and
+builds each check's factor from that one: it adds a factor of G[U]
+(step 1), or else swaps one copy C of it for a factor of G[C u U], two
+vertices per part when U has one (step 2).  Only when both fail does
+the exact search run on all of R u U (step 3), the one step that can
+answer no and the one that can backtrack deep.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
@@ -465,16 +470,16 @@ def find_absorber(
     G: PartiteGraph,
     S: Sequence[VertexId | tuple[int, int]],
     forbidden: Iterable[VertexId | tuple[int, int]] = (),
-    connector_t: int = 2,
+    connector_t: int = 1,
 ) -> Optional[Absorber]:
     """Absorber for the transversal k-set S, or None.
 
     One transversal clique T plus, per part, a connector between the
     S-vertex and the T-vertex; the uniform connector parameter keeps
     the union balanced, so the witness instances stay factorable.
-    connector_t=2 gives |A| <= 2k^2, connector_t=1 gives |A| <= k^2;
-    the absorber records t = 2k, so |A| <= k*t either way.  A vertex
-    outside G raises ValueError.
+    connector_t=1 (the default, as in AbsorbParams) gives |A| <= k^2,
+    connector_t=2 gives |A| <= 2k^2; the absorber records t = 2k, so
+    |A| <= k*t either way.  A vertex outside G raises ValueError.
     """
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
@@ -522,7 +527,7 @@ def disjoint_absorbers(
     S: Sequence[VertexId | tuple[int, int]],
     count_target: int,
     forbidden: Iterable[VertexId | tuple[int, int]] = (),
-    connector_t: int = 2,
+    connector_t: int = 1,
 ) -> list[Absorber]:
     """Greedy maximal family of pairwise-disjoint absorbers for S."""
     used = _masks(G, forbidden)
@@ -912,6 +917,34 @@ class AbsorbVerdict:
     checks: int
 
 
+def _absorb_factor(
+    G: PartiteGraph,
+    r_masks: Sequence[int],
+    r_factor: Optional[tuple[TransversalCopy, ...]],
+    u_masks: Sequence[int],
+) -> tuple[int, Optional[tuple[TransversalCopy, ...]]]:
+    """A factor of G[R u U] and the step that found it, as (step, copies).
+
+    `r_factor` is a factor of G[R], or None when there is none to build on.
+    Step 1 adds a factor of G[U] to it unchanged.  Step 2 swaps the first
+    copy C of it whose G[C u U] factors for that factor.  Step 3 runs the
+    exact search on R u U, so (3, None) is a proof that G[R u U] has no
+    factor; steps 1 and 2 only ever answer yes.
+    """
+    if r_factor is not None:
+        own = _factor_witness(G, u_masks)
+        if own is not None:
+            return 1, r_factor + own
+        for t, c in enumerate(r_factor):
+            swap = _factor_witness(G, _union([0, *(1 << i for i in c.verts)], u_masks))
+            if swap is not None:
+                return 2, r_factor[:t] + r_factor[t + 1 :] + swap
+    tiling, _ = exact_transversal_factor_search(
+        G, cap=None, masks=_union(r_masks, u_masks)
+    )
+    return 3, None if tiling is None else tiling.copies
+
+
 def verify_absorbing_property(
     G: PartiteGraph,
     R: AbsorbingSet,
@@ -923,9 +956,15 @@ def verify_absorbing_property(
     """Probe: does G[R u U] factor for balanced U outside R, |U| <= xi*n?
 
     Runs exhaustive enumeration when the one-per-part candidate space
-    is small enough; otherwise samples `trials` random balanced U.  A
-    fail carries the defeating U and is always a proof (the factor
-    solver's absence answers are complete).
+    is small enough; otherwise samples `trials` random balanced U.
+
+    Each check builds its factor of G[R u U] from one factor F_R of
+    G[R], searched once at the first check: F_R plus a factor of G[U]
+    (step 1), or else F_R with its first copy C whose G[C u U] factors
+    swapped for that factor (step 2).  Only when both fail does the
+    exact search run on all of R u U (step 3), so every pass has a
+    witness, and a fail carries the defeating U and is always a proof
+    (the factor solver's absence answers are complete).
     """
     k, n = G.k, G.n
     if xi * n < k:
@@ -940,10 +979,11 @@ def verify_absorbing_property(
     s_max = min(int(xi * n // k), min(len(o) for o in outside[1:]))
     if s_max < 1:
         return AbsorbVerdict(ok=True, failing=None, checks=0)
+    r_factor = functools.cache(lambda: _factor_witness(G, r_masks))
 
     def factors(u_sets: Sequence[Sequence[int]]) -> bool:
-        masks = _union(r_masks, [0, *map(mask_of, u_sets)])
-        return exact_transversal_factor_search(G, cap=None, masks=masks)[0] is not None
+        u_masks = [0, *map(mask_of, u_sets)]
+        return _absorb_factor(G, r_masks, r_factor(), u_masks)[1] is not None
 
     space = 1
     for o in outside[1:]:

@@ -68,15 +68,21 @@ def random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGra
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability p={p} outside [0, 1]")
-    kept = []
+    # each kept edge is an edge of G, so it joins adjacent parts, lies in
+    # range and comes up once: the rows are built without from_edges' checks
+    adj: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in sorted(G.pattern.edges):
         rng = rng_for(seed, "pair", i, j)
-        rows = G._adj[(i, j)]
-        for a in range(G.n):
-            for b in bits(rows[a]):
+        fwd = [0] * G.n
+        back = [0] * G.n
+        for a, row in enumerate(G._adj[(i, j)]):
+            for b in bits(row):
                 if rng.random() < p:
-                    kept.append((i, a, j, b))
-    return PartiteGraph.from_edges(G.pattern, G.n, kept)
+                    fwd[a] |= 1 << b
+                    back[b] |= 1 << a
+        adj[(i, j)] = tuple(fwd)
+        adj[(j, i)] = tuple(back)
+    return PartiteGraph(G.pattern, G.n, adj)
 
 
 def _first_hole_free(base: PartiteGraph, edges: list, r: int, s: int) -> tuple:

@@ -6,10 +6,13 @@ library's pruned searches are checked against independent ground truth.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations, product
 
-from transtile.core import Pattern, PartiteGraph, mask_of
+from transtile.core import Pattern, PartiteGraph, VertexSetFamily, mask_of
+from transtile.generators import rng_for
+from transtile.tiling import exact_transversal_factor_search
 
 
 def random_instance(pattern: Pattern, n: int, p: float, seed: int) -> PartiteGraph:
@@ -81,3 +84,61 @@ def naive_has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int
         all(G.has_edge((p, a), (q, b)) for a, b in zip(left, perm))
         for perm in permutations(right)
     )
+
+
+def naive_random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGraph:
+    """`generators.random_spanning_subgraph` through `from_edges`: the same
+    draws in the same order, each kept edge checked and listed once."""
+    kept = []
+    for i, j in sorted(G.pattern.edges):
+        rng = rng_for(seed, "pair", i, j)
+        for a in range(G.n):
+            for b in range(G.n):
+                if G.has_edge((i, a), (j, b)) and rng.random() < p:
+                    kept.append((i, a, j, b))
+    return PartiteGraph.from_edges(G.pattern, G.n, kept)
+
+
+def naive_verify_absorbing_property(G, R, xi, trials=32, seed=0, exhaustive_limit=256):
+    """(ok, failing, checks) of `absorbing.verify_absorbing_property` by one
+    full exact factor search on G[R u U] per U, the same U in the same order."""
+    k, n = G.k, G.n
+    r = [0] + [mask_of(R.R.subset(p)) if p in R.R.parts else 0 for p in range(1, k + 1)]
+    outside = [[v for v in range(n) if not r[p] >> v & 1] for p in range(1, k + 1)]
+    s_max = min(int(xi * n // k), min(len(o) for o in outside))
+    if s_max < 1:
+        return True, None, 0
+
+    def factors(u_sets) -> bool:
+        masks = [0] + [r[p] | mask_of(u_sets[p - 1]) for p in range(1, k + 1)]
+        return exact_transversal_factor_search(G, cap=None, masks=masks)[0] is not None
+
+    if s_max == 1 and math.prod(map(len, outside)) <= exhaustive_limit:
+        candidates = [[[v] for v in pick] for pick in product(*outside)]
+    else:
+        candidates = []
+        for trial in range(trials):
+            rng = rng_for(seed, "absorb-verify", trial)
+            s = rng.randint(1, s_max)
+            candidates.append([sorted(rng.sample(o, s)) for o in outside])
+    for checks, u_sets in enumerate(candidates, 1):
+        if not factors(u_sets):
+            return False, VertexSetFamily.of(dict(enumerate(u_sets, 1))), checks
+    return True, None, len(candidates)
+
+
+def naive_is_factor(G: PartiteGraph, copies, masks) -> bool:
+    """Do `copies` (verts[p-1] in part p) partition the vertices of the
+    per-part `masks` into copies that carry every pattern edge?"""
+    k = G.k
+    for c in copies:
+        if len(c.verts) != k:
+            return False
+        for i, j in G.pattern.edges:
+            if not G.has_edge((i, c.verts[i - 1]), (j, c.verts[j - 1])):
+                return False
+    for p in range(1, k + 1):
+        column = [c.verts[p - 1] for c in copies]
+        if len(set(column)) != len(column) or mask_of(column) != masks[p]:
+            return False
+    return True

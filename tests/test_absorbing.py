@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import naive_is_factor, naive_verify_absorbing_property, random_instance
+from transtile import absorbing
 from transtile.core import (
     Pattern,
     PartiteGraph,
@@ -24,9 +25,15 @@ from transtile.core import (
     bits,
     common_neighborhood,
 )
-from transtile.generators import complete_blowup
+from transtile.generators import (
+    complete_blowup,
+    hole_suppressed_process,
+    random_spanning_subgraph,
+)
 from transtile.absorbing import (
+    _absorb_factor,
     _connector_t2_construct,
+    _factor_witness,
     Absorber,
     AbsorbingSet,
     AbsorbParams,
@@ -713,6 +720,154 @@ def test_verify_absorbing_property_vacuous_when_nothing_outside():
     )
     v = verify_absorbing_property(G, everything, xi=1.5, trials=4, seed=0)
     assert v.ok and v.checks == 0
+
+
+# -- absorbing verification against the full-search oracle ------------------------
+
+
+CHECK7_PARAMS = {
+    "complete": AbsorbParams(
+        q=1 / 30, tau=3.0, beta_prime=0.003, m=1, beta_m=1, seed=7, connector_t=1
+    ),
+    "dense": AbsorbParams(
+        q=0.1, tau=3.0, beta_prime=0.003, m=1, beta_m=1, seed=7, connector_t=1
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def check7_sets():
+    """Check 7's two instances at n=60 with the absorbing sets built on them."""
+    Ga = complete_blowup(K3, 60)
+    Gb, rep = hole_suppressed_process(K3, 60, 2, 2, seed=3)
+    assert rep["certified"]
+    return [
+        (Ga, build_absorbing_set(Ga, CHECK7_PARAMS["complete"])),
+        (Gb, build_absorbing_set(Gb, CHECK7_PARAMS["dense"])),
+    ]
+
+
+def _verdict(v):
+    return v.ok, v.failing, v.checks
+
+
+def _r_masks(r: int) -> list[int]:
+    """The lowest r vertices of each K3 part."""
+    return [0] + [(1 << r) - 1] * 3
+
+
+def _set_of(masks) -> AbsorbingSet:
+    R = VertexSetFamily.of({p: bits(m) for p, m in enumerate(masks) if p})
+    return AbsorbingSet(R=R, xi=0.0, provenance={})
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_verify_matches_full_search_oracle_on_check7_sets(check7_sets, which):
+    G, R = check7_sets[which]
+    for kwargs in (
+        {"trials": 100, "seed": 11, "exhaustive_limit": 0},
+        {"trials": 1, "seed": 11, "exhaustive_limit": 1000},
+    ):
+        v = verify_absorbing_property(G, R, R.xi, **kwargs)
+        assert v.ok
+        assert _verdict(v) == naive_verify_absorbing_property(G, R, R.xi, **kwargs)
+
+
+def test_verify_matches_full_search_oracle_on_complete_n90():
+    G = complete_blowup(K3, 90)
+    R = build_absorbing_set(G, pipeline_params())
+    for limit in (0, 256):
+        v = verify_absorbing_property(G, R, R.xi, trials=20, seed=1, exhaustive_limit=limit)
+        oracle = naive_verify_absorbing_property(
+            G, R, R.xi, trials=20, seed=1, exhaustive_limit=limit
+        )
+        assert v.ok and _verdict(v) == oracle
+
+
+@pytest.mark.parametrize("p, seed", [(0.95, 0), (0.85, 1), (0.75, 0)])
+def test_verify_matches_full_search_oracle_on_random_dense_n60(p, seed):
+    G = random_spanning_subgraph(complete_blowup(K3, 60), p, seed)
+    R = build_absorbing_set(G, CHECK7_PARAMS["dense"])
+    for limit in (0, 256):
+        v = verify_absorbing_property(G, R, R.xi, trials=30, seed=11, exhaustive_limit=limit)
+        oracle = naive_verify_absorbing_property(
+            G, R, R.xi, trials=30, seed=11, exhaustive_limit=limit
+        )
+        assert _verdict(v) == oracle
+
+
+def test_verify_matches_full_search_oracle_on_small_random_graphs():
+    # R is the lowest r vertices of each part; xi=1.5 allows U of up to
+    # 3 vertices per part, so the sampled regime mixes sizes
+    verdicts = []
+    for seed in range(12):
+        G = random_instance(K3, 6, 0.5 + 0.04 * seed, seed)
+        for r in range(4):
+            R = _set_of(_r_masks(r))
+            for xi, limit in ((1.5, 0), (0.5, 256)):
+                v = verify_absorbing_property(
+                    G, R, xi, trials=12, seed=seed, exhaustive_limit=limit
+                )
+                assert _verdict(v) == naive_verify_absorbing_property(
+                    G, R, xi, trials=12, seed=seed, exhaustive_limit=limit
+                )
+                verdicts.append(v.ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _steps_instance(p: float, r: int):
+    G = random_instance(K3, 4, p, 1)
+    r_masks = _r_masks(r)
+    r_factor = _factor_witness(G, r_masks)
+    assert naive_is_factor(G, r_factor, r_masks)
+    return G, r_masks, r_factor
+
+
+@pytest.mark.parametrize(
+    "p, r, pick, step",
+    [
+        (0.5, 1, (1, 1, 3), 1),  # U is itself a copy
+        (0.5, 1, (1, 3, 3), 2),  # U and one copy of the G[R] factor re-tile
+        (0.6, 2, (3, 3, 3), 3),  # only a fresh search on R u U factors it
+    ],
+)
+def test_absorb_factor_steps_give_checkable_witnesses(p, r, pick, step):
+    G, r_masks, r_factor = _steps_instance(p, r)
+    u_masks = [0, *(1 << v for v in pick)]
+    got, copies = _absorb_factor(G, r_masks, r_factor, u_masks)
+    assert got == step
+    assert naive_is_factor(G, copies, [a | b for a, b in zip(r_masks, u_masks)])
+    if step < 3:
+        # step 1 keeps every copy of the G[R] factor, step 2 all but one
+        assert len(set(copies) & set(r_factor)) == len(r_factor) - (step - 1)
+
+
+def test_absorb_factor_failure_is_the_full_search_verdict():
+    G, r_masks, r_factor = _steps_instance(0.5, 1)
+    assert _absorb_factor(G, r_masks, r_factor, [0, 0b10, 0b10, 0b10]) == (3, None)
+    # the verifier's exhaustive scan meets this U first
+    R = _set_of(r_masks)
+    v = verify_absorbing_property(G, R, xi=0.75)
+    assert not v.ok and v.checks == 1
+    assert v.failing == VertexSetFamily.of({1: [1], 2: [1], 3: [1]})
+    assert _verdict(v) == naive_verify_absorbing_property(G, R, xi=0.75)
+
+
+def test_exhaustive_check7_verify_searches_one_large_instance(check7_sets, monkeypatch):
+    # work guard: besides the one search of G[R], every check factors at
+    # most two vertices per part
+    G, R = check7_sets[0]
+    sizes = []
+    search = absorbing.exact_transversal_factor_search
+
+    def counted(G, cap=None, masks=None):
+        sizes.append(max(m.bit_count() for m in masks[1:]))
+        return search(G, cap=cap, masks=masks)
+
+    monkeypatch.setattr(absorbing, "exact_transversal_factor_search", counted)
+    v = verify_absorbing_property(G, R, R.xi, trials=1, seed=11, exhaustive_limit=1000)
+    assert v.ok and v.checks == 125
+    assert [s for s in sizes if s > 2] == [R.size_per_part()]
 
 
 def test_absorbing_set_json_shape():

@@ -3,7 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import naive_alpha_star, naive_has_transversal_tuple
+from conftest import (
+    naive_alpha_star,
+    naive_has_transversal_tuple,
+    naive_random_spanning_subgraph,
+    random_instance,
+)
 from transtile.core import Pattern, PartiteGraph, delta_star, is_transversal_copy
 from transtile.generators import (
     GenSpec,
@@ -52,6 +57,18 @@ def test_random_subgraph_deterministic():
     assert a != random_spanning_subgraph(G, 0.5, seed=124)
     # frozen count for the pinned sub-stream rule (seed, "pair", i, j)
     assert a.edge_count() == 77
+
+
+@pytest.mark.parametrize(
+    "pattern", [Pattern.complete(3), Pattern.cycle(4), Pattern.complete(4)]
+)
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_random_subgraph_matches_from_edges_construction(pattern, p):
+    # a complete host and a sparse one, whose rows skip absent edges
+    for seed in range(4):
+        for host in (complete_blowup(pattern, 6), random_instance(pattern, 6, 0.6, seed)):
+            got = random_spanning_subgraph(host, p, seed)
+            assert got._adj == naive_random_spanning_subgraph(host, p, seed)._adj
 
 
 def test_subseed_stability():
