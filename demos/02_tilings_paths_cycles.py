@@ -53,7 +53,7 @@ cyc = find_transversal_cycle(H, VertexSetFamily.of({p: range(5) for p in (1, 2, 
 print(f"closing it into a cycle: {[tuple(v) for v in cyc.vertex_ids()]}")
 
 print()
-print("-- the blocker construction: high degree, yet no cycle factor --")
+print("-- the space barrier: a small blocker meets every cycle, so no cycle factor --")
 B, U, report = space_barrier(C4, 8, seed=5)
 print(f"n={B.n} delta*={delta_star(B)} blocker sizes {[len(U.subset(p)) for p in (1, 2, 3, 4)]}")
 outside = VertexSetFamily.of(

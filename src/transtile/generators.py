@@ -12,10 +12,10 @@ complete            complete n-blow-up of the pattern
 random_subgraph     keep each allowed edge independently with probability p
 hole_suppressed     shortest prefix of a random edge order that leaves no
                     r-partite hole of size s (an exact decision)
-space_barrier       complete blow-up of a cycle pattern, thinned so that a
-                    small transversal set U meets every transversal cycle;
-                    the instance keeps high partite degree but has no
-                    transversal cycle factor
+space_barrier       complete blow-up of a cycle pattern, thinned so that
+                    every transversal cycle meets a set U too small to
+                    cover a factor, so no transversal cycle factor exists;
+                    delta* >= n/k - 1
 random_split        balanced uniform k-split of an arbitrary host edge list
 """
 
@@ -147,8 +147,8 @@ def space_barrier(
     hole_target_s: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> tuple[PartiteGraph, VertexSetFamily, dict]:
-    """Cycle-pattern instance with high partite degree but no transversal
-    cycle factor.
+    """Cycle-pattern instance where every transversal cycle meets a set U
+    too small to cover a factor, with delta* >= n/k - 1.
 
     Takes the complete blow-up of C_k, fixes U_i = the first n/k - 1
     vertices of each part, deletes every edge with both ends outside U,

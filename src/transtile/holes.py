@@ -11,19 +11,20 @@ Holes are only hunted on pattern-clique part tuples: across a
 non-adjacent part pair the empty relation would make every pair of
 subsets a hole and the quantity degenerates.
 
-`alpha_star_exact` computes the hole number with a maximum witness and
-refuses n above a cap.  `certify_no_hole` decides exactly whether an
-s-hole exists, without the hole number: for r=2 by a pruned subset
-search with no cap, for r>=3 by the same branch-and-bound under the cap.
-That branch-and-bound keeps the transversal cliques still realizable as
-one bitmask over clique indices, so a branch on a subset costs one AND.
-The clique index is built once per part tuple and serves every s.
-Having an s-hole is monotone in s (dropping one vertex from each set of
-an s-hole leaves an (s-1)-hole), so for r>=3 `alpha_star_exact` asks
-each tuple for s = best+1, best+2, ... and stops at the first absence.
-Both report absence only as a proof.  `alpha_star_lower_bound` is a
-randomized hole finder: its holes are verified, but finding none proves
-nothing, and no certification rests on it.
+Every exact answer rests on one decision per part tuple, "is there an
+s-hole here?", set up once per tuple and asked for any s.  For r=2 it
+is a pruned subset search over one part that tracks the common
+non-neighbourhood in the other.  For r>=3 it is a branch-and-bound that
+keeps the transversal cliques still realizable as one bitmask over
+clique indices, so a branch on a subset costs one AND.
+`certify_no_hole` asks each tuple once for the given s.  Having an
+s-hole is monotone in s (dropping one vertex from each set of an s-hole
+leaves an (s-1)-hole), so `alpha_star_exact` asks each tuple for
+s = best+1, best+2, ... and stops at the first absence.  Both report
+absence only as a proof, and both refuse n above a cap for r>=3 only;
+r=2 has no cap.  `alpha_star_lower_bound` is a randomized hole finder:
+its holes are verified, but finding none proves nothing, and no
+certification rests on it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 EXACT_CAP_DEFAULT = 10
+
+# `exists(s, counter)`: the masks of an s-hole on one part tuple, or None
+Exists = Callable[[int, list[int]], Optional[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -111,51 +115,36 @@ def verify_hole(G: PartiteGraph, cand: HoleCertificate) -> bool:
 # -- exact decisions ---------------------------------------------------------
 
 
-def _alpha_pair_exact(G: PartiteGraph, pi: int, pj: int) -> tuple[int, tuple[int, int], int]:
-    """Exact 2-partite hole number for one part pair.
+def _pair_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
+    """Read the non-neighbour rows of a part pair once; return `exists`.
 
-    Sweeps every subset A of part pi once: the common non-neighborhood
-    T(A) in part pj is monotone decreasing in A, so
-    max_A min(|A|, |T(A)|) is the exact answer.  Returns
-    (alpha, (A_mask, T_mask), nodes).
-    """
-    n = G.n
-    full = (1 << n) - 1
-    non = [full & ~G.nbr_mask(pi, a, pj) for a in range(n)]
-    t = [0] * (1 << n)
-    t[0] = full
-    best, wa, wt = 0, 0, 0
-    for m in range(1, 1 << n):
-        low = m & -m
-        t[m] = t[m ^ low] & non[low.bit_length() - 1]
-        val = min(m.bit_count(), t[m].bit_count())
-        if val > best:
-            best, wa, wt = val, m, t[m]
-    return best, (wa, wt), (1 << n) - 1
-
-
-def _pair_hole(G: PartiteGraph, pi: int, pj: int, s: int) -> Optional[tuple[int, int]]:
-    """Masks (A, B) of an s-hole on parts pi, pj, or None (a proof).
-
-    Picks A in part pi in ascending order, keeping T(A), its common
+    `exists(s, counter)` returns the masks (A, B) of an s-hole on parts
+    (pi, pj), or None (a proof), adding its branch nodes to counter[0].
+    It picks A in part pi in ascending order, keeping T(A), its common
     non-neighbourhood in part pj, and cuts a branch once |T(A)| < s:
     T only shrinks as A grows.  B is the s lowest vertices of T(A).
     """
-    def rec(start: int, a_mask: int, t: int) -> Optional[tuple[int, int]]:
-        if a_mask.bit_count() == s:
-            return a_mask, mask_of(list(bits(t))[:s])
-        for a in range(start, G.n):
-            u = t & ~G.nbr_mask(pi, a, pj)
-            if u.bit_count() >= s and (found := rec(a + 1, a_mask | 1 << a, u)):
-                return found
-        return None
+    pi, pj = parts
+    n, full = G.n, G.full_mask
+    non = [full & ~G.nbr_mask(pi, a, pj) for a in range(n)]
 
-    return rec(0, 0, G.full_mask)
+    def exists(s: int, counter: list[int]) -> Optional[tuple[int, int]]:
+        def rec(start: int, size: int, a_mask: int, t: int) -> Optional[tuple[int, int]]:
+            counter[0] += 1
+            if size == s:
+                return a_mask, mask_of(list(bits(t))[:s])
+            for a in range(start, n):
+                u = t & non[a]
+                if u.bit_count() >= s and (found := rec(a + 1, size + 1, a_mask | 1 << a, u)):
+                    return found
+            return None
+
+        return rec(0, 0, 0, full)
+
+    return exists
 
 
-def _hole_finder(
-    G: PartiteGraph, parts: Sequence[int]
-) -> Callable[[int, list[int]], Optional[tuple[int, ...]]]:
+def _hole_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
     """Index the transversal cliques on `parts` once; return `exists`.
 
     `exists(s, counter)` is a branch-and-bound that returns the masks of
@@ -225,57 +214,55 @@ def _checked(G: PartiteGraph, witness: HoleCertificate) -> HoleCertificate:
     return witness
 
 
+def _exact_decision(
+    G: PartiteGraph, r: int, cap: int
+) -> Callable[[PartiteGraph, Sequence[int]], Exists]:
+    """The finder for r-tuples, under the one refusal rule: n above `cap`
+    is refused for r>=3 only.  The pair search has no cap; the r>=3
+    clique index and its subset branches grow exponentially with n.
+    """
+    if r > 2 and G.n > cap:
+        raise ValueError(
+            f"exact mode refused: n={G.n} exceeds cap {cap} for r={r}; "
+            "raise cap or use alpha_star_lower_bound"
+        )
+    return _pair_finder if r == 2 else _hole_finder
+
+
 def alpha_star_exact(
     G: PartiteGraph, r: int, cap: int = EXACT_CAP_DEFAULT
 ) -> HoleReport:
     """Exact hole number alpha_r with a maximum witness.
 
-    Guarded: refuses instances with n above `cap` since the search is
-    exponential in n.  alpha_r = 0 is reported with the empty
-    certificate.  Part tuples with no transversal-clique arena simply do
-    not contribute.  For r=2 each part pair sweeps a 2^n subset table.
-    For r>=3 each part tuple builds one clique index and climbs s from
-    the best value so far, stopping at the first s with no hole: holes
-    are monotone in s, so that None proves the tuple's maximum.  A tuple
-    replaces the witness only when it beats the best; the witness is the
-    hole its last successful decision found.  `explored` sums the branch
-    nodes of every decision.
+    For r>=3 it refuses n above `cap`; r=2 has no cap.  alpha_r = 0 is
+    reported with the empty certificate.  Part tuples with no
+    transversal-clique arena simply do not contribute.  Each part tuple
+    takes one exact decision (the pair search for r=2, one clique index
+    for r>=3) and climbs s from the best value so far, stopping at the
+    first s with no hole: holes are monotone in s, so that None proves
+    the tuple's maximum.  A tuple replaces the witness only when it
+    beats the best; the witness is the hole its last successful
+    decision found.  `explored` sums the branch nodes of every decision.
     """
     if not 2 <= r <= G.k:
         raise ValueError(f"hole order r={r} out of range [2..{G.k}]")
-    if G.n > cap:
-        raise ValueError(
-            f"exact mode refused: n={G.n} exceeds cap {cap}; "
-            "raise cap or use alpha_star_lower_bound"
-        )
-    tuples = G.pattern.clique_part_tuples(r)
+    finder = _exact_decision(G, r, cap)
     best = 0
     witness = HoleCertificate(r=r, parts=(), sets=(), verified=True)
-    explored = 0
-    for parts in tuples:
-        if r == 2:
-            val, (wa, wt), nodes = _alpha_pair_exact(G, parts[0], parts[1])
-            explored += nodes
-            if val > best:
-                best = val
-                ua = frozenset(list(bits(wa))[:val])
-                ub = frozenset(list(bits(wt))[:val])
-                witness = HoleCertificate(r, parts, (ua, ub), verified=True)
-        else:
-            counter = [0]
-            exists = _hole_finder(G, parts)
-            top, found = best, None
-            while top < G.n and (masks := exists(top + 1, counter)) is not None:
-                top, found = top + 1, masks
-            if found is not None:
-                best = top
-                witness = HoleCertificate(
-                    r, parts, tuple(frozenset(bits(m)) for m in found), verified=True
-                )
-            explored += counter[0]
+    counter = [0]
+    for parts in G.pattern.clique_part_tuples(r):
+        exists = finder(G, parts)
+        top, found = best, None
+        while top < G.n and (masks := exists(top + 1, counter)) is not None:
+            top, found = top + 1, masks
+        if found is not None:
+            best = top
+            witness = HoleCertificate(
+                r, parts, tuple(frozenset(bits(m)) for m in found), verified=True
+            )
     if best > 0:
         _checked(G, witness)
-    return HoleReport(alpha=best, witness=witness, method="exact", explored=explored)
+    return HoleReport(alpha=best, witness=witness, method="exact", explored=counter[0])
 
 
 def certify_no_hole(G: PartiteGraph, r: int, s: int) -> tuple[bool, str, Optional[HoleCertificate]]:
@@ -283,17 +270,16 @@ def certify_no_hole(G: PartiteGraph, r: int, s: int) -> tuple[bool, str, Optiona
 
     Returns (certified, "exact", counterexample-or-None).  Both answers
     are proofs, and a counterexample is a verified hole of size exactly
-    s.  For r=2 the search is exact at every n; for r >= 3 it refuses n
-    above EXACT_CAP_DEFAULT, as `alpha_star_exact` does.
+    s.  It asks the same decisions as `alpha_star_exact`, under the
+    same refusal rule at EXACT_CAP_DEFAULT.
     """
     if not 2 <= r <= G.k or s < 1:
         raise ValueError(f"hole order r={r} or size s={s} out of range")
     if s > G.n:
         return True, "exact", None
-    if r > 2 and G.n > EXACT_CAP_DEFAULT:
-        raise ValueError(f"exact mode refused: n={G.n} exceeds cap {EXACT_CAP_DEFAULT} for r={r}")
+    finder = _exact_decision(G, r, EXACT_CAP_DEFAULT)
     for parts in G.pattern.clique_part_tuples(r):
-        masks = _pair_hole(G, *parts, s) if r == 2 else _hole_finder(G, parts)(s, [0])
+        masks = finder(G, parts)(s, [0])
         if masks is not None:
             witness = HoleCertificate(r, parts, tuple(frozenset(bits(m)) for m in masks), True)
             return False, "exact", _checked(G, witness)

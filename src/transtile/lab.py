@@ -557,7 +557,7 @@ def _cmd_verify(args) -> int:
         return 1
     try:
         if args.what == "holes":
-            report = alpha_star_exact(G, 2, cap=args.cap)
+            report = alpha_star_exact(G, 2)
             print(f"holes: alpha_star_2 = {report.alpha} ({report.method})")
         elif args.what == "factor":
             tiling, stats = exact_transversal_factor_search(G, cap=args.cap)
@@ -597,7 +597,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument(
         "--what", choices=("holes", "factor", "absorber"), default="factor"
     )
-    p_verify.add_argument("--cap", type=int, default=FACTOR_CAP_DEFAULT)
+    p_verify.add_argument(
+        "--cap",
+        type=int,
+        default=FACTOR_CAP_DEFAULT,
+        help=f"caps n for the factor search (default {FACTOR_CAP_DEFAULT})",
+    )
     p_verify.set_defaults(fn=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -69,6 +69,27 @@ def naive_alpha_star(G: PartiteGraph, r: int) -> int:
     return best
 
 
+def table_alpha_pair(G: PartiteGraph) -> int:
+    """alpha*_2 from a 2^n subset table per pattern-edge part pair.
+
+    Sweeps every subset A of part pi once: its common non-neighbourhood
+    T(A) in part pj satisfies T(A) = T(A - a) & T({a}), so one AND per
+    table entry, and max_A min(|A|, |T(A)|) is the hole number.
+    """
+    n = G.n
+    full = (1 << n) - 1
+    best = 0
+    for pi, pj in G.pattern.clique_part_tuples(2):
+        non = [full & ~G.nbr_mask(pi, a, pj) for a in range(n)]
+        t = [0] * (1 << n)
+        t[0] = full
+        for m in range(1, 1 << n):
+            low = m & -m
+            t[m] = t[m ^ low] & non[low.bit_length() - 1]
+            best = max(best, min(m.bit_count(), t[m].bit_count()))
+    return best
+
+
 def mask(ids) -> int:
     return mask_of(ids)
 

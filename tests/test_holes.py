@@ -4,12 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_alpha_star, naive_has_transversal_tuple, random_instance
+from conftest import (
+    naive_alpha_star,
+    naive_has_transversal_tuple,
+    random_instance,
+    table_alpha_pair,
+)
 from transtile.core import Pattern, PartiteGraph, bits, mask_of
 from transtile.generators import hole_suppressed_process
 from transtile.holes import (
     HoleCertificate,
     _hole_finder,
+    _pair_finder,
     alpha_star_exact,
     alpha_star_lower_bound,
     certify_no_hole,
@@ -92,10 +98,32 @@ def test_alpha_exact_planted():
 
 
 def test_alpha_exact_cap_refusal():
-    G = PartiteGraph.complete(Pattern.complete(2), 11)
+    # the cap bounds n for r>=3 only; the pair search answers above it
+    G = PartiteGraph.complete(Pattern.complete(3), 11)
     with pytest.raises(ValueError, match="exact mode refused"):
-        alpha_star_exact(G, 2)
-    assert alpha_star_exact(G, 2, cap=11).alpha == 0
+        alpha_star_exact(G, 3)
+    assert alpha_star_exact(G, 3, cap=11).alpha == 0
+    for n in (11, 13):
+        H = random_instance(Pattern.complete(3), n, 0.5, seed=7000 + n)
+        report = alpha_star_exact(H, 2, cap=n - 1)
+        assert report.alpha == table_alpha_pair(H) > 0
+        assert report.witness.s == report.alpha and verify_hole(H, report.witness)
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_alpha_pair_matches_table_oracle(seed):
+    # n = 11..16 lies above the default cap, which no longer bounds r=2
+    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.cycle(5))[
+        seed % 4
+    ]
+    n = 2 + seed % 9 if seed < 24 else 11 + seed % 6
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 4 % 4], seed=6000 + seed)
+    report = alpha_star_exact(G, 2)
+    assert report.alpha == table_alpha_pair(G), (seed, n)
+    if report.alpha:
+        assert report.witness.s == report.alpha and verify_hole(G, report.witness)
+    else:
+        assert report.witness.sets == ()
 
 
 def test_alpha_exact_r_range():
@@ -190,17 +218,48 @@ def test_exists_hole_matches_list_reference(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_hole_finder_reuse_matches_fresh(seed):
-    # the clique index does not depend on s: one finder asked for every
-    # s answers as a fresh finder per s does, node for node
+    # neither the clique index nor the pair rows depend on s: one finder
+    # asked for every s answers as a fresh finder per s does, node for node
     pattern = (Pattern.complete(3), Pattern.complete(4))[seed % 2]
     n = 3 + seed % 5
     G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 2 % 4], seed=4000 + seed)
-    for parts in pattern.clique_part_tuples(3) + pattern.clique_part_tuples(4):
-        exists = _hole_finder(G, parts)
+    for r in range(2, pattern.k + 1):
+        finder = _pair_finder if r == 2 else _hole_finder
+        for parts in pattern.clique_part_tuples(r):
+            exists = finder(G, parts)
+            for s in range(1, n + 1):
+                reused, fresh = [0], [0]
+                assert exists(s, reused) == finder(G, parts)(s, fresh)
+                assert reused == fresh, (parts, s)
+
+
+def per_node_pair_hole(G, pi, pj, s):
+    """Reference for `_pair_finder`: the same subset search, asking
+    `nbr_mask` for each part-pi vertex at every node."""
+
+    def rec(start, a_mask, t):
+        if a_mask.bit_count() == s:
+            return a_mask, mask_of(list(bits(t))[:s])
+        for a in range(start, G.n):
+            u = t & ~G.nbr_mask(pi, a, pj)
+            if u.bit_count() >= s and (found := rec(a + 1, a_mask | 1 << a, u)):
+                return found
+        return None
+
+    return rec(0, 0, G.full_mask)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_pair_finder_matches_per_node_reference(seed):
+    # rows read once per finder change the cost of a node, never the
+    # branching order, so every s-hole it returns is the reference's
+    pattern = (Pattern.complete(3), Pattern.cycle(4), Pattern.cycle(5))[seed % 3]
+    n = 2 + seed % 8
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 3 % 4], seed=4500 + seed)
+    for parts in pattern.clique_part_tuples(2):
+        exists = _pair_finder(G, parts)
         for s in range(1, n + 1):
-            reused, fresh = [0], [0]
-            assert exists(s, reused) == _hole_finder(G, parts)(s, fresh)
-            assert reused == fresh, (parts, s)
+            assert exists(s, [0]) == per_node_pair_hole(G, *parts, s), (parts, s)
 
 
 def descending_alpha(G, r):
@@ -264,6 +323,16 @@ def test_alpha_exact_work_count_pinned():
     assert report.alpha == 2 and report.explored == 13173
     assert report.witness.parts == (1, 2, 3)
     assert report.witness.sets == (frozenset({2, 3}), frozenset({3, 4}), frozenset({2, 5}))
+
+
+def test_alpha_pair_work_count_pinned():
+    # r=2 climbs the same way, on the pair search; the witness comes from
+    # the last part pair that beat the best so far
+    G = random_instance(Pattern.complete(3), 12, 0.4, seed=11)
+    report = alpha_star_exact(G, 2)
+    assert report.alpha == 5 and report.explored == 188
+    assert report.witness.parts == (1, 3)
+    assert report.witness.sets == (frozenset({1, 2, 4, 6, 11}), frozenset({1, 3, 9, 10, 11}))
 
 
 @pytest.mark.parametrize("r", (2, 3))

@@ -471,7 +471,7 @@ GOLDEN_PLOT_SHA = {
         "4cd39448e3a743ba2e57fea54bac770d081e9e4c668ba09e98bf7236b6b0518e"
     ),
     ("hole_scan", "heatmap"): (
-        "8becadbc54d4669b8735df57912095925863099ae35b9e17c18171a3ac058d2d"
+        "d21f7a42c9429782af7eb94617ced75a7de599582573c0cc06dcc7480413815a"
     ),
 }
 
@@ -487,6 +487,19 @@ def golden_plot_records(scenario: str) -> list[ResultRecord]:
             seed=2,
         )
     )
+
+
+def test_hole_scan_golden_records():
+    # the heatmap plots every metric column; its bytes follow `explored`,
+    # the r=2 branch nodes, while r, alpha and method stay fixed
+    metrics = [r.metrics for r in golden_plot_records("hole_scan")]
+    assert [(m["r"], m["alpha"], m["method"]) for m in metrics] == [
+        (2, 3, "exact"),
+        (2, 2, "exact"),
+        (2, 2, "exact"),
+        (2, 2, "exact"),
+    ]
+    assert [m["explored"] for m in metrics] == [21, 15, 16, 22]
 
 
 def test_sweep_line_plot_golden(tmp_path):
@@ -628,6 +641,20 @@ def test_cli_plot_and_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "factor: exists" in out and "alpha_star_2 = 0" in out
     assert "absorber: found" in out
+
+
+def test_cli_verify_holes_ignores_the_factor_cap(tmp_path, capsys):
+    # --cap caps the factor search; the r=2 hole search has no cap
+    G = complete_blowup(K3, 14).delete_edges(
+        [(1, a, 2, b) for a in (0, 5, 13) for b in (2, 7, 9)]
+    )
+    graph_path = str(tmp_path / "g14.json")
+    with open(graph_path, "w") as fh:
+        json.dump(G.to_json_dict(), fh)
+    assert main(["verify", graph_path, "--what", "holes"]) == 0
+    assert "holes: alpha_star_2 = 3 (exact)" in capsys.readouterr().out
+    assert main(["verify", graph_path, "--what", "factor"]) == 2
+    assert "exact mode refused: n=14 exceeds cap 12" in capsys.readouterr().err
 
 
 def test_cli_plot_error_exits_one(tmp_path, capsys):
