@@ -72,14 +72,24 @@ def random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGra
     # range and comes up once: the rows are built without from_edges' checks
     adj: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, j in sorted(G.pattern.edges):
-        rng = rng_for(seed, "pair", i, j)
-        fwd = [0] * G.n
+        draw = rng_for(seed, "pair", i, j).random
+        fwd = []
+        for row in G._adj[(i, j)]:
+            # one draw per edge of the row, in ascending column order
+            kept = 0
+            while row:
+                low = row & -row
+                if draw() < p:
+                    kept |= low
+                row ^= low
+            fwd.append(kept)
         back = [0] * G.n
-        for a, row in enumerate(G._adj[(i, j)]):
-            for b in bits(row):
-                if rng.random() < p:
-                    fwd[a] |= 1 << b
-                    back[b] |= 1 << a
+        for a, kept in enumerate(fwd):
+            bit = 1 << a
+            while kept:
+                low = kept & -kept
+                back[low.bit_length() - 1] |= bit
+                kept ^= low
         adj[(i, j)] = tuple(fwd)
         adj[(j, i)] = tuple(back)
     return PartiteGraph(G.pattern, G.n, adj)

@@ -99,6 +99,26 @@ class ExperimentConfig:
             for key in ("q", "tau", "beta_prime", "m"):
                 if key not in self.params:
                     raise ValueError(f"absorbing_pipeline needs params.{key}")
+        if self.scenario == "hole_scan":
+            # r <= k is checked per instance: a graph file's k is known
+            # only when it loads
+            if _number(self.params.get("r", 2), int, "params.r") < 2:
+                raise ValueError("hole_scan needs params.r >= 2")
+            _number(self.params.get("cap", EXACT_CAP_DEFAULT), int, "params.cap")
+        if self.scenario == "absorber_census":
+            target = self.params.get("target", [])
+            if not isinstance(target, list) or not all(
+                isinstance(v, list) and len(v) == 2 for v in target
+            ):
+                raise ValueError("absorber_census needs params.target as [part, idx] pairs")
+            for v in target:
+                for x in v:
+                    _number(x, int, "params.target")
+            if _number(self.params.get("count_target", 8), int, "params.count_target") < 0:
+                raise ValueError("absorber_census needs params.count_target >= 0")
+            t = _number(self.params.get("connector_t", 1), int, "params.connector_t")
+            if t not in (1, 2):
+                raise ValueError("absorber_census needs params.connector_t 1 or 2")
 
     def gen_descriptor(self) -> dict:
         if isinstance(self.gen, str):
@@ -226,7 +246,8 @@ def _scn_factor_decision(G: PartiteGraph, params: dict, seed: int) -> dict:
 
 
 def _scn_absorber_census(G: PartiteGraph, params: dict, seed: int) -> dict:
-    target = [tuple(v) for v in params.get("target", [[p, 0] for p in range(1, G.k + 1)])]
+    pairs = params.get("target", [[p, 0] for p in range(1, G.k + 1)])
+    target = [(int(p), int(i)) for p, i in pairs]
     requested = int(params.get("count_target", 8))
     fam = disjoint_absorbers(
         G, target, requested, connector_t=int(params.get("connector_t", 1))

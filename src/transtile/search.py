@@ -5,7 +5,10 @@
   pattern edge among the listed parts.  It plans once and iterates
   many times: `copy_enumerator(G, parts)` looks up the neighbour rows
   between the parts and returns a function from masks to copies, whose
-  search memoises each level's plan.  The factor search (asking at
+  search memoises each level's plan.  The search is one loop over an
+  explicit stack of branching levels, in the manner of Knuth's Dancing
+  Links, not a recursion of nested generators: a copy reaches the caller
+  through one generator frame at any depth.  The factor search (asking at
   every node), fans, connectors, greedy tilings and the randomized hole
   search keep one enumerator per loop; `iter_copies` is the one-off
   form for a single question, such as a hole check.
@@ -51,7 +54,9 @@ def copy_enumerator(
     positions stay open after branching at t, and which of them t's
     neighbour rows narrow, depend only on `parts` and the branches
     taken, so each level keeps its plan per branching position for the
-    enumerator's lifetime.
+    enumerator's lifetime.  The backtracking is one loop over an
+    explicit stack, one entry per open branching level holding its
+    masks, branching position, plan and untried vertices.
     """
     adj = G._adj
     width = len(parts)
@@ -78,10 +83,18 @@ def copy_enumerator(
         if not all(masks):
             return
         chosen = [0] * width
-
-        def rec(cur: list[int], level: list) -> Iterator[tuple[int, ...]]:
-            # only a strictly smaller count moves t, so ties go to the
-            # lower part index
+        # the deepest open branching level lives in locals (its masks, its
+        # position, its narrowing rows, the level below it and its untried
+        # vertices); the levels above it wait on the stack, above an empty
+        # sentinel, so every copy leaves through this one generator frame,
+        # whatever the depth
+        stack: list[tuple] = []
+        base, bt, narrow, below, untried = None, 0, (), None, 0
+        cur, level = list(masks), top
+        while True:
+            # branch on the open position with the fewest candidates; only
+            # a strictly smaller count moves t, so ties go to the lower
+            # part index
             left = level[0]
             t = left[0]
             least = cur[t].bit_count()
@@ -90,21 +103,36 @@ def copy_enumerator(
                 if c < least:
                     t, least = u, c
             if len(left) == 1:
-                for chosen[t] in bits(cur[t]):
+                m = cur[t]
+                while m:
+                    low = m & -m
+                    chosen[t] = low.bit_length() - 1
                     yield tuple(chosen)
-                return
-            narrow, below = level[1][t] or plan(level, t)
-            for v in bits(cur[t]):
-                nxt = cur.copy()
+                    m ^= low
+            else:
+                stack.append((base, bt, narrow, below, untried))
+                base, bt, untried = cur, t, cur[t]
+                narrow, below = level[1][t] or plan(level, t)
+            # resume the deepest level at its next vertex, ascending, whose
+            # narrowing leaves every open position a candidate
+            while True:
+                if not untried:
+                    if not stack:
+                        return
+                    base, bt, narrow, below, untried = stack.pop()
+                    continue
+                low = untried & -untried
+                untried ^= low
+                v = low.bit_length() - 1
+                nxt = base.copy()
                 for u, urows in narrow:
                     nxt[u] &= urows[v]
                     if not nxt[u]:
                         break
                 else:
-                    chosen[t] = v
-                    yield from rec(nxt, below)
-
-        yield from rec(list(masks), top)
+                    chosen[bt] = v
+                    cur, level = nxt, below
+                    break
 
     return enumerate_copies
 

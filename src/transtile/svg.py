@@ -9,7 +9,6 @@ is written in a fixed order.
 from __future__ import annotations
 
 from typing import Optional, Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 420
@@ -17,6 +16,15 @@ MARGIN_L = 64
 MARGIN_R = 20
 MARGIN_T = 36
 MARGIN_B = 52
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils does.
+
+    Written out because importing xml.sax.saxutils also loads urllib,
+    http, ssl and email, which the set-up of every run would pay for.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(x: float) -> str:

@@ -343,45 +343,46 @@ def exact_transversal_factor_search(
         key=lambda v: (sum((rows[v] & m).bit_count() for rows, m in rows1), v),
     )
     # the search only ever narrows part masks: plan the copy kernel and
-    # look up the Hall prune's neighbour rows once, not at every node
+    # look up the Hall prune's neighbour rows once, not at every node;
+    # below, masks are indexed by position, part p at p - 1
     copies = copy_enumerator(G, range(1, k + 1))
-    hall = [(G._adj[p, q], p, q) for p, q in G.pattern.edge_list()]
+    hall = [(G._adj[p, q], p - 1, q - 1) for p, q in G.pattern.edge_list()]
     nodes = 0
     best_depth = 0
-    acc: list[TransversalCopy] = []
+    acc: list[tuple[int, ...]] = []
 
     def rec(cur: list[int], depth: int, start: int) -> bool:
         # part 1 only loses vertices along a branch, and each branch
         # removes its branching vertex order[i], so the scan for the next
         # uncovered vertex resumes at i + 1
         nonlocal nodes, best_depth
-        best_depth = max(best_depth, depth)
-        i = next((j for j in range(start, len(order)) if cur[1] >> order[j] & 1), None)
-        if i is None:
-            return True
-        v1 = order[i]
-        cand = cur[1:]  # by position: part p sits at p - 1
-        cand[0] = 1 << v1
+        if depth > best_depth:
+            best_depth = depth
+        left1 = cur[0]
+        if not left1:
+            return True  # balanced parts: part 1 covered means all are
+        i = start
+        while not left1 >> order[i] & 1:
+            i += 1
+        cand = cur.copy()
+        cand[0] = 1 << order[i]
         for tried, found in enumerate(copies(cand)):
             if tried == 1 and not all(
                 has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall
             ):
                 return False
             nodes += 1
-            nxt = list(cur)
-            for p in range(1, k + 1):
-                nxt[p] &= ~(1 << found[p - 1])
-            acc.append(TransversalCopy(found))
-            if rec(nxt, depth + 1, i + 1):
+            acc.append(found)
+            if rec([m ^ (1 << v) for m, v in zip(cur, found)], depth + 1, i + 1):
                 return True
             acc.pop()
         return False
 
-    ok = rec(root, 0, 0)
+    ok = rec(root[1:], 0, 0)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats
-    return Tiling(tuple(acc), G.n, G.k), stats
+    return Tiling(tuple(map(TransversalCopy, acc)), G.n, G.k), stats
 
 
 def exact_transversal_factor(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,29 @@ def test_no_orphaned_private_helpers():
         if not readers.get(name, set()) - {(module, at)}
     )
     assert not orphans, f"private helpers nothing reads: {', '.join(orphans)}"
+
+
+def test_lab_import_loads_no_network_or_xml_stack():
+    # xml.sax.saxutils drags in urllib, http, ssl and email, about 40 ms of
+    # set-up per run; modules the interpreter loads at start-up (site and
+    # .pth hooks) are not transtile's doing and are left out
+    code = (
+        "import sys; before = set(sys.modules); import transtile.lab; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "transtile.lab" in out
+    heavy = sorted(m for m in out if m.split(".")[0] in {"urllib", "http", "ssl", "email", "xml"})
+    assert not heavy, f"import transtile.lab loads {', '.join(heavy)}"
+
+
+def test_svg_escape_matches_saxutils():
+    from xml.sax.saxutils import escape as sax_escape
+
+    from transtile.svg import escape
+
+    for text in ("", "plain", "a & b", "<tag>", "&amp;", "\"q\" 'a' & <>", "p<0.5 & s>2"):
+        assert escape(text) == sax_escape(text)

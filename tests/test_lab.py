@@ -299,16 +299,15 @@ def test_instance_failures_are_recorded_not_raised():
     assert "exact mode refused" in records[0].metrics["error"]
 
 
-def test_absorber_census_bad_target_is_a_failed_row():
-    # a bare int target makes the scenario raise TypeError per instance
-    cfg = ExperimentConfig(
-        scenario="absorber_census",
-        gen=GenSpec(family="complete", pattern=K3, n=6),
-        params={"target": 5, "instances": 2},
-    )
-    records = run(cfg)
-    assert len(records) == 2 and all(r.failed for r in records)
-    assert "not iterable" in records[0].metrics["error"]
+def test_absorber_census_bad_target_is_a_config_error():
+    # a bare int target once made every instance raise TypeError; the
+    # config now refuses it at load
+    with pytest.raises(ValueError, match="params.target"):
+        ExperimentConfig(
+            scenario="absorber_census",
+            gen=GenSpec(family="complete", pattern=K3, n=6),
+            params={"target": 5, "instances": 2},
+        )
 
 
 def test_absorber_census_target_outside_the_graph_names_the_vertex():
@@ -343,14 +342,15 @@ def test_absorbing_pipeline_missing_param_is_a_config_error(missing):
         )
 
 
-def test_hole_scan_null_r_is_a_failed_row():
+def test_hole_scan_r_above_k_is_a_failed_row():
+    # r <= k needs the instance's k, so it is checked per instance
     cfg = ExperimentConfig(
         scenario="hole_scan",
         gen=GenSpec(family="complete", pattern=K3, n=4),
-        params={"r": None},
+        params={"r": 4},
     )
     (record,) = run(cfg)
-    assert record.failed and "NoneType" in record.metrics["error"]
+    assert record.failed and "r=4 out of range [2..3]" in record.metrics["error"]
     (row,) = csv.DictReader(io.StringIO(render_csv([record])))
     assert row["failed"] == "true" and row["error"] == record.metrics["error"]
 
@@ -618,6 +618,30 @@ def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
     )
     assert main(["run", path]) == 1
     assert "absorbing_pipeline needs params.q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, field",
+    [
+        ("hole_scan", {"r": None}, "params.r"),
+        ("hole_scan", {"r": 1}, "params.r"),
+        ("hole_scan", {"cap": "big"}, "params.cap"),
+        ("absorber_census", {"target": 5}, "params.target"),
+        ("absorber_census", {"target": [[1, 0], [2]]}, "params.target"),
+        ("absorber_census", {"target": [[1, 0], [2, None]]}, "params.target"),
+        ("absorber_census", {"count_target": None}, "params.count_target"),
+        ("absorber_census", {"count_target": -1}, "params.count_target"),
+        ("absorber_census", {"connector_t": "x"}, "params.connector_t"),
+        ("absorber_census", {"connector_t": 3}, "params.connector_t"),
+    ],
+)
+def test_cli_run_exit_one_on_bad_scenario_param(tmp_path, capsys, scenario, params, field):
+    # checked at load: these once gave a run whose every row failed
+    path = write_config(tmp_path, scenario=scenario, params=params)
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err and field in captured.err
+    assert captured.out == ""
 
 
 def test_cli_plot_and_verify(tmp_path, capsys):

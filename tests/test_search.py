@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import naive_has_transversal_tuple, random_instance
-from transtile.core import Pattern, bits
+from transtile.core import PartiteGraph, Pattern, bits
 from transtile.search import copy_enumerator, iter_copies
 
 
@@ -22,9 +22,10 @@ def naive_copies(G, parts, masks) -> set[tuple[int, ...]]:
 
 
 def reference_copies(G, parts, masks):
-    """Reference for `copy_enumerator`: the same search with every level
-    planned afresh at every node (branching position by min(), narrowing
-    rows looked up per pair), so nothing carries over between calls."""
+    """Reference for `copy_enumerator`: the same search as a recursion of
+    nested generators, with every level planned afresh at every node
+    (branching position by min(), narrowing rows looked up per pair), so
+    nothing carries over between calls."""
     if not all(masks):
         return
     adj = G._adj
@@ -60,8 +61,15 @@ def reference_copies(G, parts, masks):
 
 PATTERNS = pytest.mark.parametrize(
     "pattern",
-    [Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.cycle(5)],
-    ids=["K3", "K4", "C4", "C5"],
+    [
+        Pattern.complete(3),
+        Pattern.complete(4),
+        Pattern.complete(5),
+        Pattern.cycle(4),
+        Pattern.cycle(5),
+        Pattern.cycle(6),
+    ],
+    ids=["K3", "K4", "K5", "C4", "C5", "C6"],
 )
 
 
@@ -107,3 +115,21 @@ def test_reused_enumerator_keeps_the_reference_order(pattern):
             assert got == list(reference_copies(G, parts, masks)), (parts, masks)
             nonempty += bool(got)
     assert nonempty >= 100
+
+
+def test_narrowing_that_empties_a_position_at_the_first_level():
+    # the first level branches on part 1 (two candidates against three);
+    # vertex 0 of part 1 has no part-2 neighbour, so its narrowing empties
+    # position 1 and the search must move on to vertex 1 in the same frame
+    K3 = Pattern.complete(3)
+    edges = [(1, 0, 3, c) for c in range(3)]
+    edges += [(1, 1, 2, b) for b in range(3)] + [(1, 1, 3, c) for c in range(3)]
+    edges += [(2, b, 3, c) for b in range(3) for c in range(3)]
+    G = PartiteGraph.from_edges(K3, 3, edges)
+    parts = [1, 2, 3]
+    masks = [0b011, 0b111, 0b111]
+    got = list(iter_copies(G, parts, masks))
+    assert got == [(1, b, c) for b in range(3) for c in range(3)]
+    assert got == list(reference_copies(G, parts, masks))
+    # with vertex 0 alone at the first level, every branch dies there
+    assert list(copy_enumerator(G, parts)([0b001, 0b111, 0b111])) == []

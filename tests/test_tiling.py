@@ -4,13 +4,15 @@ Oracles here are deliberately dumb: full cartesian products over vertex
 tuples, permutation enumeration for factors. The engine must agree.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from transtile.core import Pattern, PartiteGraph, VertexId, VertexSetFamily
-from transtile.generators import complete_blowup, space_barrier
+from transtile.generators import GenSpec, complete_blowup, space_barrier, subseed
 from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     MixedCopy,
@@ -452,6 +454,31 @@ def test_factor_space_barrier_node_budget():
         assert t is None
         total += stats.nodes
     assert total <= 82
+
+
+# SHA-256 of the factor search's (index, nodes, max_depth, witness copies)
+# on the golden threshold sweep's 220 instances (K3, n=12, p = 0.5..1.0,
+# 20 seeds each, config seed 2024): a change to the search tree, a
+# witness or the generated graphs moves it
+GOLDEN_SWEEP_FACTOR_SHA = "60f171a512f4bed5eb986adf2f6f341996558ac755e217b1b87a62c23e8f688b"
+
+
+def test_factor_search_pins_the_golden_sweep():
+    grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
+    rows = []
+    for index, p in enumerate(p for p in grid for _ in range(20)):
+        G = GenSpec(
+            family="random_subgraph",
+            pattern=K3,
+            n=12,
+            seed=subseed(2024, "instance", index),
+            params={"p": p},
+        ).build().graph
+        t, stats = exact_transversal_factor_search(G, cap=12)
+        copies = None if t is None else [list(c.verts) for c in t.copies]
+        rows.append([index, stats.nodes, stats.max_depth, copies])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GOLDEN_SWEEP_FACTOR_SHA
 
 
 def _random_masks(rng, n, size):
