@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 GRAPH_FORMAT = "ptg-v1"
 
@@ -46,6 +46,8 @@ __all__ = [
     "bits",
     "json_field",
     "json_rows",
+    "json_params",
+    "Param",
 ]
 
 
@@ -106,6 +108,79 @@ def json_rows(data, key: str, width: int, where: str) -> list[tuple[int, ...]]:
         ):
             raise ValueError(f"{where}.{key}[{t}] must be {width} integers: {row!r}")
     return [tuple(row) for row in rows]
+
+
+_PAIRS = list[tuple[int, int]]
+_NUMBERS = list[float]
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared param of a JSON object: key, kind, default and range.
+
+    `kind` is int (a JSON integer), float (any JSON number, read as a
+    float), str, `int | None` (an integer or null), `list[float]` (a
+    non-empty list of numbers, read as floats) or `list[tuple[int, int]]`
+    (a list of [int, int] rows, read as tuples).  A param without a
+    default is required, unless the key `unless` is given, and then it
+    reads as None.  A given number, and each member of a `list[float]`,
+    must lie in [low, high]; a bound left at None is open.
+    """
+
+    key: str
+    kind: object
+    default: object = _REQUIRED
+    low: Optional[float] = None
+    high: Optional[float] = None
+    unless: Optional[str] = None
+
+
+def _param_value(data: dict, p: Param, where: str):
+    """The given value of `p` in `data`, read as its kind says."""
+    if p.kind == _PAIRS:
+        return json_rows(data, p.key, 2, where)
+    if p.kind == _NUMBERS:
+        value = json_field(data, p.key, list, where)
+        if not value or not all(_json_is(x, (int, float)) for x in value):
+            raise ValueError(f"{where}.{p.key} must be a non-empty list of numbers: {value!r}")
+    elif p.kind is float:
+        value = json_field(data, p.key, (int, float), where)
+    else:
+        return json_field(data, p.key, p.kind, where)
+    try:
+        return [float(x) for x in value] if p.kind == _NUMBERS else float(value)
+    except OverflowError:
+        raise ValueError(f"{where}.{p.key} is out of range: {value!r}") from None
+
+
+def json_params(data, params: Sequence[Param], owner: str, where: str) -> dict:
+    """The declared `params` of the object `data`, typed and by key.
+
+    Keys that `params` does not declare are ignored.  Raises ValueError
+    naming `where` and the key when a required param is missing (as
+    "<owner> needs <where>.<key>"), or a value has the wrong kind or
+    lies out of range.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    out = {}
+    for p in params:
+        if p.key not in data:
+            if p.default is _REQUIRED and (p.unless is None or p.unless not in data):
+                alt = "" if p.unless is None else f" or {where}.{p.unless}"
+                raise ValueError(f"{owner} needs {where}.{p.key}{alt}")
+            out[p.key] = None if p.default is _REQUIRED else p.default
+            continue
+        value = _param_value(data, p, where)
+        if any(
+            (p.low is not None and not p.low <= v) or (p.high is not None and not v <= p.high)
+            for v in (value if p.kind == _NUMBERS else [value])
+            if v is not None
+        ):
+            span = f">= {p.low}" if p.high is None else f"in [{p.low}, {p.high}]"
+            raise ValueError(f"{where}.{p.key} must be {span}, got {value!r}")
+        out[p.key] = value
+    return out
 
 
 class VertexId(NamedTuple):

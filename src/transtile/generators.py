@@ -27,7 +27,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Pattern, PartiteGraph, VertexSetFamily, bits, json_field
+from transtile.core import Param, Pattern, PartiteGraph, VertexSetFamily, bits
+from transtile.core import json_field, json_params
 from transtile.holes import certify_no_hole
 from transtile.search import sweep
 
@@ -330,73 +331,80 @@ class GenResult:
     extras: dict = field(default_factory=dict)
 
 
+def _random_subgraph(spec: "GenSpec") -> GenResult:
+    base = complete_blowup(spec.pattern, spec.n)
+    return GenResult(random_spanning_subgraph(base, spec.args["p"], spec.seed))
+
+
+def _hole_suppressed(spec: "GenSpec") -> GenResult:
+    G, report = hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)
+    return GenResult(G, {"report": report})
+
+
+def _space_barrier(spec: "GenSpec") -> GenResult:
+    G, U, report = space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)
+    return GenResult(G, {"U": [[p, sorted(U.subset(p))] for p in U.parts], "report": report})
+
+
+def _random_split(spec: "GenSpec") -> GenResult:
+    a = spec.args
+    edges = a["host_edges"] if a["host_file"] is None else read_edge_list(a["host_file"])
+    return GenResult(random_k_split(edges, spec.pattern, spec.seed, m=a["m"]))
+
+
+# family -> (declared params, builder).  The builders call the generators
+# by their module names, so a wrapper bound to those names sees each call;
+# hole_suppressed and space_barrier declare their generators' keywords.
+_BUDGET = Param("budget", int | None, None)
+FAMILIES = {
+    "complete": ((), lambda spec: GenResult(complete_blowup(spec.pattern, spec.n))),
+    "random_subgraph": ((Param("p", float, low=0, high=1),), _random_subgraph),
+    "hole_suppressed": (
+        (Param("r", int, low=2), Param("s", int, low=1), _BUDGET),
+        _hole_suppressed,
+    ),
+    "space_barrier": (
+        (Param("hole_target_s", int | None, None, low=1), _BUDGET),
+        _space_barrier,
+    ),
+    "random_split": (
+        (
+            Param("host_file", str, None),
+            Param("host_edges", list[tuple[int, int]], unless="host_file"),
+            Param("m", int | None, None),
+        ),
+        _random_split,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class GenSpec:
-    """Declarative instance description used by experiment configs;
-    `params` holds the family's arguments (p; r, s, budget; hole_target_s,
-    budget; host_file or host_edges, m), and other keys are ignored."""
+    """Declarative instance description used by experiment configs.
+
+    `params` holds the family's arguments as given, and the JSON form
+    keeps them; `args` holds them parsed at construction by the family's
+    declaration in FAMILIES.  A missing, mistyped or out-of-range param
+    raises ValueError naming `gen.params.<key>`; other keys are ignored.
+    """
 
     family: str
     pattern: Pattern
     n: int
     seed: int = 0
     params: dict = field(default_factory=dict)
-
-    FAMILIES = ("complete", "random_subgraph", "hole_suppressed", "space_barrier", "random_split")
+    args: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in self.FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; pick from {self.FAMILIES}")
-        if self.family == "random_subgraph" and "p" not in self.params:
-            raise ValueError("random_subgraph needs params.p")
-        if self.family == "hole_suppressed":
-            for key in ("r", "s"):
-                if key not in self.params:
-                    raise ValueError(f"hole_suppressed needs params.{key}")
-        if self.family == "random_split" and not (
-            "host_file" in self.params or "host_edges" in self.params
-        ):
-            raise ValueError("random_split needs params.host_file or params.host_edges")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}; pick from {tuple(FAMILIES)}")
+        declared, _ = FAMILIES[self.family]
+        object.__setattr__(
+            self, "args", json_params(self.params, declared, self.family, "gen.params")
+        )
 
     def build(self) -> GenResult:
-        p = dict(self.params)
-        if self.family == "complete":
-            return GenResult(complete_blowup(self.pattern, self.n))
-        if self.family == "random_subgraph":
-            base = complete_blowup(self.pattern, self.n)
-            return GenResult(random_spanning_subgraph(base, p["p"], self.seed))
-        if self.family == "hole_suppressed":
-            G, report = hole_suppressed_process(
-                self.pattern,
-                self.n,
-                p["r"],
-                p["s"],
-                self.seed,
-                budget=p.get("budget"),
-            )
-            return GenResult(G, {"report": report})
-        if self.family == "space_barrier":
-            G, U, report = space_barrier(
-                self.pattern,
-                self.n,
-                seed=self.seed,
-                hole_target_s=p.get("hole_target_s"),
-                budget=p.get("budget"),
-            )
-            extras = {
-                "U": [[part, sorted(U.subset(part))] for part in U.parts],
-                "report": report,
-            }
-            return GenResult(G, extras)
-        if self.family == "random_split":
-            edges = (
-                read_edge_list(p["host_file"])
-                if "host_file" in p
-                else [tuple(e) for e in p["host_edges"]]
-            )
-            G = random_k_split(edges, self.pattern, self.seed, m=p.get("m"))
-            return GenResult(G)
-        raise AssertionError(self.family)
+        return FAMILIES[self.family][1](self)
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,9 @@
 A config names one scenario, one instance source, and a seed; `run`
 executes the scenario over the instance list and returns one record
 per instance.  Each scenario is declared once, in `SCENARIOS`: its
-fixed CSV metric columns and the body that measures one instance.
+fixed CSV metric columns, its params (each with its kind, default and
+range, parsed when the config loads) and the body that measures one
+instance.
 Records serialize to CSV plus a lossless JSON mirror, and `emit_plot`
 renders them to SVG.  Everything derived from the same
 config is byte-identical across runs: instances run one after another
@@ -35,7 +37,7 @@ from transtile.absorbing import (
     find_absorber,
     verify_absorbing_property,
 )
-from transtile.core import PartiteGraph, delta_star, json_field
+from transtile.core import Param, PartiteGraph, delta_star, json_field, json_params
 from transtile.generators import GenSpec, subseed
 from transtile.holes import EXACT_CAP_DEFAULT, alpha_star_exact
 from transtile.svg import heatmap, line_plot
@@ -55,19 +57,13 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _number(value, convert, where: str):
-    """convert(value), with ValueError naming `where` for anything else."""
-    if isinstance(value, bool):
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} must be a number, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario run: instance source, scenario knobs, seed, outputs."""
+    """One scenario run: instance source, scenario knobs, seed, outputs.
+
+    The knobs stay as given in `params`, which the config hash keeps, and
+    are parsed at construction into `args` by the scenario's declaration.
+    """
 
     scenario: str
     gen: GenSpec | str
@@ -75,6 +71,7 @@ class ExperimentConfig:
     seed: int = 0
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
+    args: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -83,42 +80,14 @@ class ExperimentConfig:
             )
         if isinstance(self.gen, str) and not os.path.exists(self.gen):
             raise ValueError(f"graph file not found: {self.gen}")
-        if self.scenario == "threshold_sweep":
-            if isinstance(self.gen, str):
-                raise ValueError("threshold_sweep varies a generator, not a file")
-            grid = self.params.get("p_grid")
-            if not isinstance(grid, list) or not grid or not all(
-                0 <= _number(p, float, "params.p_grid") <= 1 for p in grid
-            ):
-                raise ValueError("threshold_sweep needs params.p_grid in [0,1]")
-            if _number(self.params.get("seeds_per_p", 1), int, "params.seeds_per_p") < 1:
-                raise ValueError("threshold_sweep needs seeds_per_p >= 1")
-        elif _number(self.params.get("instances", 1), int, "params.instances") < 1:
-            raise ValueError("params.instances must be >= 1")
-        if self.scenario == "absorbing_pipeline":
-            for key in ("q", "tau", "beta_prime", "m"):
-                if key not in self.params:
-                    raise ValueError(f"absorbing_pipeline needs params.{key}")
-        if self.scenario == "hole_scan":
-            # r <= k is checked per instance: a graph file's k is known
-            # only when it loads
-            if _number(self.params.get("r", 2), int, "params.r") < 2:
-                raise ValueError("hole_scan needs params.r >= 2")
-            _number(self.params.get("cap", EXACT_CAP_DEFAULT), int, "params.cap")
-        if self.scenario == "absorber_census":
-            target = self.params.get("target", [])
-            if not isinstance(target, list) or not all(
-                isinstance(v, list) and len(v) == 2 for v in target
-            ):
-                raise ValueError("absorber_census needs params.target as [part, idx] pairs")
-            for v in target:
-                for x in v:
-                    _number(x, int, "params.target")
-            if _number(self.params.get("count_target", 8), int, "params.count_target") < 0:
-                raise ValueError("absorber_census needs params.count_target >= 0")
-            t = _number(self.params.get("connector_t", 1), int, "params.connector_t")
-            if t not in (1, 2):
-                raise ValueError("absorber_census needs params.connector_t 1 or 2")
+        family = "a graph file" if isinstance(self.gen, str) else self.gen.family
+        if self.scenario == "threshold_sweep" and family != "complete":
+            # each instance is a random spanning subgraph of the complete blow-up
+            raise ValueError(f"threshold_sweep needs gen.family 'complete', got {family}")
+        _, declared, _ = SCENARIOS[self.scenario]
+        object.__setattr__(
+            self, "args", json_params(self.params, declared, self.scenario, "params")
+        )
 
     def gen_descriptor(self) -> dict:
         if isinstance(self.gen, str):
@@ -152,7 +121,7 @@ class ExperimentConfig:
             scenario=scenario,
             gen=gen,
             params=dict(json_field(data, "params", dict, "config", {})),
-            seed=_number(data.get("seed", 0), int, "config.seed"),
+            seed=json_field(data, "seed", int, "config", 0),
             out_csv=None if csv_path is None else os.path.join(base_dir, csv_path),
             out_json=None if json_path is None else os.path.join(base_dir, json_path),
         )
@@ -214,29 +183,23 @@ def _greedy_by_pattern(G: PartiteGraph):
     raise ValueError("greedy tiling needs a complete or cycle pattern")
 
 
-def _factor_search(G: PartiteGraph, params: dict):
-    cap = params.get("cap", FACTOR_CAP_DEFAULT)
-    return exact_transversal_factor_search(G, cap=None if cap is None else int(cap))
-
-
-def _scn_hole_scan(G: PartiteGraph, params: dict, seed: int) -> dict:
-    r = int(params.get("r", 2))
-    report = alpha_star_exact(G, r, cap=int(params.get("cap", EXACT_CAP_DEFAULT)))
+def _scn_hole_scan(G: PartiteGraph, args: dict, seed: int) -> dict:
+    report = alpha_star_exact(G, args["r"], cap=args["cap"])
     return {
-        "r": r,
+        "r": args["r"],
         "alpha": report.alpha,
         "method": report.method,
         "explored": report.explored,
     }
 
 
-def _scn_greedy_tiling(G: PartiteGraph, params: dict, seed: int) -> dict:
+def _scn_greedy_tiling(G: PartiteGraph, args: dict, seed: int) -> dict:
     tiling = _greedy_by_pattern(G)
     return {"copies": len(tiling.copies), "leftover_per_part": tiling.leftover_per_part}
 
 
-def _scn_factor_decision(G: PartiteGraph, params: dict, seed: int) -> dict:
-    tiling, stats = _factor_search(G, params)
+def _scn_factor_decision(G: PartiteGraph, args: dict, seed: int) -> dict:
+    tiling, stats = exact_transversal_factor_search(G, cap=args["cap"])
     return {
         "exists": tiling is not None,
         "copies": 0 if tiling is None else len(tiling.copies),
@@ -245,33 +208,23 @@ def _scn_factor_decision(G: PartiteGraph, params: dict, seed: int) -> dict:
     }
 
 
-def _scn_absorber_census(G: PartiteGraph, params: dict, seed: int) -> dict:
-    pairs = params.get("target", [[p, 0] for p in range(1, G.k + 1)])
-    target = [(int(p), int(i)) for p, i in pairs]
-    requested = int(params.get("count_target", 8))
-    fam = disjoint_absorbers(
-        G, target, requested, connector_t=int(params.get("connector_t", 1))
-    )
+def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
+    target = args["target"]
+    if target is None:
+        target = [(p, 0) for p in range(1, G.k + 1)]
+    fam = disjoint_absorbers(G, target, args["count_target"], connector_t=args["connector_t"])
     return {
         "found": len(fam),
-        "requested": requested,
+        "requested": args["count_target"],
         "vertices_used": sum(len(a.verts) for a in fam),
     }
 
 
-def _scn_absorbing_pipeline(G: PartiteGraph, params: dict, seed: int) -> dict:
-    absorb = AbsorbParams(
-        q=float(params["q"]),
-        tau=float(params["tau"]),
-        beta_prime=float(params["beta_prime"]),
-        m=int(params["m"]),
-        beta_m=int(params.get("beta_m", 1)),
-        seed=seed,
-        connector_t=int(params.get("connector_t", 1)),
-    )
-    out = build_absorbing_set(G, absorb)
+def _scn_absorbing_pipeline(G: PartiteGraph, args: dict, seed: int) -> dict:
+    knobs = ("q", "tau", "beta_prime", "m", "beta_m", "connector_t")
+    out = build_absorbing_set(G, AbsorbParams(seed=seed, **{key: args[key] for key in knobs}))
     verdict = verify_absorbing_property(
-        G, out, xi=out.xi, trials=int(params.get("verify_trials", 16)), seed=seed
+        G, out, xi=out.xi, trials=args["verify_trials"], seed=seed
     )
     return {
         "built": True,
@@ -282,7 +235,7 @@ def _scn_absorbing_pipeline(G: PartiteGraph, params: dict, seed: int) -> dict:
     }
 
 
-def _scn_appendix_invariants(G: PartiteGraph, params: dict, seed: int) -> dict:
+def _scn_appendix_invariants(G: PartiteGraph, args: dict, seed: int) -> dict:
     tiling = maximal_mixed_tiling(G, seed=seed)
     report = check_appendix_invariants(G, tiling)
     return {
@@ -294,10 +247,10 @@ def _scn_appendix_invariants(G: PartiteGraph, params: dict, seed: int) -> dict:
     }
 
 
-def _scn_threshold_sweep(G: PartiteGraph, params: dict, seed: int) -> dict:
+def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
     # degree floor, the exact factor decision, and the greedy leftover
-    tiling, _stats = _factor_search(G, params)
+    tiling, _stats = exact_transversal_factor_search(G, cap=args["cap"])
     greedy = _greedy_by_pattern(G)
     return {
         "delta_star": delta_star(G),
@@ -306,26 +259,60 @@ def _scn_threshold_sweep(G: PartiteGraph, params: dict, seed: int) -> dict:
     }
 
 
-# name -> (fixed CSV metric columns, body); metrics a body returns
-# outside its columns stay in the JSON mirror and never reach the CSV
-SCENARIOS: dict[str, tuple[tuple[str, ...], Callable[[PartiteGraph, dict, int], dict]]] = {
-    "hole_scan": (("r", "alpha", "method", "explored"), _scn_hole_scan),
-    "greedy_tiling": (("copies", "leftover_per_part"), _scn_greedy_tiling),
+# name -> (fixed CSV metric columns, declared params, body); the body
+# reads the params parsed at config load, and metrics it returns outside
+# its columns stay in the JSON mirror and never reach the CSV
+_INSTANCES = Param("instances", int, 1, low=1)
+_FACTOR_CAP = Param("cap", int | None, FACTOR_CAP_DEFAULT)
+SCENARIOS: dict[str, tuple[tuple[str, ...], tuple[Param, ...], Callable]] = {
+    "hole_scan": (
+        ("r", "alpha", "method", "explored"),
+        # r <= k is checked per instance: a graph file's k is known only when it loads
+        (_INSTANCES, Param("r", int, 2, low=2), Param("cap", int, EXACT_CAP_DEFAULT)),
+        _scn_hole_scan,
+    ),
+    "greedy_tiling": (("copies", "leftover_per_part"), (_INSTANCES,), _scn_greedy_tiling),
     "factor_decision": (
         ("exists", "copies", "nodes", "max_depth"),
+        (_INSTANCES, _FACTOR_CAP),
         _scn_factor_decision,
     ),
-    "absorber_census": (("found", "requested", "vertices_used"), _scn_absorber_census),
+    "absorber_census": (
+        ("found", "requested", "vertices_used"),
+        (
+            _INSTANCES,
+            Param("target", list[tuple[int, int]], None),
+            Param("count_target", int, 8, low=0),
+            Param("connector_t", int, 1, low=1, high=2),
+        ),
+        _scn_absorber_census,
+    ),
     "absorbing_pipeline": (
         ("built", "total_size", "per_part", "verify_ok", "verify_checks"),
+        (
+            _INSTANCES,
+            Param("q", float),
+            Param("tau", float),
+            Param("beta_prime", float),
+            Param("m", int),
+            Param("beta_m", int, 1),
+            Param("connector_t", int, 1),
+            Param("verify_trials", int, 16),
+        ),
         _scn_absorbing_pipeline,
     ),
     "appendix_invariants": (
         ("maximal", "vacuous", "violations", "copies_checked", "leftover_per_part"),
+        (_INSTANCES,),
         _scn_appendix_invariants,
     ),
     "threshold_sweep": (
         ("p", "delta_star", "exists", "greedy_leftover"),
+        (
+            Param("p_grid", list[float], low=0, high=1),
+            Param("seeds_per_p", int, 1, low=1),
+            _FACTOR_CAP,
+        ),
         _scn_threshold_sweep,
     ),
 }
@@ -337,11 +324,11 @@ def _worklist(config: ExperimentConfig) -> Iterator[tuple[int, dict, dict]]:
     A threshold sweep takes `seeds_per_p` random spanning subgraphs of
     the config's complete blow-up at each keep probability p.
     """
+    args = config.args
     if config.scenario == "threshold_sweep":
-        per_p = int(config.params.get("seeds_per_p", 1))
-        extras = [{"p": float(p)} for p in config.params["p_grid"] for _ in range(per_p)]
+        extras = [{"p": p} for p in args["p_grid"] for _ in range(args["seeds_per_p"])]
     else:
-        extras = [{} for _ in range(int(config.params.get("instances", 1)))]
+        extras = [{} for _ in range(args["instances"])]
     for index, extra in enumerate(extras):
         desc = config.gen_descriptor()
         if "path" not in desc:
@@ -368,14 +355,14 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     type, lands in that instance's metrics as a failed row.
     """
     _check_output_dirs(config)
-    _, body = SCENARIOS[config.scenario]
+    _, _, body = SCENARIOS[config.scenario]
     chash = config.config_hash()
     records = []
     for index, desc, extra in _worklist(config):
         started = time.perf_counter()
         try:
             G = _load_instance(desc)
-            metrics = {**extra, **body(G, config.params, subseed(config.seed, "run", index))}
+            metrics = {**extra, **body(G, config.args, subseed(config.seed, "run", index))}
         except Exception as exc:  # per-instance boundary: record, keep running
             metrics = {**extra, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
         records.append(
@@ -419,7 +406,7 @@ def _scenario_of(records: Sequence[ResultRecord], use: str) -> str:
 
 
 def render_csv(records: Sequence[ResultRecord]) -> str:
-    columns, _ = SCENARIOS[_scenario_of(records, "serialize")]
+    columns, _, _ = SCENARIOS[_scenario_of(records, "serialize")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -256,18 +256,13 @@ def find_transversal_path(
     return tuple(VertexId(p, v) for p, v in zip(span, trace_back(G._adj, span, layers)))
 
 
-def find_transversal_cycle(
-    G: PartiteGraph, constraints: VertexSetFamily
-) -> Optional[TransversalCopy]:
-    """Transversal cycle inside the constraint sets, or None (a proof).
+def _first_cycle(G: PartiteGraph, masks: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Transversal cycle with its part-p vertex in masks[p], or None.
 
     Anchors on each vertex of the most constrained part and sweeps the
     remaining arc; per anchor the sweep decides existence exactly, and
-    every anchor is tried.
+    every anchor is tried.  `masks` is indexed 1..k (slot 0 ignored).
     """
-    if not G.pattern.is_cycle:
-        raise ValueError("transversal cycle search needs a cycle pattern")
-    masks = _family_masks(G, constraints)
     k = G.k
     c = min(range(1, k + 1), key=lambda p: (masks[p].bit_count(), p))
     seq = [(c - 1 + t) % k + 1 for t in range(1, k)]
@@ -281,8 +276,18 @@ def find_transversal_cycle(
         verts[c] = v
         for p, u in zip(seq, trace_back(G._adj, seq, layers)):
             verts[p] = u
-        return TransversalCopy(tuple(verts[1:]))
+        return tuple(verts[1:])
     return None
+
+
+def find_transversal_cycle(
+    G: PartiteGraph, constraints: VertexSetFamily
+) -> Optional[TransversalCopy]:
+    """Transversal cycle inside the constraint sets, or None (a proof)."""
+    if not G.pattern.is_cycle:
+        raise ValueError("transversal cycle search needs a cycle pattern")
+    found = _first_cycle(G, _family_masks(G, constraints))
+    return None if found is None else TransversalCopy(found)
 
 
 def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
@@ -291,14 +296,9 @@ def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
         raise ValueError("transversal cycle tiling needs a cycle pattern")
     masks = [G.full_mask] * (G.k + 1)
     copies = []
-    while all(masks[p] for p in range(1, G.k + 1)):
-        fam = VertexSetFamily([(p, bits(masks[p])) for p in range(1, G.k + 1)])
-        found = find_transversal_cycle(G, fam)
-        if found is None:
-            break
-        copies.append(found)
-        for p in range(1, G.k + 1):
-            masks[p] &= ~(1 << found.verts[p - 1])
+    while (found := _first_cycle(G, masks)) is not None:
+        copies.append(TransversalCopy(found))
+        masks = [0, *(m & ~(1 << v) for m, v in zip(masks[1:], found))]
     return Tiling(tuple(copies), G.n, G.k)
 
 

@@ -309,6 +309,34 @@ def test_genspec_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# a wrong JSON type for every declared param of every family and, for
+# integers, a non-integral number, plus values out of range; each was
+# once accepted at construction and failed, or ran, only when built
+BAD_GEN_PARAMS = [
+    ("random_subgraph", Pattern.complete(2), {}, {"p": "x"}),
+    ("random_subgraph", Pattern.complete(2), {}, {"p": "0.5"}),
+    ("random_subgraph", Pattern.complete(2), {}, {"p": 1.5}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"r": "2"}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"r": 2.5}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"r": 1}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"s": "2"}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"s": 2.5}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"s": 0}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"budget": "3"}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"budget": 2.5}),
+    ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": "x"}),
+    ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": 1.5}),
+    ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": 0}),
+    ("space_barrier", Pattern.cycle(4), {}, {"budget": "3"}),
+    ("space_barrier", Pattern.cycle(4), {}, {"budget": 2.5}),
+    ("random_split", Pattern.complete(2), {"host_edges": [[0, 1]]}, {"host_file": 5}),
+    ("random_split", Pattern.complete(2), {}, {"host_edges": [[0, "1"]]}),
+    ("random_split", Pattern.complete(2), {}, {"host_edges": [[0, 1.5]]}),
+    ("random_split", Pattern.complete(2), {"host_edges": [[0, 1]]}, {"m": "4"}),
+    ("random_split", Pattern.complete(2), {"host_edges": [[0, 1]]}, {"m": 4.5}),
+]
+
+
 def test_genspec_validation():
     with pytest.raises(ValueError, match="unknown family"):
         GenSpec(family="nope", pattern=Pattern.complete(2), n=2)
@@ -318,6 +346,18 @@ def test_genspec_validation():
         GenSpec(family="hole_suppressed", pattern=Pattern.complete(2), n=2)
     with pytest.raises(ValueError, match="host_file"):
         GenSpec(family="random_split", pattern=Pattern.complete(2), n=2)
+    for family, pattern, base, bad in BAD_GEN_PARAMS:
+        (key,) = bad
+        with pytest.raises(ValueError, match=rf"gen\.params\.{key}\b"):
+            GenSpec(family=family, pattern=pattern, n=4, params={**base, **bad})
+
+
+def test_bad_gen_param_cases_cover_every_declared_param():
+    from transtile.generators import FAMILIES
+
+    covered = {(family, key) for family, _, _, bad in BAD_GEN_PARAMS for key in bad}
+    declared = {(name, p.key) for name, (params, _) in FAMILIES.items() for p in params}
+    assert covered == declared
 
 
 def test_genspec_space_barrier_extras():

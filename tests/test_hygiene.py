@@ -173,3 +173,41 @@ def test_svg_escape_matches_saxutils():
 
     for text in ("", "plain", "a & b", "<tag>", "&amp;", "\"q\" 'a' & <>", "p<0.5 & s>2"):
         assert escape(text) == sax_escape(text)
+
+
+def _is_params(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "params") or (
+        isinstance(node, ast.Attribute) and node.attr == "params"
+    )
+
+
+@pytest.mark.parametrize("name", ["lab.py", "generators.py"])
+def test_params_are_read_only_through_their_declarations(name):
+    # scenario and family params are parsed once, at load, by their
+    # declared kind, default and range; a raw read elsewhere would bring
+    # back a second default or an unchecked conversion.  The raw dict is
+    # read only to parse it and to keep it in the config hash and the
+    # JSON forms.
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    raw = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+            continue
+        where = getattr(scope, "name", "a lambda")
+        allowed = where in {"__post_init__", "config_hash", "to_json_dict"}
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Subscript) and _is_params(node.value):
+                raw.append(f"params[ on line {node.lineno}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "get" and _is_params(node.func.value):
+                    raw.append(f"params.get( on line {node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("int", "float")
+                and any(_is_params(n) for arg in node.args for n in ast.walk(arg))
+            ):
+                raw.append(f"{node.func.id}( of a param on line {node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "params" and not allowed:
+                raw.append(f".params read in {where} on line {node.lineno}")
+    assert not raw, f"{name} reads raw params: {', '.join(sorted(set(raw)))}"

@@ -110,8 +110,7 @@ GEN_DOC = {
 CONFIG_DOCS = [
     {
         "scenario": "threshold_sweep",
-        "gen": {"family": "random_subgraph", "pattern": {"k": 3, "edges": [[1, 2], [2, 3]]},
-                "n": 4, "params": {"p": 0.5}},
+        "gen": {"family": "complete", "pattern": {"k": 3, "edges": [[1, 2], [2, 3]]}, "n": 4},
         "params": {"p_grid": [0.5, 1.0], "seeds_per_p": 2, "cap": 12},
         "seed": 3,
         "out": {"csv": "out.csv", "json": "out.json"},
@@ -194,6 +193,10 @@ def test_graph_loader_raises_only_value_error(doc):
         ({**CONFIG_DOCS[1], "params": {"instances": None}}, "params.instances"),
         ({**CONFIG_DOCS[0], "out": {"csv": 1}}, "config.out.csv"),
         ({**CONFIG_DOCS[1], "gen": {**GEN_DOC, "n": None}}, "gen.n"),
+        ({**CONFIG_DOCS[1], "seed": 2.5}, "config.seed"),
+        ({**CONFIG_DOCS[1], "scenario": "absorbing_pipeline",
+          "params": {"q": 10**400, "tau": 3, "beta_prime": 0.01, "m": 1}}, "params.q"),
+        ({**CONFIG_DOCS[1], "gen": {**GEN_DOC, "params": {"r": 2, "s": "2"}}}, "gen.params.s"),
     ],
 )
 def test_config_loader_names_the_bad_field(doc, field):
@@ -602,12 +605,23 @@ def test_cli_run_exit_one_on_missing_output_directory(tmp_path, capsys, key):
 
 @pytest.mark.parametrize(
     "gen",
-    [5, {"family": "complete", "pattern": {"kind": "complete", "k": "3"}, "n": 4}],
+    [
+        5,
+        {"family": "complete", "pattern": {"kind": "complete", "k": "3"}, "n": 4},
+        # family params are typed at load: these once gave failed rows
+        {"family": "random_subgraph", "pattern": {"kind": "complete", "k": 3}, "n": 4,
+         "params": {"p": "x"}},
+        {"family": "random_subgraph", "pattern": {"kind": "complete", "k": 3}, "n": 4,
+         "params": {"p": 1.5}},
+    ],
 )
 def test_cli_run_exit_one_on_malformed_gen(tmp_path, capsys, gen):
     path = write_config(tmp_path, scenario="hole_scan", gen=gen, params={})
     assert main(["run", path]) == 1
-    assert "config error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: " in err
+    if isinstance(gen, dict) and "params" in gen:
+        assert "gen.params.p" in err
 
 
 def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
@@ -618,6 +632,66 @@ def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
     )
     assert main(["run", path]) == 1
     assert "absorbing_pipeline needs params.q" in capsys.readouterr().err
+
+
+PIPELINE = {"q": 0.1, "tau": 3, "beta_prime": 0.01, "m": 1}
+SWEEP = {"p_grid": [0.5, 1.0], "seeds_per_p": 2, "cap": 12}
+# a wrong JSON type for every declared param of every scenario and, for
+# integers, a non-integral number; each once ran (a string of digits or a
+# truncated number was read as a number) or gave failed rows
+BAD_PARAMS = [
+    *(
+        (scenario, base, {"instances": bad})
+        for scenario, base in [
+            ("hole_scan", {}),
+            ("greedy_tiling", {}),
+            ("factor_decision", {}),
+            ("absorber_census", {}),
+            ("absorbing_pipeline", PIPELINE),
+            ("appendix_invariants", {}),
+        ]
+        for bad in ("2", 2.5)
+    ),
+    ("hole_scan", {}, {"r": "3"}),
+    ("hole_scan", {}, {"r": 2.7}),
+    ("hole_scan", {}, {"r": 2.0}),
+    ("hole_scan", {}, {"cap": "12"}),
+    ("hole_scan", {}, {"cap": 3.9}),
+    ("factor_decision", {}, {"cap": "x"}),
+    ("factor_decision", {}, {"cap": 3.9}),
+    ("absorber_census", {}, {"target": [["1", "0"], [2, 0], [3, 0]]}),
+    ("absorber_census", {}, {"target": [[1, 0.5], [2, 0], [3, 0]]}),
+    ("absorber_census", {}, {"count_target": "2"}),
+    ("absorber_census", {}, {"count_target": 2.5}),
+    ("absorber_census", {}, {"connector_t": "1"}),
+    ("absorber_census", {}, {"connector_t": 1.5}),
+    *(
+        ("absorbing_pipeline", PIPELINE, {key: bad})
+        for key, bads in [
+            ("q", ("a", "0.1")),
+            ("tau", ("3",)),
+            ("beta_prime", ("0.01",)),
+            ("m", ("1", 1.5)),
+            ("beta_m", ("1", 1.5)),
+            ("connector_t", ("1", 1.5)),
+            ("verify_trials", ("2", 2.5)),
+        ]
+        for bad in bads
+    ),
+    ("threshold_sweep", SWEEP, {"p_grid": ["0.5", 1.0]}),
+    ("threshold_sweep", SWEEP, {"seeds_per_p": "2"}),
+    ("threshold_sweep", SWEEP, {"seeds_per_p": 2.9}),
+    ("threshold_sweep", SWEEP, {"cap": "12"}),
+    ("threshold_sweep", SWEEP, {"cap": 3.9}),
+]
+
+
+def test_bad_param_cases_cover_every_declared_param():
+    from transtile.lab import SCENARIOS
+
+    covered = {(scenario, key) for scenario, _, bad in BAD_PARAMS for key in bad}
+    declared = {(name, p.key) for name, (_, params, _) in SCENARIOS.items() for p in params}
+    assert covered == declared
 
 
 @pytest.mark.parametrize(
@@ -633,14 +707,39 @@ def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
         ("absorber_census", {"count_target": -1}, "params.count_target"),
         ("absorber_census", {"connector_t": "x"}, "params.connector_t"),
         ("absorber_census", {"connector_t": 3}, "params.connector_t"),
+        *(
+            (scenario, {**base, **bad}, f"params.{next(iter(bad))}")
+            for scenario, base, bad in BAD_PARAMS
+        ),
     ],
 )
 def test_cli_run_exit_one_on_bad_scenario_param(tmp_path, capsys, scenario, params, field):
-    # checked at load: these once gave a run whose every row failed
+    # checked at load: these once ran, or gave a run whose every row failed
     path = write_config(tmp_path, scenario=scenario, params=params)
     assert main(["run", path]) == 1
     captured = capsys.readouterr()
     assert "config error: " in captured.err and field in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        {"family": "space_barrier", "pattern": {"kind": "cycle", "k": 4}, "n": 8},
+        {"family": "random_subgraph", "pattern": {"kind": "complete", "k": 3}, "n": 4,
+         "params": {"p": 0.5}},
+        "g.json",
+    ],
+)
+def test_cli_threshold_sweep_needs_a_complete_gen(tmp_path, capsys, gen):
+    # each sweep instance is a random subgraph of the complete blow-up;
+    # a sweep over a space barrier once reported factors at p=1.0
+    with open(tmp_path / "g.json", "w") as fh:
+        json.dump(complete_blowup(K3, 4).to_json_dict(), fh)
+    path = write_config(tmp_path, gen=gen)
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "config error: threshold_sweep needs gen.family 'complete'" in captured.err
     assert captured.out == ""
 
 

@@ -333,6 +333,24 @@ def test_greedy_cycle_tiling():
     assert greedy_cycle_tiling(empty).leftover_per_part == 2
 
 
+@pytest.mark.parametrize("pattern", [C4, C5])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_cycle_tiling_matches_constrained_searches(pattern, seed):
+    # the greedy tiling takes, round by round, the cycle the public search
+    # finds inside the vertices not yet covered
+    G = random_instance(pattern, 6, 0.7, seed)
+    left = {p: set(range(G.n)) for p in range(1, G.k + 1)}
+    expected = []
+    while all(left.values()):
+        found = find_transversal_cycle(G, VertexSetFamily.of(left))
+        if found is None:
+            break
+        expected.append(found)
+        for p, v in zip(range(1, G.k + 1), found.verts):
+            left[p].discard(v)
+    assert list(greedy_cycle_tiling(G).copies) == expected
+
+
 # -- exact factor decision ---------------------------------------------------------
 
 
