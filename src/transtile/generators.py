@@ -22,9 +22,10 @@ random_split        balanced uniform k-split of an arbitrary host edge list
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
 from transtile.core import Param, Pattern, PartiteGraph, VertexSetFamily, bits
@@ -352,6 +353,22 @@ def _random_split(spec: "GenSpec") -> GenResult:
     return GenResult(random_k_split(edges, spec.pattern, spec.seed, m=a["m"]))
 
 
+def _hole_suppressed_fits(spec: "GenSpec") -> None:
+    a, k = spec.args, spec.pattern.k
+    if a["s"] > spec.n:
+        raise ValueError(f"gen.params.s must be <= n={spec.n}, got {a['s']}")
+    if a["r"] > k:
+        raise ValueError(f"gen.params.r must be <= the pattern's k={k}, got {a['r']}")
+
+
+def _space_barrier_fits(spec: "GenSpec") -> None:
+    k = spec.pattern.k
+    if not spec.pattern.is_cycle or k < 4:
+        raise ValueError("space_barrier needs gen.pattern a cycle with k >= 4")
+    if spec.n % k:
+        raise ValueError(f"space_barrier needs gen.n a multiple of k={k}, got {spec.n}")
+
+
 # family -> (declared params, builder).  The builders call the generators
 # by their module names, so a wrapper bound to those names sees each call;
 # hole_suppressed and space_barrier declare their generators' keywords.
@@ -376,6 +393,9 @@ FAMILIES = {
         _random_split,
     ),
 }
+# family -> what its params must satisfy given the spec's own n and
+# pattern, checked with the params so that a misfit is a config error
+FITS = {"hole_suppressed": _hole_suppressed_fits, "space_barrier": _space_barrier_fits}
 
 
 @dataclass(frozen=True)
@@ -384,8 +404,11 @@ class GenSpec:
 
     `params` holds the family's arguments as given, and the JSON form
     keeps them; `args` holds them parsed at construction by the family's
-    declaration in FAMILIES.  A missing, mistyped or out-of-range param
-    raises ValueError naming `gen.params.<key>`; other keys are ignored.
+    declaration in FAMILIES.  A missing, mistyped or out-of-range param,
+    or one that does not fit n or the pattern (FITS), raises ValueError
+    naming `gen.params.<key>` (or `gen.n`, `gen.pattern`); other keys are
+    ignored.  Given `base_dir`, a relative `host_file` is joined to it in
+    both, so the spec reads the same file from any working directory.
     """
 
     family: str
@@ -394,14 +417,19 @@ class GenSpec:
     seed: int = 0
     params: dict = field(default_factory=dict)
     args: dict = field(init=False, repr=False, compare=False)
+    base_dir: InitVar[Optional[str]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, base_dir: Optional[str]):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick from {tuple(FAMILIES)}")
         declared, _ = FAMILIES[self.family]
-        object.__setattr__(
-            self, "args", json_params(self.params, declared, self.family, "gen.params")
-        )
+        args = json_params(self.params, declared, self.family, "gen.params")
+        if base_dir is not None and args.get("host_file") is not None:
+            args["host_file"] = os.path.join(base_dir, args["host_file"])
+            object.__setattr__(self, "params", {**self.params, "host_file": args["host_file"]})
+        object.__setattr__(self, "args", args)
+        if self.family in FITS:
+            FITS[self.family](self)
 
     def build(self) -> GenResult:
         return FAMILIES[self.family][1](self)
@@ -416,11 +444,12 @@ class GenSpec:
         }
 
     @staticmethod
-    def from_json_dict(data: dict) -> "GenSpec":
+    def from_json_dict(data: dict, base_dir: Optional[str] = None) -> "GenSpec":
         return GenSpec(
             family=json_field(data, "family", str, "gen"),
             pattern=Pattern.from_json_dict(json_field(data, "pattern", dict, "gen")),
             n=json_field(data, "n", int, "gen"),
             seed=json_field(data, "seed", int, "gen", 0),
             params=dict(json_field(data, "params", dict, "gen", {})),
+            base_dir=base_dir,
         )

@@ -13,10 +13,16 @@ subsets a hole and the quantity degenerates.
 
 Every exact answer rests on one decision per part tuple, "is there an
 s-hole here?", set up once per tuple and asked for any s.  For r=2 it
-is a pruned subset search over one part that tracks the common
-non-neighbourhood in the other.  For r>=3 it is a branch-and-bound that
-keeps the transversal cliques still realizable as one bitmask over
-clique indices, so a branch on a subset costs one AND.
+is the pair search: a subset search over one part that tracks the
+common non-neighbourhood in the other and cuts a branch once too few
+vertices can still extend it.  For r>=3 it reduces to the pair search.
+Fixing the sets in the first r-2 parts leaves the link graph H between
+the last two: ab is an edge when a clique through a fixed vertex passes
+through a and b, and the fixed sets complete to an s-hole exactly when
+H has a bipartite s-hole.  The sets of parts 1..r-3 are branched on as
+s-subsets, keeping the cliques still realizable as one bitmask, and
+the set of part r-2 vertex by vertex, cutting a branch once its H has
+no s-hole (H only grows along a branch).
 `certify_no_hole` asks each tuple once for the given s.  Having an
 s-hole is monotone in s (dropping one vertex from each set of an s-hole
 leaves an (s-1)-hole), so `alpha_star_exact` asks each tuple for
@@ -33,7 +39,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
@@ -115,80 +121,147 @@ def verify_hole(G: PartiteGraph, cand: HoleCertificate) -> bool:
 # -- exact decisions ---------------------------------------------------------
 
 
-def _pair_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
-    """Read the non-neighbour rows of a part pair once; return `exists`.
+def _pair_hole(non: Sequence[int], s: int, counter: list[int]) -> Optional[tuple[int, int]]:
+    """The first s-hole (A, B) of a bipartite relation, or None (a proof).
 
-    `exists(s, counter)` returns the masks (A, B) of an s-hole on parts
-    (pi, pj), or None (a proof), adding its branch nodes to counter[0].
-    It picks A in part pi in ascending order, keeping T(A), its common
-    non-neighbourhood in part pj, and cuts a branch once |T(A)| < s:
-    T only shrinks as A grows.  B is the s lowest vertices of T(A).
+    `non[a]` is the bitmask of the vertices b not joined to a.  The
+    search picks A in ascending order, keeping T(A), its common
+    non-neighbourhood, so s-subsets A come in `combinations` order.  A
+    vertex a is a candidate when |T(A) & non[a]| >= s, and T only
+    shrinks as A grows, so a node with fewer candidates than A still
+    needs has no hole below it and is cut.  B is the s lowest vertices
+    of T(A).  Adds its branch nodes to counter[0].
     """
+    n = len(non)
+
+    def rec(pool: list[int], need: int, a_mask: int, t: int) -> Optional[tuple[int, int]]:
+        counter[0] += 1
+        if not need:
+            return a_mask, mask_of(list(bits(t))[:s])
+        cands = [a for a in pool if (t & non[a]).bit_count() >= s]
+        # a child's candidates are among the ones after it, so the last
+        # need-1 cannot start a hole
+        for i in range(len(cands) - need + 1):
+            a = cands[i]
+            if found := rec(cands[i + 1 :], need - 1, a_mask | 1 << a, t & non[a]):
+                return found
+        return None
+
+    return rec(list(range(n)), s, 0, (1 << n) - 1)
+
+
+def _pair_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
+    """Read the non-neighbour rows of a part pair once; return `exists`,
+    the pair search on them: A in parts[0], B in parts[1]."""
     pi, pj = parts
-    n, full = G.n, G.full_mask
-    non = [full & ~G.nbr_mask(pi, a, pj) for a in range(n)]
-
-    def exists(s: int, counter: list[int]) -> Optional[tuple[int, int]]:
-        def rec(start: int, size: int, a_mask: int, t: int) -> Optional[tuple[int, int]]:
-            counter[0] += 1
-            if size == s:
-                return a_mask, mask_of(list(bits(t))[:s])
-            for a in range(start, n):
-                u = t & non[a]
-                if u.bit_count() >= s and (found := rec(a + 1, size + 1, a_mask | 1 << a, u)):
-                    return found
-            return None
-
-        return rec(0, 0, 0, full)
-
-    return exists
+    non = [G.full_mask & ~G.nbr_mask(pi, a, pj) for a in range(G.n)]
+    return lambda s, counter: _pair_hole(non, s, counter)
 
 
 def _hole_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
-    """Index the transversal cliques on `parts` once; return `exists`.
+    """Index the transversal cliques on `parts` once, by prefix and link
+    rows; return `exists`.
 
-    `exists(s, counter)` is a branch-and-bound that returns the masks of
-    an s-hole on `parts`, or None (a proof), adding its branch nodes to
-    counter[0].  The index holds the cliques as bitmasks over clique
-    indices: rows[level][v] holds the cliques whose vertex in
-    parts[level] is v.  It does not depend on s, so one finder answers
-    every s.  The search branches on the s-subset chosen for each part
-    in ascending part order (subsets in `combinations` order), keeping
-    the bitmask of cliques still realizable inside the partial choice;
-    one branch costs one AND with the OR of the subset's rows.  An empty
-    active set means any completion works; so does a level whose
-    vertices outside every active clique number at least s.
+    `exists(s, counter)` returns the masks of an s-hole on `parts`, or
+    None (a proof), adding its branch nodes to counter[0].  The index
+    does not depend on s, so one finder answers every s.
+
+    With head = r-3, each clique splits into its prefix (its vertices in
+    parts[:head]) and its tail (u, a, b) in parts[head:].  The index
+    numbers the prefixes that close some clique: rows[level][v] holds
+    the prefixes whose vertex in parts[level] is v, and links[i] lists
+    the (u, a, ends) of prefix i, ends being the b that close a clique
+    with it, u and a.  The search keeps the bitmask of prefixes inside
+    the partial choice: the cliques still realizable are those with an
+    active prefix.  Levels 0..head-1 branch on an s-subset of their part
+    (subsets in `combinations` order); one branch costs one AND with
+    the OR of the subset's rows.  Level head branches vertex by vertex
+    in ascending order and keeps the link graph H: a in parts[r-2] is
+    joined to b in parts[r-1] when a clique with an active prefix passes
+    through a chosen u, a and b.  The choice completes to an s-hole
+    exactly when H has a bipartite s-hole, and H only grows with the
+    choice, so a node whose H has none is cut.  At a full choice the
+    last two sets are H's first s-hole: when at least s vertices of
+    parts[r-2] have no H-edge, the lowest s of them with the lowest s of
+    parts[r-1], else the pair search's.
+
+    Every subset level and the vertex level first return when no clique
+    is active (any completion works) or when at least s of their
+    vertices lie in no active clique.  Subsets and vertices are tried in
+    ascending order and every cut drops only subtrees without a hole, so
+    the hole returned is the first one in that order.
     """
     n, full = G.n, G.full_mask
     r = len(parts)
-    cliques = list(iter_copies(G, parts, [full] * r))
-    rows = [[0] * n for _ in parts]
-    for i, clique in enumerate(cliques):
-        for row, v in zip(rows, clique):
-            row[v] |= 1 << i
-    everything = (1 << len(cliques)) - 1
+    head = r - 3
+    x, y, z = parts[head:]
+    xy, xz, yz = ([G.nbr_mask(p, v, q) for v in range(n)] for p, q in ((x, y), (x, z), (y, z)))
+    rows = [[0] * n for _ in range(head)]
+    links: list[list[tuple[int, int, int]]] = []
+    for prefix in iter_copies(G, parts[:head], [full] * head) if head else [()]:
+        # the prefix's common neighbourhoods in the three tail parts
+        cu, ca, cb = (
+            reduce(and_, (G.nbr_mask(p, v, q) for p, v in zip(parts, prefix)), full)
+            for q in (x, y, z)
+        )
+        edges = [
+            (u, a, ends)
+            for u in bits(cu)
+            for a in bits(ca & xy[u])
+            if (ends := cb & xz[u] & yz[a])
+        ]
+        if edges:
+            for row, v in zip(rows, prefix):
+                row[v] |= 1 << len(links)
+            links.append(edges)
+    everything = (1 << len(links)) - 1
 
     def exists(s: int, counter: list[int]) -> Optional[tuple[int, ...]]:
-        combos = list(combinations(range(n), s))
         branches = [
-            [(mask_of(c), reduce(or_, (row[v] for v in c), 0)) for c in combos]
-            for row in rows[:-1]
+            [(mask_of(c), reduce(or_, (row[v] for v in c), 0)) for c in combinations(range(n), s)]
+            for row in rows
         ]
         lowest = mask_of(range(s))
+
+        def link_hole(h: list[int]) -> Optional[tuple[int, int]]:
+            # the first s-hole of H, given by its rows h[a]
+            free = [a for a in range(n) if not h[a]]
+            if len(free) >= s:
+                return mask_of(free[:s]), lowest
+            return _pair_hole([full & ~row for row in h], s, counter)
+
+        def grow(link: list[list[int]], start: int, need: int, chosen: int, h: list[int]):
+            counter[0] += 1
+            hole = link_hole(h)
+            if hole is None:
+                return None
+            if not need:
+                return chosen, *hole
+            for u in range(start, n - need + 1):
+                res = grow(link, u + 1, need - 1, chosen | 1 << u, list(map(or_, h, link[u])))
+                if res is not None:
+                    return res
+            return None
 
         def rec(level: int, active: int, chosen: list[int]) -> Optional[list[int]]:
             counter[0] += 1
             if not active:
                 return chosen + [lowest] * (r - level)
-            used = 0
-            for v, row in enumerate(rows[level]):
-                if row & active:
-                    used |= 1 << v
+            if level < head:
+                used = mask_of(v for v, row in enumerate(rows[level]) if row & active)
+            else:
+                # link[u][a]: the b joined to a in H once u is chosen
+                link = [[0] * n for _ in range(n)]
+                for i in bits(active):
+                    for u, a, ends in links[i]:
+                        link[u][a] |= ends
+                used = mask_of(u for u in range(n) if any(link[u]))
             free = full & ~used
             if free.bit_count() >= s:
                 return chosen + [mask_of(list(bits(free))[:s])] + [lowest] * (r - level - 1)
-            if level == r - 1:
-                return None
+            if level == head:
+                last = grow(link, 0, s, 0, [0] * n)
+                return None if last is None else chosen + list(last)
             for u, keep in branches[level]:
                 res = rec(level + 1, active & keep, chosen + [u])
                 if res is not None:
@@ -218,8 +291,8 @@ def _exact_decision(
     G: PartiteGraph, r: int, cap: int
 ) -> Callable[[PartiteGraph, Sequence[int]], Exists]:
     """The finder for r-tuples, under the one refusal rule: n above `cap`
-    is refused for r>=3 only.  The pair search has no cap; the r>=3
-    clique index and its subset branches grow exponentially with n.
+    is refused for r>=3 only.  The pair search has no cap; for r>=3 the
+    branches on the first r-2 parts grow exponentially with n and r.
     """
     if r > 2 and G.n > cap:
         raise ValueError(
@@ -237,12 +310,14 @@ def alpha_star_exact(
     For r>=3 it refuses n above `cap`; r=2 has no cap.  alpha_r = 0 is
     reported with the empty certificate.  Part tuples with no
     transversal-clique arena simply do not contribute.  Each part tuple
-    takes one exact decision (the pair search for r=2, one clique index
-    for r>=3) and climbs s from the best value so far, stopping at the
-    first s with no hole: holes are monotone in s, so that None proves
-    the tuple's maximum.  A tuple replaces the witness only when it
-    beats the best; the witness is the hole its last successful
-    decision found.  `explored` sums the branch nodes of every decision.
+    takes one exact decision (the pair search for r=2, its reduction
+    through the link graph for r>=3) and climbs s from the best value so
+    far, stopping at the first s with no hole: holes are monotone in s,
+    so that None proves the tuple's maximum.  A tuple replaces the
+    witness only when it beats the best; the witness is the hole its
+    last successful decision found.  `explored` sums the branch nodes of
+    every decision: for r>=3 the subset and vertex nodes and the
+    pair-search nodes they ask for.
     """
     if not 2 <= r <= G.k:
         raise ValueError(f"hole order r={r} out of range [2..{G.k}]")

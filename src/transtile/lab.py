@@ -105,7 +105,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict, base_dir: str = ".") -> "ExperimentConfig":
-        """Load a config; any malformed field raises ValueError naming it."""
+        """Load a config; any malformed field raises ValueError naming it.
+
+        File paths in it (`gen` or `gen.path`, a `random_split` gen's
+        `host_file` and the outputs) are relative to `base_dir`.
+        """
         scenario = json_field(data, "scenario", str, "config")
         raw_gen = json_field(data, "gen", (str, dict), "config")
         if isinstance(raw_gen, str):
@@ -113,7 +117,7 @@ class ExperimentConfig:
         elif "path" in raw_gen:
             gen = os.path.join(base_dir, json_field(raw_gen, "path", str, "config.gen"))
         else:
-            gen = GenSpec.from_json_dict(raw_gen)
+            gen = GenSpec.from_json_dict(raw_gen, base_dir)
         out = json_field(data, "out", dict, "config", {})
         csv_path = json_field(out, "csv", str, "config.out", None)
         json_path = json_field(out, "json", str, "config.out", None)

@@ -324,6 +324,9 @@ BAD_GEN_PARAMS = [
     ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"s": 0}),
     ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"budget": "3"}),
     ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"budget": 2.5}),
+    # above the spec's n=4 and the pattern's k=3
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"s": 5}),
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"r": 4}),
     ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": "x"}),
     ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": 1.5}),
     ("space_barrier", Pattern.cycle(4), {}, {"hole_target_s": 0}),

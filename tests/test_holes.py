@@ -199,21 +199,43 @@ def list_exists_hole(G, parts, s, counter):
     return tuple(out) if out is not None else None
 
 
+def list_reference_case(seed):
+    """A random instance and its r = 3..5 arenas; the list reference
+    branches on every subset, so r >= 4 arenas stay at n <= 6."""
+    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(3), Pattern.complete(5))[
+        seed % 4
+    ]
+    n = 2 + seed % 6
+    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 4 % 4], seed=3000 + seed)
+    arenas = list(pattern.clique_part_tuples(3))
+    if n <= 6:
+        arenas += pattern.clique_part_tuples(4)[:2] + pattern.clique_part_tuples(5)
+    return G, arenas
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_exists_hole_matches_list_reference(seed):
-    # same masks and the same node count: the clique bitsets change the
-    # cost of a node, never the branching order
-    pattern = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(3))[seed % 3]
-    n = 2 + seed % 6
-    G = random_instance(pattern, n, (0.3, 0.5, 0.7, 0.85)[seed // 3 % 4], seed=3000 + seed)
-    arenas = list(pattern.clique_part_tuples(3))
-    if pattern.k == 4 and n <= 6:
-        arenas.append((1, 2, 3, 4))
+    # same masks: the link search visits the reference's subsets in the
+    # same order and cuts only subtrees that hold no hole
+    G, arenas = list_reference_case(seed)
     for parts in arenas:
-        for s in range(1, n + 1):
-            want, got = [0], [0]
-            assert _hole_finder(G, parts)(s, got) == list_exists_hole(G, parts, s, want)
-            assert got == want, (parts, s)
+        exists = _hole_finder(G, parts)
+        for s in range(1, G.n + 1):
+            assert exists(s, [0]) == list_exists_hole(G, parts, s, [0]), (parts, s)
+
+
+def test_link_search_takes_fewer_nodes_than_list_reference():
+    # per decision the link search can take a few more nodes (each vertex
+    # node asks a pair search, and tiny instances have little to cut);
+    # summed over the instances above it takes far fewer
+    got, want = [0], [0]
+    for seed in range(24):
+        G, arenas = list_reference_case(seed)
+        for parts in arenas:
+            for s in range(1, G.n + 1):
+                _hole_finder(G, parts)(s, got)
+                list_exists_hole(G, parts, s, want)
+    assert got[0] < want[0]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -317,10 +339,11 @@ def test_alpha_exact_matches_descending_on_hole_suppressed(seed):
 
 def test_alpha_exact_work_count_pinned():
     # explored counts branch nodes summed over the ascending decisions
-    # s = best+1, best+2, ...; a faster node must not change it
+    # s = best+1, best+2, ...: the vertex nodes of the link search and
+    # the pair-search nodes they ask for; a faster node must not change it
     G, _ = hole_suppressed_process(Pattern.complete(4), 8, r=2, s=2, seed=3)
     report = alpha_star_exact(G, 3)
-    assert report.alpha == 2 and report.explored == 13173
+    assert report.alpha == 2 and report.explored == 96
     assert report.witness.parts == (1, 2, 3)
     assert report.witness.sets == (frozenset({2, 3}), frozenset({3, 4}), frozenset({2, 5}))
 
@@ -330,9 +353,17 @@ def test_alpha_pair_work_count_pinned():
     # the last part pair that beat the best so far
     G = random_instance(Pattern.complete(3), 12, 0.4, seed=11)
     report = alpha_star_exact(G, 2)
-    assert report.alpha == 5 and report.explored == 188
+    assert report.alpha == 5 and report.explored == 68
     assert report.witness.parts == (1, 3)
     assert report.witness.sets == (frozenset({1, 2, 4, 6, 11}), frozenset({1, 3, 9, 10, 11}))
+
+
+def test_alpha_r3_node_budget_at_n14():
+    # random K4 at n=14, above the default cap: a work bound on the link
+    # search where the subset search grows about 4x per unit of n
+    G = random_instance(Pattern.complete(4), 14, 0.5, seed=0)
+    report = alpha_star_exact(G, 3, cap=14)
+    assert report.alpha == 7 and report.explored == 50286
 
 
 @pytest.mark.parametrize("r", (2, 3))

@@ -474,7 +474,7 @@ GOLDEN_PLOT_SHA = {
         "4cd39448e3a743ba2e57fea54bac770d081e9e4c668ba09e98bf7236b6b0518e"
     ),
     ("hole_scan", "heatmap"): (
-        "d21f7a42c9429782af7eb94617ced75a7de599582573c0cc06dcc7480413815a"
+        "087ae55536dc970b13d58063edee11aeaa6c285ca54bc975629382fbdae50fd5"
     ),
 }
 
@@ -502,7 +502,7 @@ def test_hole_scan_golden_records():
         (2, 2, "exact"),
         (2, 2, "exact"),
     ]
-    assert [m["explored"] for m in metrics] == [21, 15, 16, 22]
+    assert [m["explored"] for m in metrics] == [14, 9, 9, 12]
 
 
 def test_sweep_line_plot_golden(tmp_path):
@@ -622,6 +622,44 @@ def test_cli_run_exit_one_on_malformed_gen(tmp_path, capsys, gen):
     assert "config error: " in err
     if isinstance(gen, dict) and "params" in gen:
         assert "gen.params.p" in err
+
+
+@pytest.mark.parametrize(
+    "gen,field",
+    [
+        ({"family": "hole_suppressed", "pattern": {"kind": "complete", "k": 3}, "n": 4,
+          "params": {"r": 2, "s": 9}}, "gen.params.s"),
+        ({"family": "hole_suppressed", "pattern": {"kind": "complete", "k": 3}, "n": 4,
+          "params": {"r": 4, "s": 2}}, "gen.params.r"),
+        ({"family": "space_barrier", "pattern": {"kind": "cycle", "k": 4}, "n": 6}, "gen.n"),
+        ({"family": "space_barrier", "pattern": {"kind": "complete", "k": 4}, "n": 8},
+         "gen.pattern"),
+    ],
+)
+def test_cli_run_exit_one_on_gen_params_that_misfit_the_spec(tmp_path, capsys, gen, field):
+    # params that depend on the spec's own n or pattern are checked at
+    # load: these once loaded and failed every row
+    path = write_config(tmp_path, scenario="greedy_tiling", gen=gen, params={"instances": 2})
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err and field in captured.err
+    assert captured.out == ""
+
+
+def test_cli_run_reads_host_file_beside_the_config(tmp_path, monkeypatch):
+    # a random_split host edge file is relative to the config, as gen.path
+    # is, so the run does not depend on the working directory
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "cfg" / "edges.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+    gen = {"family": "random_split", "pattern": {"kind": "complete", "k": 2}, "n": 2,
+           "params": {"host_file": "edges.txt"}}
+    write_config(tmp_path / "cfg", name="c.json", scenario="greedy_tiling", gen=gen,
+                 params={"instances": 2})
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "cfg/c.json"]) == 0
+    rows = load_records(str(tmp_path / "cfg" / "out.json"))
+    assert [r.failed for r in rows] == [False, False]
+    assert rows[0].instance["params"]["host_file"] == str(tmp_path / "cfg" / "edges.txt")
 
 
 def test_cli_run_exit_one_on_missing_pipeline_param(tmp_path, capsys):
