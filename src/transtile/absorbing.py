@@ -22,9 +22,9 @@ never has to trust the search that produced them.
 
 Inside the module a vertex set is only ever held as per-part masks, a
 `list[int]` with slots 1..k as `iter_copies` and the factor search take
-them.  `_masks` converts each vertex argument once and rejects a vertex
-outside G; `_ids` turns masks back into sorted vertex tuples where a
-returned object or another public function needs them.
+them.  `core.vertex_masks` converts each vertex argument once and
+rejects a vertex outside G; `_ids` turns masks back into sorted vertex
+tuples where a returned object or another public function needs them.
 
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
@@ -59,6 +59,7 @@ from transtile.core import (
     common_neighborhood,
     is_transversal_copy,
     mask_of,
+    vertex_masks,
 )
 from transtile.generators import rng_for
 from transtile.search import copy_enumerator, has_perfect_matching, iter_copies
@@ -88,19 +89,6 @@ TEMPLATE_X_CAP = 20
 TEMPLATE_TRIES = 1000
 SAMPLE_TRIES = 64
 CONNECTOR_EXHAUSTIVE_CAP = 6
-
-
-def _masks(G: PartiteGraph, ids: Iterable[VertexId | tuple[int, int]]) -> list[int]:
-    """Per-part masks, slots 1..k, of the vertices `ids`, which must lie in G."""
-    masks = [0] * (G.k + 1)
-    for p, i in ids:
-        if not (1 <= p <= G.k and 0 <= i < G.n):
-            raise ValueError(
-                f"vertex ({p}, {i}) is not in G: parts run 1..{G.k}, "
-                f"indices 0..{G.n - 1}"
-            )
-        masks[p] |= 1 << i
-    return masks
 
 
 def _ids(masks: Sequence[int]) -> tuple[VertexId, ...]:
@@ -208,7 +196,7 @@ def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -
     """
     if not G.pattern.is_complete:
         raise ValueError("fan search needs a complete pattern")
-    _masks(G, [v])  # rejects a vertex outside G
+    vertex_masks(G, [v])  # rejects a vertex outside G
     v = VertexId(*v)
     arena = [G.full_mask] * (G.k + 1)
     fan = Fan(at=v, sets=tuple(_fan_sets(G, v, target_size, arena)))
@@ -331,7 +319,7 @@ def _connector_t2_exhaustive(
     p0 = u.part
     others = [p for p in range(1, k + 1) if p != p0]
     pools = [list(bits(G.full_mask & ~W[j])) for j in others]
-    um, vm = _masks(G, [u]), _masks(G, [v])
+    um, vm = vertex_masks(G, [u]), vertex_masks(G, [v])
     for w_idx in bits(G.full_mask & ~W[p0] & ~(1 << u.idx) & ~(1 << v.idx)):
         for pick in product(*(combinations(pool, 2) for pool in pools)):
             s = [0] * (k + 1)
@@ -374,7 +362,7 @@ def find_connector(
     """
     if not G.pattern.is_complete:
         raise ValueError("connector search needs a complete pattern")
-    _masks(G, (u, v))  # rejects an endpoint outside G
+    vertex_masks(G, (u, v))  # rejects an endpoint outside G
     u, v = VertexId(*u), VertexId(*v)
     if u.part != v.part or u == v:
         raise ValueError("connector endpoints must be distinct same-part vertices")
@@ -382,7 +370,7 @@ def find_connector(
         raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
     # no search reads u or v from W: the t=1 search reads only the other
     # parts, and both t=2 searches leave the endpoints out of the apex pool
-    wm = _masks(G, W)
+    wm = vertex_masks(G, W)
     conn = _connector_t1(G, u, v, wm)
     if conn is not None or t == 1:
         return conn
@@ -416,7 +404,7 @@ def is_reachable(
     connector search itself was complete (t=1 always, t=2 at small n).
     A vertex outside G raises ValueError.
     """
-    _masks(G, (u, v))  # rejects an endpoint outside G
+    vertex_masks(G, (u, v))  # rejects an endpoint outside G
     u, v = VertexId(*u), VertexId(*v)
     if u.part != v.part or u == v:
         raise ValueError("reachability needs distinct same-part vertices")
@@ -484,11 +472,11 @@ def find_absorber(
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
     k = G.k
-    target = _masks(G, S)
+    target = vertex_masks(G, S)
     if len(S) != k or any(m.bit_count() != 1 for m in target[1:]):
         raise ValueError("absorber target must have one vertex in each part")
     s_ids = _ids(target)
-    blocked = _union(_masks(G, forbidden), target)
+    blocked = _union(vertex_masks(G, forbidden), target)
     free = [G.full_mask & ~b for b in blocked[1:]]
     clique = next(iter_copies(G, range(1, k + 1), free), None)
     if clique is None:
@@ -504,7 +492,7 @@ def find_absorber(
         )
         if conn is None:
             return None
-        acc = _union(acc, _masks(G, conn.verts))
+        acc = _union(acc, vertex_masks(G, conn.verts))
     wit_inner = _factor_witness(G, acc)
     if wit_inner is None:
         return None
@@ -530,14 +518,14 @@ def disjoint_absorbers(
     connector_t: int = 1,
 ) -> list[Absorber]:
     """Greedy maximal family of pairwise-disjoint absorbers for S."""
-    used = _masks(G, forbidden)
+    used = vertex_masks(G, forbidden)
     out: list[Absorber] = []
     while len(out) < count_target:
         a = find_absorber(G, S, _ids(used), connector_t=connector_t)
         if a is None:
             break
         out.append(a)
-        used = _union(used, _masks(G, a.verts))
+        used = _union(used, vertex_masks(G, a.verts))
     return out
 
 
@@ -864,7 +852,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
                     f"({j},{l},{z}); {len(absorbers)} of {total_edges} placed"
                 )
             absorbers.append(((j, l, z), a))
-            reserved = _union(reserved, _masks(G, a.verts))
+            reserved = _union(reserved, vertex_masks(G, a.verts))
 
     # stage assemble
     sizes = {reserved[p].bit_count() for p in range(1, k + 1)}
@@ -969,6 +957,8 @@ def verify_absorbing_property(
     k, n = G.k, G.n
     if xi * n < k:
         raise ValueError("absorbing verification needs xi*n >= k")
+    if trials < 1:
+        raise ValueError(f"absorbing verification needs trials >= 1, got {trials}")
     r_masks = [0] * (k + 1)
     for p in range(1, k + 1):
         if p in R.R.parts:

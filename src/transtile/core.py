@@ -43,6 +43,7 @@ __all__ = [
     "density",
     "common_neighborhood",
     "mask_of",
+    "vertex_masks",
     "bits",
     "json_field",
     "json_rows",
@@ -57,6 +58,19 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def vertex_masks(G: PartiteGraph, ids: Iterable[VertexId | tuple[int, int]]) -> list[int]:
+    """Per-part masks, slots 1..k, of the vertices `ids`, which must lie in G."""
+    masks = [0] * (G.k + 1)
+    for p, i in ids:
+        if not (1 <= p <= G.k and 0 <= i < G.n):
+            raise ValueError(
+                f"vertex ({p}, {i}) is not in G: parts run 1..{G.k}, "
+                f"indices 0..{G.n - 1}"
+            )
+        masks[p] |= 1 << i
+    return masks
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -528,9 +542,8 @@ def density(
         raise ValueError("empty side: density needs two nonempty sets")
     if set(xs) & set(ys):
         raise ValueError("density needs disjoint sets")
-    ymask = [0] * (G.k + 1)
-    for p, i in ys:
-        ymask[p] |= 1 << i
+    vertex_masks(G, xs)  # rejects a vertex outside G
+    ymask = vertex_masks(G, ys)
     e = 0
     for p, i in xs:
         for q in G.pattern.neighbors(p):
@@ -543,11 +556,13 @@ def common_neighborhood(
 ) -> int:
     """Mask of target-part vertices adjacent to every vertex of S.
 
-    Empty S returns the full target part.  Every vertex of S must sit in
-    a part the pattern joins to `target`.
+    Empty S returns the full target part.  Every vertex of S must lie in
+    G, in a part the pattern joins to `target`.
     """
     if not (1 <= target <= G.k):
         raise ValueError(f"target part {target} out of range [1..{G.k}]")
+    S = list(S)
+    vertex_masks(G, S)  # rejects a vertex outside G
     out = G.full_mask
     for p, i in S:
         if not G.pattern.adjacent(p, target):

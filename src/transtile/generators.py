@@ -104,17 +104,27 @@ def _first_hole_free(base: PartiteGraph, edges: list, r: int, s: int) -> tuple:
     Adding edges never creates a hole, so bisection finds the prefix
     that a scan certifying after every edge would stop at.  If even the
     whole list leaves a hole, all of it is added and certified is False.
+    Each probe moves from the previous probe's graph, adding or deleting
+    only the edges between the two prefixes, so `edges` must be distinct
+    and absent from `base`.
     """
     checks = 0
+    G, at = base, 0
+
+    def prefix(t: int) -> PartiteGraph:
+        nonlocal G, at
+        G = G.add_edges(edges[at:t]) if t >= at else G.delete_edges(edges[t:at])
+        at = t
+        return G
 
     def hole_free(t: int) -> bool:
         nonlocal checks
         checks += 1
-        return certify_no_hole(base.add_edges(edges[:t]), r, s)[0]
+        return certify_no_hole(prefix(t), r, s)[0]
 
     t = bisect_left(range(len(edges) + 1), True, key=hole_free)
     kept = min(t, len(edges))
-    return base.add_edges(edges[:kept]), kept, t <= len(edges), checks
+    return prefix(kept), kept, t <= len(edges), checks
 
 
 def hole_suppressed_process(
@@ -130,7 +140,7 @@ def hole_suppressed_process(
 
     The prefix is found by bisection with the exact `certify_no_hole`,
     so "certified" is a proof.  Returns (graph, report) with report keys
-    `edges_added`, `certified`, `regime` (always "exact") and `checks`.
+    `edges_added`, `certified` and `checks`.
     """
     if not 1 <= s <= n:
         raise ValueError(f"hole size s={s} out of range [1..{n}]")
@@ -144,12 +154,7 @@ def hole_suppressed_process(
     order = order[: len(order) if budget is None else max(budget, 0)]
     empty = PartiteGraph.from_edges(pattern, n, [])
     G, added, certified, checks = _first_hole_free(empty, order, r, s)
-    return G, {
-        "edges_added": added,
-        "certified": certified,
-        "regime": "exact",
-        "checks": checks,
-    }
+    return G, {"edges_added": added, "certified": certified, "checks": checks}
 
 
 def space_barrier(
@@ -235,11 +240,10 @@ def space_barrier(
             continue
         kept.append((i, a, j, b))
     G, added = base.add_edges(kept), len(kept)
-    certified = regime = None
+    certified = None
     checks = 0
     if hole_target_s is not None:
         G, added, certified, checks = _first_hole_free(base, kept, 2, hole_target_s)
-        regime = "exact"
         if certified:
             tried = candidates.index(kept[added - 1]) + 1 if added else 0
     U = VertexSetFamily([(p, range(u_size)) for p in range(1, k + 1)])
@@ -248,7 +252,6 @@ def space_barrier(
         "edges_added": added,
         "candidates_tried": tried,
         "certified": certified,
-        "regime": regime,
         "checks": checks,
     }
     return G, U, report

@@ -298,10 +298,10 @@ SCENARIOS: dict[str, tuple[tuple[str, ...], tuple[Param, ...], Callable]] = {
             Param("q", float),
             Param("tau", float),
             Param("beta_prime", float),
-            Param("m", int),
-            Param("beta_m", int, 1),
-            Param("connector_t", int, 1),
-            Param("verify_trials", int, 16),
+            Param("m", int, low=1),
+            Param("beta_m", int, 1, low=0),
+            Param("connector_t", int, 1, low=1, high=2),
+            Param("verify_trials", int, 16, low=1),
         ),
         _scn_absorbing_pipeline,
     ),

@@ -42,9 +42,12 @@ Search strategy notes
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
 vertex per part by isolated filler vertices: a 3-vertex path across
-consecutive parts, and two vertex-disjoint edges on disjoint
-consecutive part pairs.  Two closures matter for a mixed tiling with
-leftover L:
+consecutive parts (one star, at its middle part), and two vertex-disjoint
+edges on disjoint consecutive part pairs (one star per edge).  A star is
+a centre part and the leaf parts its centre must reach.  The table
+`_shapes(k)` declares every placement's stars once; placement,
+realization, validation and the invariant check all read it.  Two
+closures matter for a mixed tiling with leftover L:
 
 * *addition-maximal*: no copy fits inside L;
 * *exchange-closed*: no copy N can be replaced by two disjoint copies
@@ -63,9 +66,12 @@ does not force them.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from transtile.core import (
     PartiteGraph,
@@ -401,7 +407,7 @@ class MixedCopy:
 
     kind "p3": path verts[a-1] - verts[a] - verts[a+1] on parts
     (a, a+1, a+2) cyclically, anchor = (a,).
-    kind "m2": edges on part pairs (a, a+1) and (b, b+1), anchor = (a, b).
+    kind "m2": edges on disjoint part pairs (a, a+1), (b, b+1), anchor = (a, b), a < b.
     All remaining positions are isolated fillers.
     """
 
@@ -409,12 +415,15 @@ class MixedCopy:
     anchor: tuple[int, ...]
     verts: tuple[int, ...]
 
+    def stars(self, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The stars of this copy's shape on C_k (see `_shapes`)."""
+        stars = _shapes(k).get((self.kind, *self.anchor))
+        if stars is None:
+            raise ValueError(f"no {self.kind!r} shape at anchor {self.anchor} on C{k}")
+        return stars
+
     def nonisolated_parts(self, k: int) -> tuple[int, ...]:
-        if self.kind == "p3":
-            a = self.anchor[0]
-            return tuple(sorted({a, a % k + 1, (a + 1) % k + 1}))
-        a, b = self.anchor
-        return tuple(sorted({a, a % k + 1, b, b % k + 1}))
+        return tuple(sorted({p for c, leaves in self.stars(k) for p in (c, *leaves)}))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "anchor": list(self.anchor), "verts": list(self.verts)}
@@ -445,36 +454,47 @@ def _cyc(p: int, k: int) -> int:
     return (p - 1) % k + 1
 
 
-def _p3_feasible(G: PartiteGraph, L: Sequence[int], a: int) -> bool:
-    k = G.k
-    mid, right = _cyc(a + 1, k), _cyc(a + 2, k)
-    for u in bits(L[mid]):
-        if G.nbr_mask(mid, u, a) & L[a] and G.nbr_mask(mid, u, right) & L[right]:
-            return True
-    return False
+@functools.cache
+def _shapes(k: int) -> Mapping[tuple, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Each placement `(kind, *anchor)` on C_k, in placement order, to its
+    stars (centre part, leaf parts), listed in the order they are picked."""
+    table = {("p3", a): ((_cyc(a + 1, k), (a, _cyc(a + 2, k))),) for a in range(1, k + 1)}
+    for a in range(1, k + 1):
+        for b in range(a + 2, k + 1):
+            if len({a, _cyc(a + 1, k), b, _cyc(b + 1, k)}) == 4:
+                table["m2", a, b] = ((a, (_cyc(a + 1, k),)), (b, (_cyc(b + 1, k),)))
+    return MappingProxyType(table)  # cached and shared: read-only
 
 
-def _pair_feasible(G: PartiteGraph, L: Sequence[int], a: int) -> bool:
-    nxt = _cyc(a + 1, G.k)
-    return any(G.nbr_mask(a, u, nxt) & L[nxt] for u in bits(L[a]))
+def _centres(G: PartiteGraph, L: Sequence[int], c: int, leaves: tuple) -> Iterator[int]:
+    """Centres in L[c] with a neighbour in L in every leaf part, ascending."""
+    rows = [(G._adj[c, q], L[q]) for q in leaves]
+    for u in bits(L[c]):
+        for row, m in rows:
+            if not row[u] & m:
+                break
+        else:
+            yield u
 
 
 def _mixed_placements(G: PartiteGraph, L: Sequence[int]) -> list[tuple]:
-    """All currently addable shapes, exhaustively: the stop criterion."""
-    k = G.k
-    if any(not L[p] for p in range(1, k + 1)):
+    """All currently addable shapes, exhaustively: the stop criterion.
+
+    Each distinct star is decided once, at its first fitting centre.
+    """
+    if not all(L[1:]):
         return []
+    fits: dict = {}
     out = []
-    for a in range(1, k + 1):
-        if _p3_feasible(G, L, a):
-            out.append(("p3", a))
-    for a in range(1, k + 1):
-        for b in range(a + 2, k + 1):
-            parts = {a, _cyc(a + 1, k), b, _cyc(b + 1, k)}
-            if len(parts) < 4:
-                continue
-            if _pair_feasible(G, L, a) and _pair_feasible(G, L, b):
-                out.append(("m2", a, b))
+    for key, stars in _shapes(G.k).items():
+        for star in stars:
+            fit = fits.get(star)
+            if fit is None:
+                fit = fits[star] = next(_centres(G, L, *star), None) is not None
+            if not fit:
+                break
+        else:
+            out.append(key)
     return out
 
 
@@ -483,38 +503,28 @@ def _realizations(
 ) -> Iterator[list[int]]:
     """Concrete vertices of placement `choice` inside L, -1 at the fillers.
 
-    `order` maps each candidate list to the candidates to try, in turn:
-    the list itself enumerates every realization, a one-element random
-    pick yields a single random one.
+    Star by star, the centre first and then each leaf among the centre's
+    neighbours.  `order` maps each candidate list to the candidates to
+    try, in turn: the list itself enumerates every realization, a
+    one-element random pick yields a single random one.
     """
-    k = G.k
-    verts = [-1] * (k + 1)
-    if choice[0] == "p3":
-        a = choice[1]
-        mid, right = _cyc(a + 1, k), _cyc(a + 2, k)
-        mids = [
-            u
-            for u in bits(L[mid])
-            if G.nbr_mask(mid, u, a) & L[a] and G.nbr_mask(mid, u, right) & L[right]
-        ]
-        for verts[mid] in order(mids):
-            for verts[a] in order(list(bits(G.nbr_mask(mid, verts[mid], a) & L[a]))):
-                right_nbrs = G.nbr_mask(mid, verts[mid], right) & L[right]
-                for verts[right] in order(list(bits(right_nbrs))):
-                    yield list(verts)
-        return
-    _, a, b = choice
-    nxt_a, nxt_b = _cyc(a + 1, k), _cyc(b + 1, k)
+    verts = [-1] * (G.k + 1)
+    stars = _shapes(G.k)[choice]
 
-    def ends(start: int, nxt: int) -> list[int]:
-        return [u for u in bits(L[start]) if G.nbr_mask(start, u, nxt) & L[nxt]]
+    def walk(s: int, c: int, leaves: tuple[int, ...]) -> Iterator[list[int]]:
+        # pick `leaves` around the chosen centre c, then stars s, s+1, ...
+        if leaves:
+            q, rest = leaves[0], leaves[1:]
+            for verts[q] in order(list(bits(G._adj[c, q][verts[c]] & L[q]))):
+                yield from walk(s, c, rest)
+        elif s == len(stars):
+            yield list(verts)
+        else:
+            c, leaves = stars[s]
+            for verts[c] in order(list(_centres(G, L, c, leaves))):
+                yield from walk(s + 1, c, leaves)
 
-    for verts[a] in order(ends(a, nxt_a)):
-        for verts[nxt_a] in order(list(bits(G.nbr_mask(a, verts[a], nxt_a) & L[nxt_a]))):
-            for verts[b] in order(ends(b, nxt_b)):
-                b_nbrs = G.nbr_mask(b, verts[b], nxt_b) & L[nxt_b]
-                for verts[nxt_b] in order(list(bits(b_nbrs))):
-                    yield list(verts)
+    return walk(0, 0, ())
 
 
 def _filled_copy(L: Sequence[int], choice: tuple, verts: list[int], pick) -> MixedCopy:
@@ -609,8 +619,8 @@ def maximal_mixed_tiling(G: PartiteGraph, seed: int = 0) -> MixedTiling:
 class InvariantReport:
     maximal: bool
     vacuous: bool
-    violations: tuple[tuple, ...]
-    copies_checked: int
+    violations: tuple[tuple, ...] = ()
+    copies_checked: int = 0
     extension: Optional[tuple] = None
     exchange: Optional[tuple[int, MixedCopy, MixedCopy]] = None
 
@@ -638,24 +648,10 @@ def _validate_mixed(G: PartiteGraph, T: MixedTiling) -> None:
     for c in T.copies:
         if len(c.verts) != k or any(not 0 <= v < G.n for v in c.verts):
             raise ValueError(f"invalid mixed copy: {c}")
-        if c.kind == "p3":
-            (a,) = c.anchor
-            mid, right = _cyc(a + 1, k), _cyc(a + 2, k)
-            if not (
-                G.has_edge((a, c.verts[a - 1]), (mid, c.verts[mid - 1]))
-                and G.has_edge((mid, c.verts[mid - 1]), (right, c.verts[right - 1]))
-            ):
-                raise ValueError(f"path edges missing in copy {c}")
-        elif c.kind == "m2":
-            a, b = c.anchor
-            for start in (a, b):
-                nxt = _cyc(start + 1, k)
-                if not G.has_edge((start, c.verts[start - 1]), (nxt, c.verts[nxt - 1])):
-                    raise ValueError(f"matching edge missing in copy {c}")
-            if len({a, _cyc(a + 1, k), b, _cyc(b + 1, k)}) < 4:
-                raise ValueError(f"matching pairs overlap in copy {c}")
-        else:
-            raise ValueError(f"unknown copy kind {c.kind!r}")
+        for centre, leaves in c.stars(k):
+            u = (centre, c.verts[centre - 1])
+            if not all(G.has_edge(u, (q, c.verts[q - 1])) for q in leaves):
+                raise ValueError(f"shape edges missing in copy {c}")
     covered = T.covered_masks()
     if any(covered[p].bit_count() != len(T.copies) for p in range(1, k + 1)):
         raise ValueError("leftover unbalanced: copies overlap or collide")
@@ -690,23 +686,14 @@ def check_appendix_invariants(G: PartiteGraph, T: MixedTiling) -> InvariantRepor
     L = T.leftover_masks()
     total_leftover = sum(L[p].bit_count() for p in range(1, k + 1))
     if total_leftover == 0:
-        return InvariantReport(
-            maximal=True, vacuous=True, violations=(), copies_checked=0
-        )
+        return InvariantReport(maximal=True, vacuous=True)
     blockers = _mixed_placements(G, L)
     if blockers:
-        return InvariantReport(
-            maximal=False,
-            vacuous=False,
-            violations=(),
-            copies_checked=0,
-            extension=blockers[0],
-        )
+        return InvariantReport(maximal=False, vacuous=False, extension=blockers[0])
     violations: list[tuple] = []
     for idx, c in enumerate(T.copies):
         noniso = set(c.nonisolated_parts(k))
-        e_copy = 0
-        e_iso = 0
+        e_copy = e_iso = 0
         adjacent_iso: list[int] = []
         for p in range(1, k + 1):
             v = c.verts[p - 1]
@@ -720,13 +707,9 @@ def check_appendix_invariants(G: PartiteGraph, T: MixedTiling) -> InvariantRepor
                 violations.append((idx, "isolated-direction", p))
             if fwd or bwd:
                 adjacent_iso.append(p)
-        for x in range(len(adjacent_iso)):
-            for y in range(x + 1, len(adjacent_iso)):
-                d = abs(adjacent_iso[x] - adjacent_iso[y])
-                if min(d, k - d) > 2:
-                    violations.append(
-                        (idx, "isolated-pair-window", adjacent_iso[x], adjacent_iso[y])
-                    )
+        for x, y in itertools.combinations(adjacent_iso, 2):  # ascending: x < y
+            if min(y - x, k - y + x) > 2:
+                violations.append((idx, "isolated-pair-window", x, y))
         if k * e_copy > 4 * total_leftover:
             violations.append((idx, "copy-edge-budget", e_copy))
         if k * e_iso > 2 * total_leftover:
@@ -738,9 +721,6 @@ def check_appendix_invariants(G: PartiteGraph, T: MixedTiling) -> InvariantRepor
             exchange = (idx, *pair)
             break
     return InvariantReport(
-        maximal=True,
-        vacuous=False,
-        violations=tuple(violations),
-        copies_checked=len(T.copies),
-        exchange=exchange,
+        maximal=True, vacuous=False, violations=tuple(violations),
+        copies_checked=len(T.copies), exchange=exchange,
     )

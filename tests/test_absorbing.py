@@ -713,6 +713,17 @@ def test_verify_absorbing_property_xi_precondition():
         verify_absorbing_property(G, empty, xi=0.5)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_absorbing_property_needs_a_trial(trials):
+    # zero trials once passed with no check made: a "verified" that checked nothing
+    G = complete_blowup(K3, 6)
+    empty = AbsorbingSet(
+        R=VertexSetFamily.of({1: [], 2: [], 3: []}), xi=1.5, provenance={}
+    )
+    with pytest.raises(ValueError, match="trials >= 1"):
+        verify_absorbing_property(G, empty, xi=1.5, trials=trials)
+
+
 def test_verify_absorbing_property_vacuous_when_nothing_outside():
     G = complete_blowup(K3, 2)
     everything = AbsorbingSet(

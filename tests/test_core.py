@@ -150,6 +150,18 @@ def test_density_errors():
         density(G, [(1, 0)], [(1, 0), (2, 0)])
 
 
+@pytest.mark.parametrize("X,Y", [
+    ([(1, 0)], [(2, 7)]), ([(1, -1)], [(2, 0)]), ([(1, 0)], [(3, 0)]), ([(0, 1)], [(2, 0)]),
+])
+def test_density_rejects_a_vertex_outside_g(X, Y):
+    # at n = 3, (2, 7) once counted as a vertex with no edges: density 0
+    G = PartiteGraph.complete(Pattern.complete(2), 3)
+    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
+        density(G, X, Y)
+    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
+        density(G, Y, X)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_density_symmetric(seed):
@@ -174,6 +186,17 @@ def test_common_neighborhood():
     assert common_neighborhood(G, [], 3) == 0b111
     assert common_neighborhood(G, [(1, 0)], 3) == 0b011
     assert common_neighborhood(G, [(1, 0), (2, 1)], 3) == 0b010
+
+
+@pytest.mark.parametrize("S", [[(1, -1)], [(1, 3)], [(1, 0), (2, 5)], [(0, 0)], [(4, 0)]])
+def test_common_neighborhood_rejects_a_vertex_outside_g(S):
+    # (1, -1) once read row -1 and returned a wrong mask; (1, 0), (2, 5)
+    # hid its bad vertex behind the early exit on an empty mask
+    G = PartiteGraph.complete(Pattern.complete(3), 3).delete_edges(
+        [(1, 0, 3, y) for y in range(3)]
+    )
+    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
+        common_neighborhood(G, S, 3)
 
 
 def test_common_neighborhood_nonadjacent():

@@ -211,3 +211,21 @@ def test_params_are_read_only_through_their_declarations(name):
             elif isinstance(node, ast.Attribute) and node.attr == "params" and not allowed:
                 raw.append(f".params read in {where} on line {node.lineno}")
     assert not raw, f"{name} reads raw params: {', '.join(sorted(set(raw)))}"
+
+
+def test_mixed_shape_readers_name_no_shape_kind():
+    # the shape geometry lives in tiling._shapes alone; these functions
+    # read it from there, so none of them names a shape kind
+    tree = ast.parse((SRC / "tiling.py").read_text(), filename="tiling.py")
+    readers = {"_mixed_placements", "_realizations", "_validate_mixed", "nonisolated_parts"}
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in readers:
+            found[node.name] = sorted(
+                n.lineno
+                for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and n.value in ("p3", "m2")
+            )
+    assert set(found) == readers
+    named = {name: lines for name, lines in found.items() if lines}
+    assert not named, f"shape kinds named outside the star table: {named}"

@@ -721,6 +721,15 @@ BAD_PARAMS = [
     ("threshold_sweep", SWEEP, {"seeds_per_p": 2.9}),
     ("threshold_sweep", SWEEP, {"cap": "12"}),
     ("threshold_sweep", SWEEP, {"cap": 3.9}),
+    # out of the declared range: these once loaded, and verify_trials 0
+    # wrote verify_ok true after no check at all
+    *(
+        ("absorbing_pipeline", PIPELINE, {key: bad})
+        for key, bad in [
+            ("m", 0), ("beta_m", -1), ("connector_t", 0), ("connector_t", 3),
+            ("verify_trials", 0),
+        ]
+    ),
 ]
 
 

@@ -12,7 +12,13 @@ import random
 import pytest
 
 from transtile.core import Pattern, PartiteGraph, VertexId, VertexSetFamily
-from transtile.generators import GenSpec, complete_blowup, space_barrier, subseed
+from transtile.generators import (
+    GenSpec,
+    complete_blowup,
+    random_spanning_subgraph,
+    space_barrier,
+    subseed,
+)
 from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     MixedCopy,
@@ -642,8 +648,56 @@ def test_mixed_tiling_maximal_by_exhaustive_scan(pattern, n, p, seed):
 def test_mixed_copy_structure_is_validated():
     G = PartiteGraph.from_edges(C4, 2, [])
     bad = MixedTiling((MixedCopy("p3", (1,), (0, 0, 0, 0)),), 2, 4)
-    with pytest.raises(ValueError, match="path edges missing"):
+    with pytest.raises(ValueError, match="shape edges missing"):
         check_appendix_invariants(G, bad)
+
+
+@pytest.mark.parametrize("kind,anchor", [
+    ("p3", (5,)), ("p3", (0,)), ("p3", (1, 2)), ("m2", (1, 5)), ("m2", (3, 1)),
+    ("m2", (1, 2)), ("m2", (1, 4)), ("m2", (1,)), ("p4", (1,)),
+])
+def test_malformed_mixed_anchor_is_rejected(kind, anchor):
+    # every placement on C4 is p3 at 1..4 or m2 at (1, 3) and (2, 4)
+    G = complete_blowup(C4, 2)
+    copy = MixedCopy(kind, anchor, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="shape at anchor"):
+        copy.nonisolated_parts(4)
+    with pytest.raises(ValueError, match="shape at anchor"):
+        check_appendix_invariants(G, MixedTiling((copy,), 2, 4))
+
+
+@pytest.mark.parametrize("kind,anchor,parts", [
+    ("p3", (1,), (1, 2, 3)), ("p3", (2,), (2, 3, 4)), ("p3", (3,), (1, 3, 4)),
+    ("p3", (4,), (1, 2, 4)), ("m2", (1, 3), (1, 2, 3, 4)), ("m2", (2, 4), (1, 2, 3, 4)),
+])
+def test_every_c4_placement_is_accepted(kind, anchor, parts):
+    # on the complete blow-up every placement is a valid copy, and the
+    # one-copy tiling at n = 2 leaves room for another
+    G = complete_blowup(C4, 2)
+    copy = MixedCopy(kind, anchor, (0, 0, 0, 0))
+    assert copy.nonisolated_parts(4) == parts
+    assert not check_appendix_invariants(G, MixedTiling((copy,), 2, 4)).maximal
+
+
+# SHA-256 of json.dumps([[T.to_json_dict(), check_appendix_invariants(G, T)
+# .to_json_dict()], ...]) over 192 mixed tilings: G is a random spanning
+# subgraph (p in 0.3, 0.5, 0.8, 1.0, seed k*100 + n) of the C_k blow-up,
+# k = 4..7, n in 3, 5, 8, and T = maximal_mixed_tiling(G, seed), seeds
+# 0..3.  A change to the placement order, a realization, the random
+# stream or the invariant report moves it.
+MIXED_TILING_SHA = "09f4a2d5fe0361482771255132494229fd8cefe62a508a3d8dbd0d2e949a0edf"
+
+
+def test_mixed_tilings_and_reports_are_pinned():
+    rows = []
+    for k, n, p in itertools.product((4, 5, 6, 7), (3, 5, 8), (0.3, 0.5, 0.8, 1.0)):
+        base = complete_blowup(Pattern.cycle(k), n)
+        G = random_spanning_subgraph(base, p, seed=k * 100 + n)
+        for seed in range(4):
+            T = maximal_mixed_tiling(G, seed)
+            rows.append([T.to_json_dict(), check_appendix_invariants(G, T).to_json_dict()])
+    assert len(rows) == 192
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == MIXED_TILING_SHA
 
 
 def test_overlapping_copies_rejected():
