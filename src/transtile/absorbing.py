@@ -23,31 +23,33 @@ never has to trust the search that produced them.
 Inside the module a vertex set is only ever held as per-part masks, a
 `list[int]` with slots 1..k as `iter_copies` and the factor search take
 them.  `core.vertex_masks` converts each vertex argument once and
-rejects a vertex outside G; `_ids` turns masks back into sorted vertex
-tuples where a returned object or another public function needs them.
+rejects a vertex outside G.  `_ids` builds the sorted vertex tuples of
+returned objects, and of the forbidden sets that `disjoint_absorbers`
+and `build_absorbing_set` hand to the public `find_absorber`, which
+they call by name.  No search inside the module takes a vertex tuple.
 
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
 here, sized by the caller for instances of a few dozen vertices per
-part; see AbsorbParams.  Every factor check runs the exact solver on G
-itself, restricted to per-part masks, so no relabelled copy of the graph
-is built.  Connector and absorber witnesses have at most 2k+1 vertices
-per part, which is always feasible.  `verify_absorbing_property` needs
-a factor of G[R u U], and R alone is most of the graph at the reference
-parameters (49 to 59 of 60 vertices per part in the check-7 and
-benchmark configs).  So it searches G[R] once, with no size cap, and
-builds each check's factor from that one: it adds a factor of G[U]
-(step 1), or else swaps one copy C of it for a factor of G[C u U], two
-vertices per part when U has one (step 2).  Only when both fail does
-the exact search run on all of R u U (step 3), the one step that can
-answer no and the one that can backtrack deep.
+part; see AbsorbParams.  An absorber's witnesses are assembled from its
+clique and its connectors' witnesses, with no search.  Every other
+factor check runs the exact solver on G itself, restricted to per-part
+masks, so no relabelled copy of the graph is built.
+`verify_absorbing_property` needs a factor of G[R u U], and R alone is
+most of the graph at the reference parameters (49 to 59 of 60 vertices
+per part in the check-7 and benchmark configs).  So it searches G[R]
+once, with no size cap, and builds each check's factor from that one:
+it adds a factor of G[U] (step 1), or else swaps one copy C of it for a
+factor of G[C u U], two vertices per part when U has one (step 2).
+Only when both fail does the exact search run on all of R u U (step 3),
+the one step that can answer no and the one that can backtrack deep.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice, product
 from typing import Iterable, Optional, Sequence
 
@@ -344,6 +346,23 @@ def _connector_t2_exhaustive(
     return None
 
 
+def _connector(
+    G: PartiteGraph, u: VertexId, v: VertexId, W: Sequence[int], t: int
+) -> Optional[Connector]:
+    """The connector search on the forbidden masks W; see find_connector.
+
+    No search reads u or v from W: the t=1 search reads only the other
+    parts, and both t=2 searches leave the endpoints out of the apex pool.
+    """
+    conn = _connector_t1(G, u, v, W)
+    if conn is not None or t == 1:
+        return conn
+    conn = _connector_t2_construct(G, u, v, W)
+    if conn is None and G.n <= CONNECTOR_EXHAUSTIVE_CAP:
+        conn = _connector_t2_exhaustive(G, u, v, W)
+    return conn
+
+
 def find_connector(
     G: PartiteGraph,
     u: VertexId | tuple[int, int],
@@ -368,16 +387,7 @@ def find_connector(
         raise ValueError("connector endpoints must be distinct same-part vertices")
     if t not in (1, 2):
         raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
-    # no search reads u or v from W: the t=1 search reads only the other
-    # parts, and both t=2 searches leave the endpoints out of the apex pool
-    wm = vertex_masks(G, W)
-    conn = _connector_t1(G, u, v, wm)
-    if conn is not None or t == 1:
-        return conn
-    conn = _connector_t2_construct(G, u, v, wm)
-    if conn is None and G.n <= CONNECTOR_EXHAUSTIVE_CAP:
-        conn = _connector_t2_exhaustive(G, u, v, wm)
-    return conn
+    return _connector(G, u, v, vertex_masks(G, W), t)
 
 
 @dataclass(frozen=True)
@@ -402,12 +412,15 @@ def is_reachable(
     to m) plus `trials` random ones.  A pass is evidence, not a proof;
     a fail carries the defeating W, which is a proof whenever the
     connector search itself was complete (t=1 always, t=2 at small n).
-    A vertex outside G raises ValueError.
+    A vertex outside G, or a negative m or trials, raises ValueError.
     """
     vertex_masks(G, (u, v))  # rejects an endpoint outside G
     u, v = VertexId(*u), VertexId(*v)
     if u.part != v.part or u == v:
         raise ValueError("reachability needs distinct same-part vertices")
+    for name, value in (("m", m), ("trials", trials)):
+        if value < 0:
+            raise ValueError(f"reachability needs {name} >= 0, got {value}")
     everything = [x for x in G.vertices() if x != u and x != v]
 
     def neighborhood(x: VertexId) -> tuple[VertexId, ...]:
@@ -462,15 +475,19 @@ def find_absorber(
 ) -> Optional[Absorber]:
     """Absorber for the transversal k-set S, or None.
 
-    One transversal clique T plus, per part, a connector between the
-    S-vertex and the T-vertex; the uniform connector parameter keeps
-    the union balanced, so the witness instances stay factorable.
-    connector_t=1 (the default, as in AbsorbParams) gives |A| <= k^2,
-    connector_t=2 gives |A| <= 2k^2; the absorber records t = 2k, so
-    |A| <= k*t either way.  A vertex outside G raises ValueError.
+    One transversal clique T plus, per part p, a connector C_p between
+    the S-vertex s_p and the T-vertex t_p, each avoiding `forbidden`, S
+    and what is already taken.  The witnesses need no search: the
+    v-sides C_p u {t_p} tile A, and T with the u-sides C_p u {s_p} tiles
+    A u S.  connector_t=1 (the default, as in AbsorbParams) gives
+    |A| <= k^2, connector_t=2 gives |A| <= 2k^2; the absorber records
+    t = 2k, so |A| <= k*t either way.  A vertex outside G, or a
+    connector_t other than 1 or 2, raises ValueError.
     """
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
+    if connector_t not in (1, 2):
+        raise ValueError(f"connector parameter t must be 1 or 2, got {connector_t}")
     k = G.k
     target = vertex_masks(G, S)
     if len(S) != k or any(m.bit_count() != 1 for m in target[1:]):
@@ -482,29 +499,23 @@ def find_absorber(
     if clique is None:
         return None
     acc = [0, *(1 << i for i in clique)]
+    inner: list[TransversalCopy] = []
+    full = [TransversalCopy(clique)]
     for p in range(1, k + 1):
-        conn = find_connector(
-            G,
-            s_ids[p - 1],
-            VertexId(p, clique[p - 1]),
-            _ids(_union(blocked, acc)),
-            t=connector_t,
+        conn = _connector(
+            G, s_ids[p - 1], VertexId(p, clique[p - 1]), _union(blocked, acc), connector_t
         )
         if conn is None:
             return None
+        inner += conn.witness_v
+        full += conn.witness_u
         acc = _union(acc, vertex_masks(G, conn.verts))
-    wit_inner = _factor_witness(G, acc)
-    if wit_inner is None:
-        return None
-    wit_full = _factor_witness(G, _union(acc, target))
-    if wit_full is None:
-        return None
     absorber = Absorber(
         target=s_ids,
         verts=_ids(acc),
         t=2 * k,
-        witness_inner=wit_inner,
-        witness_full=wit_full,
+        witness_inner=tuple(inner),
+        witness_full=tuple(full),
     )
     absorber.validate(G)
     return absorber
@@ -754,6 +765,10 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         raise ValueError("stage sample-x: template scale needs m >= 1, beta_m >= 0")
     if params.connector_t not in (1, 2):
         raise ValueError("stage absorbers: connector_t must be 1 or 2")
+    if not 0 <= params.q <= 1:
+        raise ValueError(f"stage sample-x: q must lie in [0, 1], got {params.q}")
+    if params.beta_prime < 0:
+        raise ValueError(f"stage sample-x: beta_prime must be >= 0, got {params.beta_prime}")
     qn = round(params.q * n)
     x_side = m + beta_m
     if qn < x_side:
@@ -865,15 +880,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         )
     xi = k / n
     provenance = {
-        "params": {
-            "q": params.q,
-            "tau": params.tau,
-            "beta_prime": params.beta_prime,
-            "m": m,
-            "beta_m": beta_m,
-            "seed": params.seed,
-            "connector_t": params.connector_t,
-        },
+        "params": asdict(params),
         "fan_min": fan_min,
         "sample_attempts": attempts,
         "x": [sorted(xs[i]) for i in range(k)],
@@ -971,30 +978,20 @@ def verify_absorbing_property(
         return AbsorbVerdict(ok=True, failing=None, checks=0)
     r_factor = functools.cache(lambda: _factor_witness(G, r_masks))
 
-    def factors(u_sets: Sequence[Sequence[int]]) -> bool:
-        u_masks = [0, *map(mask_of, u_sets)]
-        return _absorb_factor(G, r_masks, r_factor(), u_masks)[1] is not None
-
-    space = 1
-    for o in outside[1:]:
-        space *= len(o)
-    checks = 0
-    if s_max == 1 and space <= exhaustive_limit:
-        for pick in product(*outside[1:]):
-            checks += 1
-            u_sets = [[v] for v in pick]
-            if not factors(u_sets):
-                fam = VertexSetFamily.of(
-                    {p: u_sets[p - 1] for p in range(1, k + 1)}
-                )
-                return AbsorbVerdict(ok=False, failing=fam, checks=checks)
-        return AbsorbVerdict(ok=True, failing=None, checks=checks)
-    for trial in range(trials):
+    def sample(trial: int) -> list[list[int]]:
         rng = rng_for(seed, "absorb-verify", trial)
         s = rng.randint(1, s_max)
-        u_sets = [sorted(rng.sample(outside[p], s)) for p in range(1, k + 1)]
+        return [sorted(rng.sample(outside[p], s)) for p in range(1, k + 1)]
+
+    if s_max == 1 and math.prod(map(len, outside[1:])) <= exhaustive_limit:
+        draws = ([[v] for v in pick] for pick in product(*outside[1:]))
+    else:
+        draws = map(sample, range(trials))
+    checks = 0
+    for u_sets in draws:
         checks += 1
-        if not factors(u_sets):
-            fam = VertexSetFamily.of({p: u_sets[p - 1] for p in range(1, k + 1)})
+        u_masks = [0, *map(mask_of, u_sets)]
+        if _absorb_factor(G, r_masks, r_factor(), u_masks)[1] is None:
+            fam = VertexSetFamily.of(dict(enumerate(u_sets, 1)))
             return AbsorbVerdict(ok=False, failing=fam, checks=checks)
     return AbsorbVerdict(ok=True, failing=None, checks=checks)

@@ -144,6 +144,8 @@ def hole_suppressed_process(
     """
     if not 1 <= s <= n:
         raise ValueError(f"hole size s={s} out of range [1..{n}]")
+    if budget is not None and budget < 0:
+        raise ValueError(f"edge budget must be >= 0, got {budget}")
     order = [
         (i, a, j, b)
         for i, j in sorted(pattern.edges)
@@ -151,7 +153,7 @@ def hole_suppressed_process(
         for b in range(n)
     ]
     rng_for(seed, "order").shuffle(order)
-    order = order[: len(order) if budget is None else max(budget, 0)]
+    order = order[:budget]
     empty = PartiteGraph.from_edges(pattern, n, [])
     G, added, certified, checks = _first_hole_free(empty, order, r, s)
     return G, {"edges_added": added, "certified": certified, "checks": checks}
@@ -189,6 +191,8 @@ def space_barrier(
     k = pattern.k
     if n % k != 0:
         raise ValueError(f"part size not divisible: n={n} must be a multiple of k={k}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"candidate budget must be >= 0, got {budget}")
     u_size = n // k - 1
     u_mask = (1 << u_size) - 1
     outside = [0] + [((1 << n) - 1) & ~u_mask for _ in range(k)]
@@ -285,17 +289,17 @@ def random_k_split(
     (including intra-part edges) are dropped.
     """
     edges = []
-    top = -1
+    low, top = 0, -1
     for u, v in host_edges:
         if u == v:
             raise ValueError(f"host edge ({u},{v}) is a loop")
         edges.append((u, v) if u < v else (v, u))
-        top = max(top, u, v)
+        low, top = min(low, u, v), max(top, u, v)
     edges = sorted(set(edges))
     if m is None:
         m = top + 1
-    if top >= m:
-        raise ValueError(f"host vertex {top} out of range for m={m}")
+    if low < 0 or top >= m:
+        raise ValueError(f"host vertex {low if low < 0 else top} out of range for m={m}")
     blocks = sample_balanced_partition(m, pattern.k, seed)
     where = {}
     for p in range(1, pattern.k + 1):
@@ -375,7 +379,7 @@ def _space_barrier_fits(spec: "GenSpec") -> None:
 # family -> (declared params, builder).  The builders call the generators
 # by their module names, so a wrapper bound to those names sees each call;
 # hole_suppressed and space_barrier declare their generators' keywords.
-_BUDGET = Param("budget", int | None, None)
+_BUDGET = Param("budget", int | None, None, low=0)
 FAMILIES = {
     "complete": ((), lambda spec: GenResult(complete_blowup(spec.pattern, spec.n))),
     "random_subgraph": ((Param("p", float, low=0, high=1),), _random_subgraph),

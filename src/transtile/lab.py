@@ -295,9 +295,9 @@ SCENARIOS: dict[str, tuple[tuple[str, ...], tuple[Param, ...], Callable]] = {
         ("built", "total_size", "per_part", "verify_ok", "verify_checks"),
         (
             _INSTANCES,
-            Param("q", float),
-            Param("tau", float),
-            Param("beta_prime", float),
+            Param("q", float, low=0, high=1),
+            Param("tau", float, low=0),
+            Param("beta_prime", float, low=0),
             Param("m", int, low=1),
             Param("beta_m", int, 1, low=0),
             Param("connector_t", int, 1, low=1, high=2),

@@ -404,6 +404,18 @@ def test_reachability_argument_validation():
         is_reachable(G, (1, 0), (2, 0), m=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"m": -1}, "m >= 0, got -1"), ({"m": 1, "trials": -5}, "trials >= 0, got -5")],
+)
+def test_reachability_rejects_negative_counts(kwargs, message):
+    # m = -1 once failed inside random.sample; trials = -5 passed after
+    # the two structured checks
+    G = complete_blowup(K3, 3)
+    with pytest.raises(ValueError, match=message):
+        is_reachable(G, (1, 0), (1, 1), **kwargs)
+
+
 # -- absorbers -----------------------------------------------------------------
 
 
@@ -462,6 +474,27 @@ def test_absorber_rejects_a_repeated_target_vertex():
         find_absorber(G, [(1, 0), (1, 0), (2, 0), (3, 0)])
 
 
+def test_absorber_assembles_its_witnesses_without_a_factor_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_absorber ran a factor search")
+
+    monkeypatch.setattr(absorbing, "exact_transversal_factor_search", no_search)
+    G = random_spanning_subgraph(complete_blowup(K3, 8), 0.8, 1)
+    a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=1)
+    assert a is not None and len(a.witness_full) == len(a.witness_inner) + 1
+    a.validate(G)
+
+
+def test_absorber_rejects_connector_t_3_before_any_search():
+    # on the edgeless graph there is no clique, and both once answered
+    # "none found" (None and []) instead of refusing the parameter
+    G = PartiteGraph.from_edges(K3, 3, [])
+    with pytest.raises(ValueError, match="t must be 1 or 2, got 3"):
+        find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=3)
+    with pytest.raises(ValueError, match="t must be 1 or 2, got 3"):
+        disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], 2, connector_t=3)
+
+
 def test_absorber_forbidden_everything_is_none():
     G = complete_blowup(K3, 4)
     everything = [(p, i) for p in (1, 2, 3) for i in range(4)]
@@ -497,6 +530,57 @@ def test_disjoint_absorbers_stop_at_count_target():
 def test_disjoint_absorbers_on_empty_graph():
     G = PartiteGraph.from_edges(K3, 4, [])
     assert disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], 5) == []
+
+
+# SHA-256 of json.dumps(rows) over 294 outputs: for k in 3, 4, n in 4, 6,
+# 8, p in 0.6, 0.8, 0.95, seeds 0..3 and t in 1, 2, G is a random
+# spanning subgraph (p, seed) of the K_k blow-up and S = {(q, seed % n)};
+# each combination adds find_absorber(G, S, forbidden=[(1, (seed+1) % n)],
+# connector_t=t) as [verts, target, t] or None, then the verts of
+# disjoint_absorbers(G, S, 3, connector_t=t).  Six build_absorbing_set
+# runs on the K3 blow-up at n = 45 (q = 1/45, seeds 0..5) close the list,
+# as to_json_dict() or the error message.  Moving an absorber vertex, a
+# None or a pipeline message moves it.
+ABSORBER_GRID_SHA = "8a66a9b54f755196baa244fa2cc5805cdb7c071ef10732d2b2149dd178fdf7b1"
+
+
+def test_absorbers_are_pinned():
+    rows = []
+    for k, n, p, seed, t in product((3, 4), (4, 6, 8), (0.6, 0.8, 0.95), range(4), (1, 2)):
+        G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
+        S = [(q, seed % n) for q in range(1, k + 1)]
+        a = find_absorber(G, S, forbidden=[(1, (seed + 1) % n)], connector_t=t)
+        rows.append(None if a is None else [a.verts, a.target, a.t])
+        rows.append([a.verts for a in disjoint_absorbers(G, S, 3, connector_t=t)])
+    G = complete_blowup(K3, 45)
+    for seed in range(6):
+        params = AbsorbParams(q=1 / 45, tau=3.0, beta_prime=0.003, m=1, seed=seed)
+        try:
+            rows.append(build_absorbing_set(G, params).to_json_dict())
+        except ValueError as exc:
+            rows.append(str(exc))
+    assert len(rows) == 294
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ABSORBER_GRID_SHA
+
+
+# SHA-256 of json.dumps([build_absorbing_set(G, AbsorbParams(q=1/30,
+# tau=3.0, beta_prime=0.001, m=1, seed=s, connector_t=t)).to_json_dict()
+# ...], sort_keys=True) for t in 1, 2 and s in 0..2, G a random spanning subgraph (0.97,
+# s) of the K3 blow-up at n = 60: six full builds whose absorbers avoid
+# missing edges, under both connector flavours.
+RANDOM_HOST_BUILD_SHA = "b8964a46eb7aa6ff659a1b140b22994aa64f09f26d14e30ac688172aa04cb312"
+
+
+def test_absorbing_sets_on_random_hosts_are_pinned():
+    rows = []
+    for t, seed in product((1, 2), range(3)):
+        G = random_spanning_subgraph(complete_blowup(K3, 60), 0.97, seed)
+        params = AbsorbParams(
+            q=1 / 30, tau=3.0, beta_prime=0.001, m=1, seed=seed, connector_t=t
+        )
+        rows.append(build_absorbing_set(G, params).to_json_dict())
+    canon = json.dumps(rows, sort_keys=True).encode()
+    assert hashlib.sha256(canon).hexdigest() == RANDOM_HOST_BUILD_SHA
 
 
 # -- templates -----------------------------------------------------------------
@@ -674,6 +758,22 @@ def test_build_rejects_insufficient_yz_room():
         build_absorbing_set(
             G, AbsorbParams(q=1 / 6, tau=3.0, beta_prime=0.001, m=2, beta_m=1, seed=0)
         )
+
+
+@pytest.mark.parametrize(
+    "q, beta_prime, message",
+    [
+        (1.5, 0.003, r"stage sample-x: q must lie in \[0, 1\], got 1.5"),
+        (-0.1, 0.003, r"stage sample-x: q must lie in \[0, 1\], got -0.1"),
+        (0.1, -0.01, "stage sample-x: beta_prime must be >= 0, got -0.01"),
+    ],
+)
+def test_build_rejects_out_of_range_sample_params(q, beta_prime, message):
+    # q = 1.5 once failed at stage select-yz ("only -15 remain"), and a
+    # negative beta_prime ran as no fan requirement
+    G = complete_blowup(K3, 30)
+    with pytest.raises(ValueError, match=message):
+        build_absorbing_set(G, AbsorbParams(q=q, tau=3.0, beta_prime=beta_prime, m=1, seed=0))
 
 
 def test_build_fan_stage_fails_on_empty_graph():

@@ -107,6 +107,15 @@ def test_hole_suppressed_validation():
         hole_suppressed_process(Pattern.complete(2), 3, r=2, s=0, seed=0)
 
 
+def test_negative_generator_budget_is_rejected():
+    # both once ran: the process clamped -3 to 0 edges and reported
+    # certified False, and the barrier tried no candidate
+    with pytest.raises(ValueError, match="budget must be >= 0, got -3"):
+        hole_suppressed_process(Pattern.complete(3), 4, 2, 2, seed=0, budget=-3)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        space_barrier(Pattern.cycle(4), 8, budget=-1)
+
+
 def test_hole_suppressed_deterministic():
     a, ra = hole_suppressed_process(Pattern.complete(3), 4, r=2, s=2, seed=31)
     b, rb = hole_suppressed_process(Pattern.complete(3), 4, r=2, s=2, seed=31)
@@ -278,6 +287,12 @@ def test_random_split_validation():
         random_k_split([(0, 9)], Pattern.complete(2), seed=0, m=4)
 
 
+def test_random_split_rejects_a_negative_host_vertex():
+    # once a bare KeyError: -1 from the partition lookup
+    with pytest.raises(ValueError, match=r"^host vertex -1 out of range for m=6$"):
+        random_k_split([(-1, 2), (0, 1)], Pattern.complete(3), 0, m=6)
+
+
 def test_read_edge_list(tmp_path):
     f = tmp_path / "host.txt"
     f.write_text("0 1\n# comment\n2 3  # trailing\n\n1 2\n")
@@ -337,6 +352,9 @@ BAD_GEN_PARAMS = [
     ("random_split", Pattern.complete(2), {}, {"host_edges": [[0, 1.5]]}),
     ("random_split", Pattern.complete(2), {"host_edges": [[0, 1]]}, {"m": "4"}),
     ("random_split", Pattern.complete(2), {"host_edges": [[0, 1]]}, {"m": 4.5}),
+    # a negative budget once loaded and clamped to 0 or tried nothing
+    ("hole_suppressed", Pattern.complete(3), {"r": 2, "s": 2}, {"budget": -3}),
+    ("space_barrier", Pattern.cycle(4), {}, {"budget": -1}),
 ]
 
 

@@ -730,6 +730,12 @@ BAD_PARAMS = [
             ("verify_trials", 0),
         ]
     ),
+    # these once loaded too: q 1.5 failed every row at stage select-yz,
+    # and a negative beta_prime ran as no fan requirement at all
+    *(
+        ("absorbing_pipeline", PIPELINE, {key: bad})
+        for key, bad in [("q", 1.5), ("q", -0.1), ("tau", -1), ("beta_prime", -0.01)]
+    ),
 ]
 
 
