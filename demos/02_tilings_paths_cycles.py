@@ -9,7 +9,6 @@ is a proof, not a timeout.
 
 from transtile import (
     Pattern,
-    VertexSetFamily,
     alpha_star_exact,
     complete_blowup,
     delta_star,
@@ -21,6 +20,7 @@ from transtile import (
     random_spanning_subgraph,
     space_barrier,
 )
+from transtile.core import mask_of
 
 K3 = Pattern.complete(3)
 C4 = Pattern.cycle(4)
@@ -45,20 +45,19 @@ else:
 
 print()
 print("-- transversal paths thread consecutive parts through allowed sets --")
+# a vertex set per part is a list of bitmasks, slot p for part p (slot 0 unused)
 H = complete_blowup(C4, 5)
-X = VertexSetFamily.of({1: (0, 1), 2: range(4), 3: range(4), 4: (0, 1)})
+X = [0, mask_of((0, 1)), mask_of(range(4)), mask_of(range(4)), mask_of((0, 1))]
 path = find_transversal_path(H, 1, 4, X)
 print(f"path across parts 1..4: {[tuple(v) for v in path]}")
-cyc = find_transversal_cycle(H, VertexSetFamily.of({p: range(5) for p in (1, 2, 3, 4)}))
+cyc = find_transversal_cycle(H, [0] + [H.full_mask] * 4)
 print(f"closing it into a cycle: {[tuple(v) for v in cyc.vertex_ids()]}")
 
 print()
 print("-- the space barrier: a small blocker meets every cycle, so no cycle factor --")
 B, U, report = space_barrier(C4, 8, seed=5)
-print(f"n={B.n} delta*={delta_star(B)} blocker sizes {[len(U.subset(p)) for p in (1, 2, 3, 4)]}")
-outside = VertexSetFamily.of(
-    {p: sorted(set(range(B.n)) - set(U.subset(p))) for p in range(1, 5)}
-)
+print(f"n={B.n} delta*={delta_star(B)} blocker sizes {[U[p].bit_count() for p in (1, 2, 3, 4)]}")
+outside = [0] + [B.full_mask & ~U[p] for p in range(1, 5)]
 print(f"cycle avoiding the blocker: {find_transversal_cycle(B, outside)}")
 print(f"full factor: {exact_transversal_factor(B)}")
 print("every transversal cycle must pass through the blocker, and the blocker")

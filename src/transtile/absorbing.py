@@ -20,10 +20,12 @@ Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.
 
-Inside the module a vertex set is only ever held as per-part masks, a
-`list[int]` with slots 1..k as `iter_copies` and the factor search take
-them.  `core.vertex_masks` converts each vertex argument once and
-rejects a vertex outside G.  `_ids` builds the sorted vertex tuples of
+A vertex set is only ever held as per-part masks (see
+`core.part_masks`), inside the module and at its boundary:
+`AbsorbingSet.R` and `AbsorbVerdict.failing` are tuples of masks, and
+`verify_absorbing_property` checks R with `core.part_masks`.
+`core.vertex_masks` converts each vertex argument once and rejects a
+vertex outside G.  `_ids` builds the sorted vertex tuples of
 returned objects, and of the forbidden sets that `disjoint_absorbers`
 and `build_absorbing_set` hand to the public `find_absorber`, which
 they call by name.  No search inside the module takes a vertex tuple.
@@ -56,11 +58,11 @@ from typing import Iterable, Optional, Sequence
 from transtile.core import (
     PartiteGraph,
     VertexId,
-    VertexSetFamily,
     bits,
     common_neighborhood,
     is_transversal_copy,
     mask_of,
+    part_masks,
     vertex_masks,
 )
 from transtile.generators import rng_for
@@ -714,27 +716,27 @@ class AbsorbParams:
 
 @dataclass(frozen=True)
 class AbsorbingSet:
-    """Balanced set R meant to swallow any small balanced leftover."""
+    """Balanced set R, as per-part masks, meant to swallow any small
+    balanced leftover."""
 
-    R: VertexSetFamily
+    R: tuple[int, ...]
     xi: float
     provenance: dict = field(compare=False)
 
     def size_per_part(self) -> int:
-        return len(self.R.subset(1)) if 1 in self.R.parts else 0
+        return self.R[1].bit_count()
 
     def total_size(self) -> int:
-        return sum(len(self.R.subset(p)) for p in self.R.parts)
+        return sum(m.bit_count() for m in self.R[1:])
 
     def validate(self) -> None:
-        sizes = {len(self.R.subset(p)) for p in self.R.parts}
-        if len(sizes) > 1:
+        if len({m.bit_count() for m in self.R[1:]}) > 1:
             raise ValueError("absorbing set must be balanced")
 
     def to_json_dict(self) -> dict:
         return {
             "xi": self.xi,
-            "r": {str(p): sorted(self.R.subset(p)) for p in sorted(self.R.parts)},
+            "r": {str(p): list(bits(self.R[p])) for p in range(1, len(self.R))},
             "provenance": self.provenance,
         }
 
@@ -769,6 +771,8 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         raise ValueError(f"stage sample-x: q must lie in [0, 1], got {params.q}")
     if params.beta_prime < 0:
         raise ValueError(f"stage sample-x: beta_prime must be >= 0, got {params.beta_prime}")
+    if params.tau < 0:
+        raise ValueError(f"stage sample-x: tau must be >= 0, got {params.tau}")
     qn = round(params.q * n)
     x_side = m + beta_m
     if qn < x_side:
@@ -896,11 +900,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
             for edge, a in absorbers
         ],
     }
-    out = AbsorbingSet(
-        R=VertexSetFamily.of({p: bits(reserved[p]) for p in range(1, k + 1)}),
-        xi=xi,
-        provenance=provenance,
-    )
+    out = AbsorbingSet(R=tuple(reserved), xi=xi, provenance=provenance)
     out.validate()
     return out
 
@@ -908,7 +908,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
 @dataclass(frozen=True)
 class AbsorbVerdict:
     ok: bool
-    failing: Optional[VertexSetFamily]
+    failing: Optional[tuple[int, ...]]
     checks: int
 
 
@@ -966,10 +966,7 @@ def verify_absorbing_property(
         raise ValueError("absorbing verification needs xi*n >= k")
     if trials < 1:
         raise ValueError(f"absorbing verification needs trials >= 1, got {trials}")
-    r_masks = [0] * (k + 1)
-    for p in range(1, k + 1):
-        if p in R.R.parts:
-            r_masks[p] = mask_of(R.R.subset(p))
+    r_masks = part_masks(G, R.R, "absorbing set masks")
     outside = [()] + [
         tuple(v for v in range(n) if not (r_masks[p] >> v & 1)) for p in range(1, k + 1)
     ]
@@ -990,8 +987,7 @@ def verify_absorbing_property(
     checks = 0
     for u_sets in draws:
         checks += 1
-        u_masks = [0, *map(mask_of, u_sets)]
+        u_masks = (0, *map(mask_of, u_sets))
         if _absorb_factor(G, r_masks, r_factor(), u_masks)[1] is None:
-            fam = VertexSetFamily.of(dict(enumerate(u_sets, 1)))
-            return AbsorbVerdict(ok=False, failing=fam, checks=checks)
+            return AbsorbVerdict(ok=False, failing=u_masks, checks=checks)
     return AbsorbVerdict(ok=True, failing=None, checks=checks)

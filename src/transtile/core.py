@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 GRAPH_FORMAT = "ptg-v1"
 
@@ -36,13 +36,13 @@ __all__ = [
     "GRAPH_FORMAT",
     "Pattern",
     "VertexId",
-    "VertexSetFamily",
     "PartiteGraph",
     "delta_star",
     "is_transversal_copy",
     "density",
     "common_neighborhood",
     "mask_of",
+    "part_masks",
     "vertex_masks",
     "bits",
     "json_field",
@@ -58,6 +58,16 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def part_masks(G: PartiteGraph, masks: Sequence[int], what: str) -> tuple[int, ...]:
+    """`masks` as per-part masks of G: k+1 ints, slot 0 ignored (read as 0)
+    and slot p a mask of part p below 2^n.  Raises ValueError naming
+    `what` otherwise, a negative mask included."""
+    full = G.full_mask
+    if len(masks) != G.k + 1 or any(m & ~full for m in masks[1:]):
+        raise ValueError(f"{what} need slots 1..{G.k} with bits below n={G.n}")
+    return (0, *masks[1:])
 
 
 def vertex_masks(G: PartiteGraph, ids: Iterable[VertexId | tuple[int, int]]) -> list[int]:
@@ -280,44 +290,6 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class VertexSetFamily:
-    """Ordered list of (part, vertex subset) pairs with distinct parts."""
-
-    entries: tuple[tuple[int, frozenset[int]], ...]
-
-    def __init__(self, entries: Iterable[tuple[int, Iterable[int]]]):
-        norm = tuple((p, frozenset(s)) for p, s in entries)
-        seen = set()
-        for p, _ in norm:
-            if p in seen:
-                raise ValueError(f"part {p} listed twice in family")
-            seen.add(p)
-        object.__setattr__(self, "entries", norm)
-
-    @staticmethod
-    def of(mapping: Mapping[int, Iterable[int]]) -> "VertexSetFamily":
-        return VertexSetFamily(sorted((p, set(s)) for p, s in mapping.items()))
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def subset(self, part: int) -> frozenset[int]:
-        for p, s in self.entries:
-            if p == part:
-                return s
-        raise KeyError(part)
-
-    def mask(self, part: int) -> int:
-        return mask_of(self.subset(part))
-
-    def vertices(self) -> Iterator[VertexId]:
-        for p, s in self.entries:
-            for i in sorted(s):
-                yield VertexId(p, i)
-
-
-@dataclass(frozen=True)
 class PartiteGraph:
     """Immutable balanced blow-up instance of a pattern.
 
@@ -429,15 +401,17 @@ class PartiteGraph:
         return PartiteGraph(self.pattern, self.n, {k: tuple(v) for k, v in adj.items()})
 
     def induced(
-        self, part_masks: Sequence[int]
+        self, masks: Sequence[int]
     ) -> tuple["PartiteGraph", tuple[tuple[int, ...], ...]]:
         """Balanced induced subgraph on the given per-part masks.
 
-        `part_masks` is indexed 1..k (slot 0 ignored).  All masks must
-        select the same number of vertices; returns the reindexed graph
-        plus, per part, the tuple mapping new idx -> old idx.
+        `masks` is indexed 1..k (slot 0 ignored), with bits below n
+        (see `core.part_masks`).  All masks must select the same number
+        of vertices; returns the reindexed graph plus, per part, the
+        tuple mapping new idx -> old idx.
         """
-        keep = [tuple(bits(part_masks[p])) for p in range(self.k + 1)]
+        masks = part_masks(self, masks, "induced masks")
+        keep = [tuple(bits(m)) for m in masks]
         sizes = {len(keep[p]) for p in range(1, self.k + 1)}
         if len(sizes) != 1:
             raise ValueError(f"induced subgraph unbalanced: sizes {sorted(sizes)}")
@@ -452,7 +426,7 @@ class PartiteGraph:
             for a, b in ((i, j), (j, i)):
                 rows = []
                 for old in keep[a]:
-                    nb = self.nbr_mask(a, old, b) & part_masks[b]
+                    nb = self.nbr_mask(a, old, b) & masks[b]
                     rows.append(mask_of(pos[b][o] for o in bits(nb)))
                 adj[(a, b)] = rows
         g = PartiteGraph(self.pattern, m, {k: tuple(v) for k, v in adj.items()})

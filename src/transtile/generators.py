@@ -28,14 +28,13 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Param, Pattern, PartiteGraph, VertexSetFamily, bits
+from transtile.core import Param, Pattern, PartiteGraph, bits
 from transtile.core import json_field, json_params
 from transtile.holes import certify_no_hole
 from transtile.search import sweep
 
 __all__ = [
     "GenSpec",
-    "GenResult",
     "subseed",
     "rng_for",
     "complete_blowup",
@@ -165,9 +164,10 @@ def space_barrier(
     seed: int = 0,
     hole_target_s: Optional[int] = None,
     budget: Optional[int] = None,
-) -> tuple[PartiteGraph, VertexSetFamily, dict]:
+) -> tuple[PartiteGraph, tuple[int, ...], dict]:
     """Cycle-pattern instance where every transversal cycle meets a set U
-    too small to cover a factor, with delta* >= n/k - 1.
+    too small to cover a factor, with delta* >= n/k - 1.  U comes back as
+    per-part masks (see `core.part_masks`).
 
     Takes the complete blow-up of C_k, fixes U_i = the first n/k - 1
     vertices of each part, deletes every edge with both ends outside U,
@@ -243,14 +243,15 @@ def space_barrier(
             adj[(pj, pi)][pb] &= ~(1 << pa)
             continue
         kept.append((i, a, j, b))
-    G, added = base.add_edges(kept), len(kept)
-    certified = None
-    checks = 0
-    if hole_target_s is not None:
+    added, certified, checks = len(kept), None, 0
+    if hole_target_s is None:
+        # adj holds the base edges plus exactly the kept ones
+        G = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
+    else:
         G, added, certified, checks = _first_hole_free(base, kept, 2, hole_target_s)
         if certified:
             tried = candidates.index(kept[added - 1]) + 1 if added else 0
-    U = VertexSetFamily([(p, range(u_size)) for p in range(1, k + 1)])
+    U = (0,) + (u_mask,) * k
     report = {
         "u_size": u_size,
         "edges_added": added,
@@ -333,31 +334,23 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 # -- declarative specs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenResult:
-    graph: PartiteGraph
-    extras: dict = field(default_factory=dict)
-
-
-def _random_subgraph(spec: "GenSpec") -> GenResult:
+def _random_subgraph(spec: "GenSpec") -> PartiteGraph:
     base = complete_blowup(spec.pattern, spec.n)
-    return GenResult(random_spanning_subgraph(base, spec.args["p"], spec.seed))
+    return random_spanning_subgraph(base, spec.args["p"], spec.seed)
 
 
-def _hole_suppressed(spec: "GenSpec") -> GenResult:
-    G, report = hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)
-    return GenResult(G, {"report": report})
+def _hole_suppressed(spec: "GenSpec") -> PartiteGraph:
+    return hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0]
 
 
-def _space_barrier(spec: "GenSpec") -> GenResult:
-    G, U, report = space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)
-    return GenResult(G, {"U": [[p, sorted(U.subset(p))] for p in U.parts], "report": report})
+def _space_barrier(spec: "GenSpec") -> PartiteGraph:
+    return space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0]
 
 
-def _random_split(spec: "GenSpec") -> GenResult:
+def _random_split(spec: "GenSpec") -> PartiteGraph:
     a = spec.args
     edges = a["host_edges"] if a["host_file"] is None else read_edge_list(a["host_file"])
-    return GenResult(random_k_split(edges, spec.pattern, spec.seed, m=a["m"]))
+    return random_k_split(edges, spec.pattern, spec.seed, m=a["m"])
 
 
 def _hole_suppressed_fits(spec: "GenSpec") -> None:
@@ -381,7 +374,7 @@ def _space_barrier_fits(spec: "GenSpec") -> None:
 # hole_suppressed and space_barrier declare their generators' keywords.
 _BUDGET = Param("budget", int | None, None, low=0)
 FAMILIES = {
-    "complete": ((), lambda spec: GenResult(complete_blowup(spec.pattern, spec.n))),
+    "complete": ((), lambda spec: complete_blowup(spec.pattern, spec.n)),
     "random_subgraph": ((Param("p", float, low=0, high=1),), _random_subgraph),
     "hole_suppressed": (
         (Param("r", int, low=2), Param("s", int, low=1), _BUDGET),
@@ -438,7 +431,7 @@ class GenSpec:
         if self.family in FITS:
             FITS[self.family](self)
 
-    def build(self) -> GenResult:
+    def build(self) -> PartiteGraph:
         return FAMILIES[self.family][1](self)
 
     def to_json_dict(self) -> dict:

@@ -176,7 +176,7 @@ class ResultRecord:
 def _load_instance(desc: dict) -> PartiteGraph:
     if "path" in desc:
         return PartiteGraph.load(desc["path"])
-    return GenSpec.from_json_dict(desc).build().graph
+    return GenSpec.from_json_dict(desc).build()
 
 
 def _greedy_by_pattern(G: PartiteGraph):

@@ -5,6 +5,13 @@ pattern edge.  A *tiling* is a family of pairwise disjoint copies; its
 leftover is automatically balanced because every copy consumes exactly
 one vertex per part.  A *factor* is a tiling with empty leftover.
 
+Every search that takes a vertex set per part takes it as per-part
+masks (see `core.part_masks`): the clique, path and cycle searches, the
+copy enumeration and the factor search.  Each checks its masks at the
+call and raises ValueError on a short list, a bit at or above n, or a
+negative mask.  An empty slot holds no vertex, so a clique, path or
+cycle search through that part answers None, and that None is a proof.
+
 Search strategy notes
 ---------------------
 * The search kernels live in `transtile.search`.  Copy searches use
@@ -76,10 +83,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 from transtile.core import (
     PartiteGraph,
     VertexId,
-    VertexSetFamily,
     bits,
     is_transversal_copy,
-    mask_of,
+    part_masks,
 )
 from transtile.search import (
     copy_enumerator,
@@ -182,32 +188,21 @@ def iter_transversal_copies(
 ) -> Iterator[tuple[int, ...]]:
     """All transversal copies with part-p vertex inside masks[p].
 
-    `masks` is indexed 1..k (slot 0 ignored).  The copy kernel of
-    `transtile.search` over all parts: complete, deterministic order.
+    `masks` are per-part masks (see `core.part_masks`), checked at the
+    call.  The copy kernel of `transtile.search` over all parts:
+    complete, deterministic order.
     """
+    masks = part_masks(G, masks, "copy masks")
     return iter_copies(G, range(1, G.k + 1), masks[1:])
 
 
-def _family_masks(G: PartiteGraph, constraints: VertexSetFamily) -> list[int]:
-    masks = [0] * (G.k + 1)
-    for p in range(1, G.k + 1):
-        try:
-            sub = constraints.subset(p)
-        except KeyError:
-            raise ValueError(f"constraint missing part {p}") from None
-        if any(not 0 <= v < G.n for v in sub):
-            raise ValueError(f"constraint for part {p} has an index out of range")
-        masks[p] = mask_of(sub)
-    return masks
-
-
 def find_transversal_clique(
-    G: PartiteGraph, constraints: VertexSetFamily
+    G: PartiteGraph, masks: Sequence[int]
 ) -> Optional[TransversalCopy]:
-    """First transversal clique inside the constraint sets, or None (a proof)."""
+    """First transversal clique with part-p vertex in masks[p], or None (a proof)."""
     if not G.pattern.is_complete:
         raise ValueError("transversal clique search needs a complete pattern")
-    found = next(iter_transversal_copies(G, _family_masks(G, constraints)), None)
+    found = next(iter_transversal_copies(G, masks), None)
     return TransversalCopy(found) if found else None
 
 
@@ -235,28 +230,26 @@ def greedy_clique_tiling(G: PartiteGraph) -> Tiling:
 
 
 def find_transversal_path(
-    G: PartiteGraph, i: int, j: int, X: VertexSetFamily
+    G: PartiteGraph, i: int, j: int, masks: Sequence[int]
 ) -> Optional[tuple[VertexId, ...]]:
-    """Path x_i .. x_j, one vertex per part, inside the given sets.
+    """Path x_i .. x_j, one vertex per part, with x_p in masks[p].
 
-    Parts i..j must be consecutive and each consecutive pair must be
-    pattern-adjacent.  Forward sweep of layer sets, then backtrack; the
-    sweep computes exact reachability, so None is a proof that no such
-    path exists inside the sets.
+    `masks` are per-part masks (see `core.part_masks`), empty outside
+    parts i..j.  Parts i..j must be consecutive and each consecutive
+    pair must be pattern-adjacent.  Forward sweep of layer sets, then
+    backtrack; the sweep computes exact reachability, so None is a
+    proof that no such path exists inside the masks.
     """
     if not 1 <= i < j <= G.k:
         raise ValueError(f"non-consecutive parts: need 1 <= i < j <= k, got ({i},{j})")
-    span = tuple(range(i, j + 1))
-    if tuple(sorted(X.parts)) != span:
-        raise ValueError(
-            f"non-consecutive parts: constraint family covers {X.parts}, need {span}"
-        )
+    masks = part_masks(G, masks, "path masks")
+    if any(masks[p] for p in range(1, G.k + 1) if not i <= p <= j):
+        raise ValueError(f"path masks must be empty outside parts {i}..{j}")
     for a in range(i, j):
         if not G.pattern.adjacent(a, a + 1):
             raise ValueError(f"non-consecutive parts: {a} and {a + 1} not joined")
-    if any(not 0 <= v < G.n for p in span for v in X.subset(p)):
-        raise ValueError("constraint index out of range")
-    layers = sweep(G._adj, span, [X.mask(p) for p in span])
+    span = range(i, j + 1)
+    layers = sweep(G._adj, span, masks[i : j + 1])
     if layers is None:
         return None
     return tuple(VertexId(p, v) for p, v in zip(span, trace_back(G._adj, span, layers)))
@@ -287,12 +280,12 @@ def _first_cycle(G: PartiteGraph, masks: Sequence[int]) -> Optional[tuple[int, .
 
 
 def find_transversal_cycle(
-    G: PartiteGraph, constraints: VertexSetFamily
+    G: PartiteGraph, masks: Sequence[int]
 ) -> Optional[TransversalCopy]:
-    """Transversal cycle inside the constraint sets, or None (a proof)."""
+    """Transversal cycle with part-p vertex in masks[p], or None (a proof)."""
     if not G.pattern.is_cycle:
         raise ValueError("transversal cycle search needs a cycle pattern")
-    found = _first_cycle(G, _family_masks(G, constraints))
+    found = _first_cycle(G, part_masks(G, masks, "cycle masks"))
     return None if found is None else TransversalCopy(found)
 
 
@@ -332,10 +325,8 @@ def exact_transversal_factor_search(
     k = G.k
     if masks is None:
         root = [G.full_mask] * (k + 1)
-    elif len(masks) != k + 1 or any(m & ~G.full_mask for m in masks[1:]):
-        raise ValueError(f"factor masks need slots 1..{k} with bits below n={G.n}")
     else:
-        root = list(masks)
+        root = part_masks(G, masks, "factor masks")
     sizes = sorted({root[p].bit_count() for p in range(1, k + 1)})
     if len(sizes) != 1:
         raise ValueError(f"factor masks unbalanced: sizes {sizes}")
@@ -384,7 +375,7 @@ def exact_transversal_factor_search(
             acc.pop()
         return False
 
-    ok = rec(root[1:], 0, 0)
+    ok = rec(list(root[1:]), 0, 0)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

@@ -10,7 +10,7 @@ import math
 import random
 from itertools import combinations, permutations, product
 
-from transtile.core import Pattern, PartiteGraph, VertexSetFamily, mask_of
+from transtile.core import Pattern, PartiteGraph, mask_of
 from transtile.generators import rng_for
 from transtile.tiling import exact_transversal_factor_search
 
@@ -124,7 +124,7 @@ def naive_verify_absorbing_property(G, R, xi, trials=32, seed=0, exhaustive_limi
     """(ok, failing, checks) of `absorbing.verify_absorbing_property` by one
     full exact factor search on G[R u U] per U, the same U in the same order."""
     k, n = G.k, G.n
-    r = [0] + [mask_of(R.R.subset(p)) if p in R.R.parts else 0 for p in range(1, k + 1)]
+    r = R.R
     outside = [[v for v in range(n) if not r[p] >> v & 1] for p in range(1, k + 1)]
     s_max = min(int(xi * n // k), min(len(o) for o in outside))
     if s_max < 1:
@@ -144,7 +144,7 @@ def naive_verify_absorbing_property(G, R, xi, trials=32, seed=0, exhaustive_limi
             candidates.append([sorted(rng.sample(o, s)) for o in outside])
     for checks, u_sets in enumerate(candidates, 1):
         if not factors(u_sets):
-            return False, VertexSetFamily.of(dict(enumerate(u_sets, 1))), checks
+            return False, (0, *map(mask_of, u_sets)), checks
     return True, None, len(candidates)
 
 

@@ -21,7 +21,6 @@ from transtile.core import (
     Pattern,
     PartiteGraph,
     VertexId,
-    VertexSetFamily,
     bits,
     common_neighborhood,
 )
@@ -695,8 +694,8 @@ def test_build_keeps_stage_sets_inside_r():
     out = build_absorbing_set(G, pipeline_params())
     prov = out.provenance
     for i in range(3):
-        assert set(prov["x"][i]) <= set(out.R.subset(i + 1))
-        assert set(prov["y"][i]) <= set(out.R.subset(i + 1))
+        assert set(prov["x"][i]) <= set(bits(out.R[i + 1]))
+        assert set(prov["y"][i]) <= set(bits(out.R[i + 1]))
     fixed = {
         (p, v)
         for p in range(1, 4)
@@ -705,7 +704,7 @@ def test_build_keeps_stage_sets_inside_r():
     for key, block in prov["z"].items():
         i = int(key.split(",")[0])
         fixed |= {(i, v) for v in block}
-        assert set(block) <= set(out.R.subset(i))
+        assert set(block) <= set(bits(out.R[i]))
     seen = set(map(tuple, ()))
     for rec in prov["absorbers"]:
         verts = {tuple(v) for v in rec["set"]}
@@ -776,6 +775,16 @@ def test_build_rejects_out_of_range_sample_params(q, beta_prime, message):
         build_absorbing_set(G, AbsorbParams(q=q, tau=3.0, beta_prime=beta_prime, m=1, seed=0))
 
 
+def test_build_rejects_negative_tau_up_front(monkeypatch):
+    # tau = -1 once ran every stage and failed only at "stage assemble:
+    # |R| = 147 exceeds tau*n = -60"
+    G = complete_blowup(K3, 60)
+    monkeypatch.setattr(absorbing, "rng_for", None)  # stage sample-x may not start
+    params = AbsorbParams(q=1 / 30, tau=-1.0, beta_prime=0.003, m=1, seed=0)
+    with pytest.raises(ValueError, match=r"^stage sample-x: tau must be >= 0, got -1.0$"):
+        build_absorbing_set(G, params)
+
+
 def test_build_fan_stage_fails_on_empty_graph():
     G = PartiteGraph.from_edges(K3, 12, [])
     with pytest.raises(ValueError, match="no sample kept fans of size 1"):
@@ -796,19 +805,15 @@ def test_verify_absorbing_property_finds_isolated_failure():
     G = complete_blowup(K3, 2).delete_edges(
         [(1, 0, p, a) for p in (2, 3) for a in range(2)]
     )
-    empty = AbsorbingSet(
-        R=VertexSetFamily.of({1: [], 2: [], 3: []}), xi=1.5, provenance={}
-    )
+    empty = AbsorbingSet(R=(0, 0, 0, 0), xi=1.5, provenance={})
     v = verify_absorbing_property(G, empty, xi=1.5, trials=8, seed=0)
     assert not v.ok and v.checks == 1  # exhaustive scan hits (1,0) first
-    assert v.failing.subset(1) == {0}
+    assert v.failing[1] == 0b1
 
 
 def test_verify_absorbing_property_xi_precondition():
     G = complete_blowup(K3, 2)
-    empty = AbsorbingSet(
-        R=VertexSetFamily.of({1: [], 2: [], 3: []}), xi=0.5, provenance={}
-    )
+    empty = AbsorbingSet(R=(0, 0, 0, 0), xi=0.5, provenance={})
     with pytest.raises(ValueError, match="xi\\*n >= k"):
         verify_absorbing_property(G, empty, xi=0.5)
 
@@ -817,18 +822,14 @@ def test_verify_absorbing_property_xi_precondition():
 def test_verify_absorbing_property_needs_a_trial(trials):
     # zero trials once passed with no check made: a "verified" that checked nothing
     G = complete_blowup(K3, 6)
-    empty = AbsorbingSet(
-        R=VertexSetFamily.of({1: [], 2: [], 3: []}), xi=1.5, provenance={}
-    )
+    empty = AbsorbingSet(R=(0, 0, 0, 0), xi=1.5, provenance={})
     with pytest.raises(ValueError, match="trials >= 1"):
         verify_absorbing_property(G, empty, xi=1.5, trials=trials)
 
 
 def test_verify_absorbing_property_vacuous_when_nothing_outside():
     G = complete_blowup(K3, 2)
-    everything = AbsorbingSet(
-        R=VertexSetFamily.of({p: range(2) for p in (1, 2, 3)}), xi=1.5, provenance={}
-    )
+    everything = AbsorbingSet(R=(0, 0b11, 0b11, 0b11), xi=1.5, provenance={})
     v = verify_absorbing_property(G, everything, xi=1.5, trials=4, seed=0)
     assert v.ok and v.checks == 0
 
@@ -868,8 +869,7 @@ def _r_masks(r: int) -> list[int]:
 
 
 def _set_of(masks) -> AbsorbingSet:
-    R = VertexSetFamily.of({p: bits(m) for p, m in enumerate(masks) if p})
-    return AbsorbingSet(R=R, xi=0.0, provenance={})
+    return AbsorbingSet(R=tuple(masks), xi=0.0, provenance={})
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -960,7 +960,7 @@ def test_absorb_factor_failure_is_the_full_search_verdict():
     R = _set_of(r_masks)
     v = verify_absorbing_property(G, R, xi=0.75)
     assert not v.ok and v.checks == 1
-    assert v.failing == VertexSetFamily.of({1: [1], 2: [1], 3: [1]})
+    assert v.failing == (0, 0b10, 0b10, 0b10)
     assert _verdict(v) == naive_verify_absorbing_property(G, R, xi=0.75)
 
 
@@ -987,4 +987,4 @@ def test_absorbing_set_json_shape():
     data = out.to_json_dict()
     assert set(data) == {"xi", "r", "provenance"}
     assert sorted(data["r"]) == ["1", "2", "3"]
-    assert data["r"]["1"] == sorted(out.R.subset(1))
+    assert data["r"]["1"] == list(bits(out.R[1]))

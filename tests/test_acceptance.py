@@ -28,7 +28,6 @@ from transtile.core import (
     Pattern,
     PartiteGraph,
     VertexId,
-    VertexSetFamily,
     bits,
     delta_star,
 )
@@ -131,7 +130,7 @@ def test_criterion_3_space_barrier_blocks_every_transversal_cycle():
     degree_ok = delta_star(G) >= n // k - 1 == 1
 
     # exhaustive scan: no transversal cycle avoids U
-    outside = [sorted(set(range(n)) - set(U.subset(p))) for p in range(1, k + 1)]
+    outside = [list(bits(G.full_mask & ~U[p])) for p in range(1, k + 1)]
     stray = 0
     for tup in product(*outside):
         ring = all(
@@ -140,9 +139,7 @@ def test_criterion_3_space_barrier_blocks_every_transversal_cycle():
         )
         stray += ring
     sweep_agrees = (
-        find_transversal_cycle(
-            G, VertexSetFamily.of({p: outside[p - 1] for p in range(1, k + 1)})
-        )
+        find_transversal_cycle(G, [0] + [G.full_mask & ~U[p] for p in range(1, k + 1)])
         is None
     )
     no_factor = exact_transversal_factor(G) is None
@@ -172,15 +169,13 @@ def test_criterion_4_certified_instances_always_carry_spanning_path():
                 instances.append((G, k))
     found = bad = 0
     for G, k in instances[:50]:
-        X = VertexSetFamily.of(
-            {p: range(2) if p in (1, k) else range(4) for p in range(1, k + 1)}
-        )
+        X = [0] + [0b11 if p in (1, k) else 0b1111 for p in range(1, k + 1)]
         path = find_transversal_path(G, 1, k, X)
         if path is None:
             continue
         valid = len(path) == k
         for slot, vid in enumerate(path, start=1):
-            valid = valid and vid.part == slot and vid.idx in X.subset(slot)
+            valid = valid and vid.part == slot and X[slot] >> vid.idx & 1
         for a in range(k - 1):
             valid = valid and G.has_edge(path[a], path[a + 1])
         found += 1
@@ -340,7 +335,7 @@ def test_criterion_7_absorbing_pipeline_end_to_end():
         )
         # the exhaustive call really enumerated: one check per transversal
         # k-set outside R (125 on the complete instance, 1 on the other)
-        space = math.prod(G.n - len(R.R.subset(p)) for p in range(1, G.k + 1))
+        space = math.prod(G.n - R.R[p].bit_count() for p in range(1, G.k + 1))
         assert space <= 1000 and exhaustive.checks == space, (space, exhaustive)
         results.append(
             randomized.ok and randomized.checks >= 100 and exhaustive.ok

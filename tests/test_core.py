@@ -11,11 +11,11 @@ from transtile.core import (
     Pattern,
     PartiteGraph,
     VertexId,
-    VertexSetFamily,
     common_neighborhood,
     delta_star,
     density,
     is_transversal_copy,
+    part_masks,
 )
 
 
@@ -205,17 +205,16 @@ def test_common_neighborhood_nonadjacent():
         common_neighborhood(G, [(1, 0)], 3)
 
 
-# -- vertex set families --------------------------------------------------------
+# -- per-part masks ---------------------------------------------------------------
 
 
-def test_family_basic():
-    fam = VertexSetFamily.of({2: [0, 1], 1: [3]})
-    assert fam.parts == (1, 2)
-    assert fam.subset(2) == frozenset({0, 1})
-    assert fam.mask(2) == 0b11
-    assert list(fam.vertices()) == [VertexId(1, 3), VertexId(2, 0), VertexId(2, 1)]
-    with pytest.raises(ValueError, match="twice"):
-        VertexSetFamily([(1, [0]), (1, [1])])
+def test_part_masks_checks_slots_and_bits():
+    G = PartiteGraph.complete(Pattern.complete(2), 4)
+    assert part_masks(G, [7, 0b11, 0b1000], "m") == (0, 0b11, 0b1000)
+    assert part_masks(G, (0, 0, 0), "m") == (0, 0, 0)
+    for bad in ([0, 0b1], [0, 0b1, 0b1, 0b1], [0, 0b1, 1 << 4], [0, -1, 0b1]):
+        with pytest.raises(ValueError, match=r"m need slots 1\.\.2 with bits below n=4"):
+            part_masks(G, bad, "m")
 
 
 # -- serialization ---------------------------------------------------------------

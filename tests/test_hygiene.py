@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -65,6 +66,16 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    # an export left behind after its definition is deleted fails here,
+    # before a `from transtile... import *` would
+    name = "transtile" if path.stem == "__init__" else f"transtile.{path.stem}"
+    module = importlib.import_module(name)
+    stale = sorted(n for n in getattr(module, "__all__", ()) if not hasattr(module, n))
+    assert not stale, f"{name}.__all__ names undefined attributes: {', '.join(stale)}"
 
 
 @pytest.mark.parametrize(

@@ -362,7 +362,7 @@ def test_sweep_instances_are_reloadable_and_recomputable():
     records = run(sweep_config())
     from transtile.core import delta_star
     for r in records:
-        G = GenSpec.from_json_dict(r.instance).build().graph
+        G = GenSpec.from_json_dict(r.instance).build()
         assert delta_star(G) == r.metrics["delta_star"]
 
 

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from transtile.core import Pattern, PartiteGraph, VertexId, VertexSetFamily
+from transtile.absorbing import AbsorbingSet, verify_absorbing_property
+from transtile.core import Pattern, PartiteGraph, VertexId, bits, mask_of
 from transtile.generators import (
     GenSpec,
     complete_blowup,
@@ -46,8 +47,8 @@ C4 = Pattern.cycle(4)
 C5 = Pattern.cycle(5)
 
 
-def full_family(G):
-    return VertexSetFamily.of({p: range(G.n) for p in range(1, G.k + 1)})
+def full_masks(G):
+    return [0] + [G.full_mask] * G.k
 
 
 def naive_copy_set(G):
@@ -155,14 +156,14 @@ def test_copy_enumeration_respects_masks():
 
 def test_find_clique_complete_lowest_first():
     G = complete_blowup(K3, 2)
-    found = find_transversal_clique(G, full_family(G))
+    found = find_transversal_clique(G, full_masks(G))
     assert found == TransversalCopy((0, 0, 0))
 
 
 def test_find_clique_inside_hole_is_none():
     # empty graph: the full parts form a hole of arity k
     G = PartiteGraph.from_edges(K3, 3, [])
-    fam = full_family(G)
+    fam = full_masks(G)
     cert = HoleCertificate(3, (1, 2, 3), (frozenset(range(3)),) * 3)
     assert verify_hole(G, cert)
     assert find_transversal_clique(G, fam) is None
@@ -171,7 +172,7 @@ def test_find_clique_inside_hole_is_none():
 @pytest.mark.parametrize("seed", range(6))
 def test_find_clique_agrees_with_tuple_scan(seed):
     G = random_instance(K3, 5, 0.4, seed)
-    found = find_transversal_clique(G, full_family(G))
+    found = find_transversal_clique(G, full_masks(G))
     naive = naive_copy_set(G)
     if found is None:
         assert not naive
@@ -181,13 +182,15 @@ def test_find_clique_agrees_with_tuple_scan(seed):
 
 def test_find_clique_errors():
     G = complete_blowup(K3, 2)
-    with pytest.raises(ValueError, match="constraint missing part 3"):
-        find_transversal_clique(G, VertexSetFamily.of({1: [0], 2: [0]}))
-    with pytest.raises(ValueError, match="out of range"):
-        find_transversal_clique(G, VertexSetFamily.of({1: [0], 2: [0], 3: [5]}))
+    with pytest.raises(ValueError, match="need slots 1..3"):
+        find_transversal_clique(G, [0, 0b1, 0b1])
+    with pytest.raises(ValueError, match="bits below n=2"):
+        find_transversal_clique(G, [0, 0b1, 0b1, 1 << 5])
+    # an empty part holds no clique: None is the proof
+    assert find_transversal_clique(G, [0, 0b1, 0b1, 0]) is None
     H = complete_blowup(C4, 2)
     with pytest.raises(ValueError, match="complete pattern"):
-        find_transversal_clique(H, full_family(H))
+        find_transversal_clique(H, full_masks(H))
 
 
 # -- greedy clique tiling -------------------------------------------------------
@@ -236,8 +239,7 @@ def test_greedy_clique_tiling_rejects_cycle_pattern():
 
 def test_path_complete_blowup():
     G = complete_blowup(C4, 3)
-    X = VertexSetFamily.of({p: range(3) for p in range(1, 5)})
-    path = find_transversal_path(G, 1, 4, X)
+    path = find_transversal_path(G, 1, 4, full_masks(G))
     assert path is not None and len(path) == 4
     for a in range(3):
         assert G.has_edge(path[a], path[a + 1])
@@ -245,7 +247,7 @@ def test_path_complete_blowup():
 
 def test_path_respects_sets():
     G = complete_blowup(C4, 3)
-    X = VertexSetFamily.of({1: [2], 2: [0, 1], 3: [1], 4: [0]})
+    X = [0, 0b100, 0b11, 0b10, 0b1]
     path = find_transversal_path(G, 1, 4, X)
     assert path[0] == VertexId(1, 2) and path[2] == VertexId(3, 1)
 
@@ -254,7 +256,7 @@ def test_path_none_when_sets_disconnected():
     G = complete_blowup(C4, 2).delete_edges(
         [(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 0), (1, 1, 2, 1)]
     )
-    X = VertexSetFamily.of({1: [0, 1], 2: [0, 1], 3: [0, 1]})
+    X = [0, 0b11, 0b11, 0b11, 0]
     assert find_transversal_path(G, 1, 3, X) is None
 
 
@@ -262,7 +264,7 @@ def test_path_none_when_sets_disconnected():
 def test_path_agrees_with_product_scan(seed):
     G = random_instance(C4, 3, 0.4, seed)
     sets = {1: {0, 2}, 2: {0, 1, 2}, 3: {1, 2}}
-    X = VertexSetFamily.of(sets)
+    X = [0] + [mask_of(sets.get(p, ())) for p in range(1, 5)]
     path = find_transversal_path(G, 1, 3, X)
     naive = any(
         G.has_edge((1, a), (2, b)) and G.has_edge((2, b), (3, c))
@@ -277,13 +279,15 @@ def test_path_agrees_with_product_scan(seed):
 
 def test_path_errors():
     G = complete_blowup(C4, 2)
-    X = VertexSetFamily.of({1: [0], 2: [0]})
+    X = [0, 0b1, 0b1, 0, 0]
     with pytest.raises(ValueError, match="non-consecutive parts"):
         find_transversal_path(G, 2, 2, X)
     with pytest.raises(ValueError, match="non-consecutive parts"):
         find_transversal_path(G, 3, 1, X)
-    with pytest.raises(ValueError, match="non-consecutive parts"):
-        find_transversal_path(G, 1, 3, X)  # family spans {1,2}, need {1,2,3}
+    with pytest.raises(ValueError, match="empty outside parts 2..3"):
+        find_transversal_path(G, 2, 3, X)  # part 1 is constrained, the path skips it
+    # part 3 is empty: no path runs through it, and None is the proof
+    assert find_transversal_path(G, 1, 3, X) is None
 
 
 # -- transversal cycles ----------------------------------------------------------
@@ -291,7 +295,7 @@ def test_path_errors():
 
 def test_cycle_complete_blowup():
     G = complete_blowup(C4, 2)
-    found = find_transversal_cycle(G, full_family(G))
+    found = find_transversal_cycle(G, full_masks(G))
     assert found is not None
     ids = found.vertex_ids()
     for a in range(4):
@@ -303,7 +307,7 @@ def test_cycle_complete_blowup():
 def test_cycle_search_is_complete(pattern, seed):
     # the all-anchor sweep must agree with a full tuple scan, both ways
     G = random_instance(pattern, 3, 0.45, seed)
-    found = find_transversal_cycle(G, full_family(G))
+    found = find_transversal_cycle(G, full_masks(G))
     naive = naive_copy_set(G)
     assert (found is not None) == bool(naive)
     if found is not None:
@@ -312,23 +316,23 @@ def test_cycle_search_is_complete(pattern, seed):
 
 def test_cycle_respects_constraints():
     G = complete_blowup(C4, 3)
-    fam = VertexSetFamily.of({1: [2], 2: [1], 3: [0], 4: [2]})
-    found = find_transversal_cycle(G, fam)
+    found = find_transversal_cycle(G, [0, 0b100, 0b10, 0b1, 0b100])
     assert found == TransversalCopy((2, 1, 0, 2))
 
 
 def test_cycle_avoiding_barrier_core_is_none():
     # every transversal cycle must pass through the protected set
     G, U, _ = space_barrier(Pattern.cycle(4), 8, seed=5)
-    outside = VertexSetFamily.of({p: range(1, 8) for p in range(1, 5)})
+    assert U == (0, 0b1, 0b1, 0b1, 0b1)
+    outside = [0] + [G.full_mask & ~U[p] for p in range(1, 5)]
     assert find_transversal_cycle(G, outside) is None
-    assert find_transversal_cycle(G, full_family(G)) is not None
+    assert find_transversal_cycle(G, full_masks(G)) is not None
 
 
 def test_cycle_rejects_non_cycle_pattern():
     G = complete_blowup(Pattern.complete(4), 2)
     with pytest.raises(ValueError, match="cycle pattern"):
-        find_transversal_cycle(G, full_family(G))
+        find_transversal_cycle(G, full_masks(G))
 
 
 def test_greedy_cycle_tiling():
@@ -345,16 +349,54 @@ def test_greedy_cycle_tiling_matches_constrained_searches(pattern, seed):
     # the greedy tiling takes, round by round, the cycle the public search
     # finds inside the vertices not yet covered
     G = random_instance(pattern, 6, 0.7, seed)
-    left = {p: set(range(G.n)) for p in range(1, G.k + 1)}
+    left = full_masks(G)
     expected = []
-    while all(left.values()):
-        found = find_transversal_cycle(G, VertexSetFamily.of(left))
+    while all(left[1:]):
+        found = find_transversal_cycle(G, left)
         if found is None:
             break
         expected.append(found)
-        for p, v in zip(range(1, G.k + 1), found.verts):
-            left[p].discard(v)
+        left = [0, *(m & ~(1 << v) for m, v in zip(left[1:], found.verts))]
     assert list(greedy_cycle_tiling(G).copies) == expected
+
+
+# SHA-256 of json.dumps(rows) over 456 outputs, recorded when the searches
+# took vertex set families: for k in 3, 4, 5, n in 3, 5, 7, p in 0.4, 0.7,
+# 0.9 and seeds 0..2, find_transversal_clique on a random spanning
+# subgraph (p, seed) of the K_k blow-up, inside random masks and inside
+# everything; for k >= 4 the same for find_transversal_cycle on the C_k
+# blow-up, then find_transversal_path over parts (1, k), (2, k-1), (1, 2)
+# inside the cycle's random masks.  Twenty-four space_barrier runs (C4,
+# C5; n = 2k, 3k; seeds 0..2; no hole target and s = 3) close the list as
+# [graph JSON, U's indices per part, report].  A moved witness, None,
+# barrier edge or blocker vertex moves it.
+SEARCH_GRID_SHA = "22793e3883b423308798614c638f0dc015761a5275d54dbb6f3af176fbc082bf"
+
+
+def test_clique_path_cycle_and_barrier_outputs_are_pinned():
+    rows = []
+    for k, n, p, seed in itertools.product((3, 4, 5), (3, 5, 7), (0.4, 0.7, 0.9), range(3)):
+        rng = random.Random(seed * 1000 + k * 10 + n)
+        everything = [0] + [(1 << n) - 1] * k
+        G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
+        masks = [0] + [rng.randrange(1 << n) for _ in range(k)]
+        for found in (find_transversal_clique(G, masks), find_transversal_clique(G, everything)):
+            rows.append(None if found is None else found.verts)
+        if k < 4:
+            continue
+        H = random_spanning_subgraph(complete_blowup(Pattern.cycle(k), n), p, seed)
+        masks = [0] + [rng.randrange(1 << n) for _ in range(k)]
+        for found in (find_transversal_cycle(H, masks), find_transversal_cycle(H, everything)):
+            rows.append(None if found is None else found.verts)
+        for i, j in ((1, k), (2, k - 1), (1, 2)):
+            span = [m if i <= q <= j else 0 for q, m in enumerate(masks)]
+            found = find_transversal_path(H, i, j, span)
+            rows.append(None if found is None else [list(v) for v in found])
+    for k, mult, seed, s in itertools.product((4, 5), (2, 3), range(3), (None, 3)):
+        G, U, report = space_barrier(Pattern.cycle(k), k * mult, seed=seed, hole_target_s=s)
+        rows.append([G.to_json_dict(), [list(bits(U[p])) for p in range(1, k + 1)], report])
+    assert len(rows) == 456
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SEARCH_GRID_SHA
 
 
 # -- exact factor decision ---------------------------------------------------------
@@ -497,7 +539,7 @@ def test_factor_search_pins_the_golden_sweep():
             n=12,
             seed=subseed(2024, "instance", index),
             params={"p": p},
-        ).build().graph
+        ).build()
         t, stats = exact_transversal_factor_search(G, cap=12)
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
@@ -538,15 +580,37 @@ def test_factor_on_masks_whole_graph_is_the_default():
     assert exact_transversal_factor_search(G, None, [0] + [G.full_mask] * 3) == (t, stats)
 
 
-def test_factor_on_masks_rejects_bad_masks():
+def test_factor_on_masks_rejects_unbalanced_masks():
     G = complete_blowup(K3, 4)
     with pytest.raises(ValueError, match="unbalanced"):
         exact_transversal_factor_search(G, None, [0, 0b11, 0b11, 0b1])
-    for bad in (1 << 4, 0b10001, -1):
-        with pytest.raises(ValueError, match="bits below n=4"):
-            exact_transversal_factor_search(G, None, [0, 0b1, 0b1, bad])
-    with pytest.raises(ValueError, match="slots"):
-        exact_transversal_factor_search(G, None, [0, 0b1, 0b1])
+
+
+# every public entry that takes per-part masks, as (pattern, call)
+MASK_ENTRIES = {
+    "factor_search": (K3, lambda G, m: exact_transversal_factor_search(G, None, m)),
+    "clique": (K3, find_transversal_clique),
+    "cycle": (C4, find_transversal_cycle),
+    "path": (C4, lambda G, m: find_transversal_path(G, 1, 4, m)),
+    "copies": (K3, iter_transversal_copies),
+    "induced": (K3, lambda G, m: G.induced(m)),
+    "absorbing_R": (
+        K3,
+        lambda G, m: verify_absorbing_property(G, AbsorbingSet(tuple(m), 1.0, {}), xi=1.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("last", [None, 1 << 4, 0b10001, -1], ids=["short", "n", "n_and_0", "neg"])
+@pytest.mark.parametrize("entry", list(MASK_ENTRIES))
+def test_mask_entries_reject_bad_masks(entry, last):
+    # a short list, a bit at n and -1 (once an endless loop in `induced`)
+    # are refused at the call, before any search or iteration
+    pattern, call = MASK_ENTRIES[entry]
+    G = complete_blowup(pattern, 4)
+    masks = [0] + [0b1] * (G.k - 1) + ([] if last is None else [last])
+    with pytest.raises(ValueError, match=rf"need slots 1\.\.{G.k} with bits below n=4$"):
+        call(G, masks)
 
 
 def test_factor_on_masks_cap_counts_the_mask_size():
