@@ -253,12 +253,17 @@ def _scn_appendix_invariants(G: PartiteGraph, args: dict, seed: int) -> dict:
 
 def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
-    # degree floor, the exact factor decision, and the greedy leftover
-    tiling, _stats = exact_transversal_factor_search(G, cap=args["cap"])
+    # degree floor, the exact factor decision, and the greedy leftover.
+    # A greedy tiling with no leftover is a factor, so it answers first,
+    # unless the exact search would refuse the instance's size
     greedy = _greedy_by_pattern(G)
+    cap = args["cap"]
+    exists = greedy.leftover_per_part == 0 and (cap is None or G.n <= cap)
+    if not exists:
+        exists = exact_transversal_factor_search(G, cap=cap)[0] is not None
     return {
         "delta_star": delta_star(G),
-        "exists": tiling is not None,
+        "exists": exists,
         "greedy_leftover": greedy.leftover_per_part,
     }
 
@@ -267,12 +272,12 @@ def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
 # reads the params parsed at config load, and metrics it returns outside
 # its columns stay in the JSON mirror and never reach the CSV
 _INSTANCES = Param("instances", int, 1, low=1)
-_FACTOR_CAP = Param("cap", int | None, FACTOR_CAP_DEFAULT)
+_FACTOR_CAP = Param("cap", int | None, FACTOR_CAP_DEFAULT, low=0)
 SCENARIOS: dict[str, tuple[tuple[str, ...], tuple[Param, ...], Callable]] = {
     "hole_scan": (
         ("r", "alpha", "method", "explored"),
         # r <= k is checked per instance: a graph file's k is known only when it loads
-        (_INSTANCES, Param("r", int, 2, low=2), Param("cap", int, EXACT_CAP_DEFAULT)),
+        (_INSTANCES, Param("r", int, 2, low=2), Param("cap", int, EXACT_CAP_DEFAULT, low=0)),
         _scn_hole_scan,
     ),
     "greedy_tiling": (("copies", "leftover_per_part"), (_INSTANCES,), _scn_greedy_tiling),

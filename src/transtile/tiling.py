@@ -27,14 +27,20 @@ Search strategy notes
   and all anchors are tried, so this search is complete at every size
   (no fallback needed for negative answers).
 * The factor solver branches on the copies covering the lowest-degree
-  uncovered vertex of part 1 (fail-first ordering).  It is exponential
-  in the worst case and guarded by a size cap; absence answers come
-  with search statistics.
+  uncovered vertex of part 1 (fail-first ordering).  That search never
+  sees a vertex of another part that lies in no copy, so past a budget
+  of 2m nodes (m vertices per part) it starts again by Knuth's column
+  choice for exact cover ("Dancing Links", arXiv:cs/0011047) over an
+  index of every copy: branch on the uncovered vertex, in any part, in
+  the fewest live copies, and refute a node where one lies in none.
+  Both are exponential in the worst case and guarded by a size cap;
+  absence answers come with search statistics.
 * The factor solver takes optional per-part root masks and then decides
   a factor of the induced instance in place, in G's own labels.  The
   relabelling of `PartiteGraph.induced` is monotone within each part,
   so on the induced copy every choice (fail-first order, copy order,
-  Hall matchings) would be the same; the masks only skip building it.
+  column choice, Hall matchings) would be the same; the masks only skip
+  building it.
 * The factor solver prunes by Hall's condition, lazily.  A factor of
   the remaining vertices restricts to a perfect matching between the
   remaining vertices of parts p and q for every pattern edge pq, so a
@@ -42,9 +48,10 @@ Search strategy notes
   factor.  `has_perfect_matching` from `transtile.search` decides each
   matching on the graph's own neighbour rows.  The check runs at a node
   only after its first child has failed, before the second is tried: a
-  search that never backtracks pays nothing for it.  The prune only cuts subtrees without a factor
-  and leaves the branching order alone, so the first factor found (the
-  witness) is the one the unpruned search finds, and None is still a
+  search that never backtracks pays nothing for it.  Both phases prune
+  so.  The prune only cuts subtrees without a factor and leaves the
+  branching order alone, so a search that ends within its budget finds
+  the witness the unpruned part-1 search finds, and None is still a
   proof; only `nodes` and `max_depth` shrink.
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
@@ -304,6 +311,15 @@ def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
 # -- exact factor decision ---------------------------------------------------------
 
 
+# the column phase indexes at most this many copies (about 10 MB); a
+# search with more runs the part-1 search to the end instead
+_INDEX_CAP = 1 << 16
+
+
+class _OverBudget(Exception):
+    """The part-1 phase of the factor search would pass its node budget."""
+
+
 def exact_transversal_factor_search(
     G: PartiteGraph,
     cap: Optional[int] = FACTOR_CAP_DEFAULT,
@@ -314,13 +330,29 @@ def exact_transversal_factor_search(
     `masks`, indexed 1..k (slot 0 ignored), are per-part root masks: the
     search decides a factor of the induced instance G[masks] in place,
     without relabelling.  They must select equally many vertices in
-    every part, all below n; None means the whole graph.  Branches on
-    the copies through the lowest-degree uncovered part-1 vertex, and
-    prunes a node by Hall's condition once its first child has failed.
-    Returns (factor, stats) or (None, stats); None is a proof of
-    absence.  A factor is a `Tiling` of G in G's own labels whose
-    leftover is exactly the complement of the masks.  Refuses a mask
-    size above the cap unless cap is None.
+    every part, all below n; None means the whole graph.  Returns
+    (factor, stats) or (None, stats); None is a proof of absence.  A
+    factor is a `Tiling` of G in G's own labels whose leftover is
+    exactly the complement of the masks.  Refuses a mask size m above
+    the cap unless cap is None.
+
+    The search runs in two phases, each complete, and counts one node
+    per copy tried.
+    1. The part-1 search branches on the copies through the lowest-degree
+       uncovered part-1 vertex, and prunes a node by Hall's condition once
+       its first child has failed.  If it ends within 2m nodes, its answer
+       and stats are the result, and a factor lists its copies in the
+       order of their part-1 vertices by degree.
+    2. Otherwise the search starts again at the root by Knuth's column
+       choice over an index of every copy inside the masks: it branches
+       on the uncovered vertex, in any part, with the fewest live copies
+       (those disjoint from every copy taken; ties to the lowest part,
+       then index), refutes a node where that count is 0, tries the live
+       copies in index order, and keeps the Hall prune.  A factor lists
+       its copies in the order they were taken, and `nodes` and
+       `max_depth` count both phases.  Above 2^16 copies (`_INDEX_CAP`)
+       the index is not kept, and the part-1 search runs again with no
+       budget, so answer and stats are those of the part-1 search alone.
     """
     k = G.k
     if masks is None:
@@ -344,9 +376,13 @@ def exact_transversal_factor_search(
     # below, masks are indexed by position, part p at p - 1
     copies = copy_enumerator(G, range(1, k + 1))
     hall = [(G._adj[p, q], p - 1, q - 1) for p, q in G.pattern.edge_list()]
+    budget: Optional[int] = 2 * sizes[0]
     nodes = 0
     best_depth = 0
     acc: list[tuple[int, ...]] = []
+
+    def hall_holds(cur: list[int]) -> bool:
+        return all(has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall)
 
     def rec(cur: list[int], depth: int, start: int) -> bool:
         # part 1 only loses vertices along a branch, and each branch
@@ -364,10 +400,10 @@ def exact_transversal_factor_search(
         cand = cur.copy()
         cand[0] = 1 << order[i]
         for tried, found in enumerate(copies(cand)):
-            if tried == 1 and not all(
-                has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall
-            ):
+            if tried == 1 and not hall_holds(cur):
                 return False
+            if nodes == budget:
+                raise _OverBudget
             nodes += 1
             acc.append(found)
             if rec([m ^ (1 << v) for m, v in zip(cur, found)], depth + 1, i + 1):
@@ -375,7 +411,56 @@ def exact_transversal_factor_search(
             acc.pop()
         return False
 
-    ok = rec(list(root[1:]), 0, 0)
+    def column(cur: list[int], live: int, depth: int) -> bool:
+        # through[p][v] is the mask of index positions of the copies
+        # through vertex v of part p; live masks the copies still disjoint
+        # from every copy taken
+        nonlocal nodes, best_depth
+        if depth > best_depth:
+            best_depth = depth
+        if not cur[0]:
+            return True
+        least = None
+        for p, m in enumerate(cur):
+            rows = through[p]
+            for v in bits(m):
+                c = (rows[v] & live).bit_count()
+                if least is None or c < least:
+                    if not c:
+                        return False  # a dead column: no copy covers v
+                    least, pick = c, rows[v] & live
+        for tried, i in enumerate(bits(pick)):
+            if tried == 1 and not hall_holds(cur):
+                return False
+            nodes += 1
+            found = index[i]
+            kill = 0
+            for rows, v in zip(through, found):
+                kill |= rows[v]
+            acc.append(found)
+            if column([m ^ (1 << v) for m, v in zip(cur, found)], live & ~kill, depth + 1):
+                return True
+            acc.pop()
+        return False
+
+    try:
+        ok = rec(list(root[1:]), 0, 0)
+    except _OverBudget:
+        acc.clear()
+        index = list(itertools.islice(copies(root[1:]), _INDEX_CAP + 1))
+        if len(index) > _INDEX_CAP:
+            nodes = best_depth = 0
+            budget = None
+            ok = rec(list(root[1:]), 0, 0)
+        else:
+            # one bitmap per (part, vertex), built bytewise: OR-ing one
+            # bit at a time into growing ints would be quadratic in copies
+            maps = [[bytearray(len(index) + 7 >> 3) for _ in range(G.n)] for _ in range(k)]
+            for i, found in enumerate(index):
+                for part, v in zip(maps, found):
+                    part[v][i >> 3] |= 1 << (i & 7)
+            through = [[int.from_bytes(b, "little") for b in part] for part in maps]
+            ok = column(list(root[1:]), (1 << len(index)) - 1, 0)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

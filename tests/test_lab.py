@@ -302,6 +302,17 @@ def test_instance_failures_are_recorded_not_raised():
     assert "exact mode refused" in records[0].metrics["error"]
 
 
+def test_sweep_greedy_factor_does_not_skip_the_cap_refusal():
+    # at p=1.0 the greedy tiling is a factor, but n=13 exceeds the
+    # default cap, so the row is still the exact search's refusal
+    cfg = sweep_config(
+        gen=GenSpec(family="complete", pattern=K3, n=13),
+        params={"p_grid": [1.0], "seeds_per_p": 1},
+    )
+    (record,) = run(cfg)
+    assert record.failed and "exact mode refused" in record.metrics["error"]
+
+
 def test_absorber_census_bad_target_is_a_config_error():
     # a bare int target once made every instance raise TypeError; the
     # config now refuses it at load
@@ -736,6 +747,10 @@ BAD_PARAMS = [
         ("absorbing_pipeline", PIPELINE, {key: bad})
         for key, bad in [("q", 1.5), ("q", -0.1), ("tau", -1), ("beta_prime", -0.01)]
     ),
+    # a negative cap once loaded and refused every row
+    ("hole_scan", {}, {"cap": -1}),
+    ("factor_decision", {}, {"cap": -1}),
+    ("threshold_sweep", SWEEP, {"cap": -1}),
 ]
 
 

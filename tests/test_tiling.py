@@ -24,6 +24,7 @@ from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     MixedCopy,
     MixedTiling,
+    SearchStats,
     Tiling,
     TransversalCopy,
     check_appendix_invariants,
@@ -37,6 +38,7 @@ from transtile.tiling import (
     iter_transversal_copies,
     maximal_mixed_tiling,
 )
+from transtile import tiling
 from transtile.search import has_perfect_matching
 
 from conftest import naive_has_perfect_matching, random_instance
@@ -487,21 +489,45 @@ def unpruned_factor_search(G):
 
 
 def assert_same_as_unpruned(G):
+    # a search that ends within its 2n-node budget is the part-1 search
+    # alone and must find the unpruned witness; past the budget the
+    # column phase finds its own, so only the answer and the work bound
+    # are compared there
     t, stats = exact_transversal_factor_search(G, cap=None)
     ref, ref_nodes = unpruned_factor_search(G)
     assert (t is None) == (ref is None)
     if t is not None:
-        assert tuple(c.verts for c in t.copies) == ref
+        Tiling.build(G, t.copies)
+        assert len(t.copies) == G.n
+        if stats.nodes <= 2 * G.n:
+            assert tuple(c.verts for c in t.copies) == ref
     assert stats.nodes <= ref_nodes
     return t
+
+
+def witness_case(pattern, seed):
+    n = 4 + seed % 4
+    p = (0.4, 0.5, 0.6, 0.7)[seed // 4 % 4]
+    return random_instance(pattern, n, p, seed)
 
 
 @pytest.mark.parametrize("pattern", [K3, C4, C5])
 @pytest.mark.parametrize("seed", range(20))
 def test_factor_witness_matches_unpruned_search(pattern, seed):
-    n = 4 + seed % 4
-    p = (0.4, 0.5, 0.6, 0.7)[seed // 4 % 4]
-    assert_same_as_unpruned(random_instance(pattern, n, p, seed))
+    assert_same_as_unpruned(witness_case(pattern, seed))
+
+
+def test_witness_cases_cover_the_column_phase(monkeypatch):
+    # the cases above check the column phase only where the part-1
+    # search passes its budget; 12 of the 60 do, and at least 10 must.
+    # With no room for a copy index, the part-1 search runs to the end
+    monkeypatch.setattr(tiling, "_INDEX_CAP", 0)
+    switched = 0
+    for pattern in (K3, C4, C5):
+        for seed in range(20):
+            G = witness_case(pattern, seed)
+            switched += exact_transversal_factor_search(G, cap=None)[1].nodes > 2 * G.n
+    assert switched >= 10
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -512,7 +538,9 @@ def test_factor_space_barrier_matches_unpruned_search(seed):
 
 def test_factor_space_barrier_node_budget():
     # Work-count guard for the Hall prune: these eight absence proofs
-    # took 30462 nodes unpruned and take 41 with the prune.
+    # took 30462 nodes unpruned and 41 with the prune; seed 5 passes the
+    # 16-node budget, and with the column phase they take 57 (92 if the
+    # column phase dropped the prune).
     total = 0
     for seed in range(8):
         G, _, _ = space_barrier(C4, 8, seed=seed)
@@ -526,25 +554,80 @@ def test_factor_space_barrier_node_budget():
 # on the golden threshold sweep's 220 instances (K3, n=12, p = 0.5..1.0,
 # 20 seeds each, config seed 2024): a change to the search tree, a
 # witness or the generated graphs moves it
-GOLDEN_SWEEP_FACTOR_SHA = "60f171a512f4bed5eb986adf2f6f341996558ac755e217b1b87a62c23e8f688b"
+GOLDEN_SWEEP_FACTOR_SHA = "17e1d014689deda522bd43fd734bfa440221f59c6907dc0b85f0234efb457f42"
+# the instances whose part-1 search takes more than 2n = 24 nodes, and so
+# switches to the column phase, and the SHA-256 of the rows of the other
+# 189, recorded before the column phase existed: they must not move
+GOLDEN_SWEEP_SWITCHED = (
+    0, 4, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 21, 23, 27, 29,
+    30, 31, 34, 35, 37, 43, 44, 53, 54, 69, 74, 77, 97, 100, 120,
+)
+GOLDEN_SWEEP_UNSWITCHED_SHA = "34f5939e27b036c4da34edef080890251d687d155f7796c26d78a9a9e521a6b5"
+
+
+def sweep_instance(config_seed, index, p=0.5):
+    return GenSpec(
+        family="random_subgraph",
+        pattern=K3,
+        n=12,
+        seed=subseed(config_seed, "instance", index),
+        params={"p": p},
+    ).build()
 
 
 def test_factor_search_pins_the_golden_sweep():
     grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
     rows = []
     for index, p in enumerate(p for p in grid for _ in range(20)):
-        G = GenSpec(
-            family="random_subgraph",
-            pattern=K3,
-            n=12,
-            seed=subseed(2024, "instance", index),
-            params={"p": p},
-        ).build()
-        t, stats = exact_transversal_factor_search(G, cap=12)
+        t, stats = exact_transversal_factor_search(sweep_instance(2024, index, p), cap=12)
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
+    kept = [row for row in rows if row[0] not in GOLDEN_SWEEP_SWITCHED]
+    assert all(row[1] <= 24 for row in kept)
+    assert all(rows[i][1] >= 24 for i in GOLDEN_SWEEP_SWITCHED)
+    assert hashlib.sha256(json.dumps(kept).encode()).hexdigest() == GOLDEN_SWEEP_UNSWITCHED_SHA
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_SWEEP_FACTOR_SHA
+
+
+def test_factor_search_dead_column_refutes_the_heavy_tail():
+    # no factor: a part-3 vertex lies in no copy, which the part-1
+    # search never sees (402,761 nodes); the column phase refutes the
+    # root after the 24-node budget
+    t, stats = exact_transversal_factor_search(sweep_instance(10002, 5))
+    assert t is None and stats.nodes <= 48
+
+
+def test_factor_search_column_phase_finds_the_heavy_tail_factor():
+    # the part-1 search backtracks through 12,243 nodes; the column
+    # phase takes one copy per vertex after the budget
+    G = sweep_instance(10001, 7)
+    t, stats = exact_transversal_factor_search(G)
+    assert t is not None and stats.nodes <= 72
+    Tiling.build(G, t.copies)
+    assert len(t.copies) == 12
+
+
+# the part-1 search's witness on sweep_instance(10001, 7), the one the
+# factor search returned before the column phase existed (12,243 nodes)
+PART1_WITNESS = (
+    (2, 0, 2), (7, 1, 8), (8, 3, 3), (4, 8, 5), (9, 7, 10), (0, 10, 0),
+    (1, 9, 1), (3, 11, 6), (5, 6, 11), (11, 2, 4), (6, 4, 7), (10, 5, 9),
+)
+
+
+@pytest.mark.parametrize("index_cap", [0, 8])
+def test_factor_search_over_the_index_cap_is_the_part1_search(monkeypatch, index_cap):
+    # with more copies than the index may hold, a search past its budget
+    # keeps the part-1 search to the end: its witness, its node count
+    G = sweep_instance(10001, 7)
+    monkeypatch.setattr(tiling, "_INDEX_CAP", index_cap)
+    t, stats = exact_transversal_factor_search(G)
+    assert tuple(c.verts for c in t.copies) == PART1_WITNESS
+    assert stats == SearchStats(nodes=12243, max_depth=12)
+    # at exactly as many copies as the cap, the index is kept
+    monkeypatch.setattr(tiling, "_INDEX_CAP", len(list(iter_transversal_copies(G, full_masks(G)))))
+    assert exact_transversal_factor_search(G)[1].nodes <= 72
 
 
 def _random_masks(rng, n, size):
