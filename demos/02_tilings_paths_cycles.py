@@ -12,7 +12,6 @@ from transtile import (
     alpha_star_exact,
     complete_blowup,
     delta_star,
-    exact_transversal_factor,
     exact_transversal_factor_search,
     find_transversal_cycle,
     find_transversal_path,
@@ -59,6 +58,6 @@ B, U, report = space_barrier(C4, 8, seed=5)
 print(f"n={B.n} delta*={delta_star(B)} blocker sizes {[U[p].bit_count() for p in (1, 2, 3, 4)]}")
 outside = [0] + [B.full_mask & ~U[p] for p in range(1, 5)]
 print(f"cycle avoiding the blocker: {find_transversal_cycle(B, outside)}")
-print(f"full factor: {exact_transversal_factor(B)}")
+print(f"full factor: {exact_transversal_factor_search(B)[0]}")
 print("every transversal cycle must pass through the blocker, and the blocker")
 print("is too small to cover a factor, so both answers above are None")

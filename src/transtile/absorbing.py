@@ -20,15 +20,18 @@ Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.
 
-A vertex set is only ever held as per-part masks (see
-`core.part_masks`), inside the module and at its boundary:
-`AbsorbingSet.R` and `AbsorbVerdict.failing` are tuples of masks, and
-`verify_absorbing_property` checks R with `core.part_masks`.
-`core.vertex_masks` converts each vertex argument once and rejects a
-vertex outside G.  `_ids` builds the sorted vertex tuples of
-returned objects, and of the forbidden sets that `disjoint_absorbers`
-and `build_absorbing_set` hand to the public `find_absorber`, which
-they call by name.  No search inside the module takes a vertex tuple.
+Inside the module a vertex set is held as per-part masks (see
+`core.part_masks`), and no search takes a vertex tuple.
+`AbsorbingSet.R` and `AbsorbVerdict.failing` are tuples of masks too,
+and `verify_absorbing_property` checks R with `core.part_masks`.  The
+rest of the boundary speaks in vertices: the `forbidden` argument of
+`find_absorber` and `disjoint_absorbers` and the `W` of
+`find_connector` are iterables of (part, index) pairs, which
+`core.vertex_masks` converts once, rejecting a vertex outside G; and
+the fields of `Fan`, `Connector` and `Absorber` are vertex tuples.
+`_ids` builds the sorted vertex tuples of returned objects, and of the
+forbidden sets that `disjoint_absorbers` and `build_absorbing_set` hand
+to the public `find_absorber`, which they call by name.
 
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
@@ -67,7 +70,7 @@ from transtile.core import (
 )
 from transtile.generators import rng_for
 from transtile.search import copy_enumerator, has_perfect_matching, iter_copies
-from transtile.tiling import TransversalCopy, exact_transversal_factor_search
+from transtile.tiling import Tiling, TransversalCopy, exact_transversal_factor_search
 
 __all__ = [
     "Fan",
@@ -119,16 +122,11 @@ def _check_partition(
     expected: set[VertexId],
     label: str,
 ) -> None:
-    seen: set[VertexId] = set()
-    for c in copies:
-        ids = c.vertex_ids()
-        if not is_transversal_copy(G, ids):
-            raise ValueError(f"{label}: witness copy {c.verts} is not transversal")
-        for v in ids:
-            if v in seen:
-                raise ValueError(f"{label}: witness copies overlap at {v}")
-            seen.add(v)
-    if seen != expected:
+    try:
+        exact = Tiling.build(G, copies).covered_masks() == vertex_masks(G, expected)
+    except ValueError as e:
+        raise ValueError(f"{label}: {e}") from None
+    if not exact:
         raise ValueError(f"{label}: witness factor does not cover the set exactly")
 
 

@@ -568,6 +568,8 @@ def _cmd_plot(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
+        if args.cap < 0:
+            raise ValueError(f"--cap must be >= 0, got {args.cap}")
         G = PartiteGraph.load(args.graph)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,15 +26,18 @@ Search strategy notes
   anchor's neighbours; layered reachability is exact for each anchor,
   and all anchors are tried, so this search is complete at every size
   (no fallback needed for negative answers).
-* The factor solver branches on the copies covering the lowest-degree
-  uncovered vertex of part 1 (fail-first ordering).  That search never
-  sees a vertex of another part that lies in no copy, so past a budget
-  of 2m nodes (m vertices per part) it starts again by Knuth's column
-  choice for exact cover ("Dancing Links", arXiv:cs/0011047) over an
-  index of every copy: branch on the uncovered vertex, in any part, in
-  the fewest live copies, and refute a node where one lies in none.
-  Both are exponential in the worst case and guarded by a size cap;
-  absence answers come with search statistics.
+* The factor solver is one recursive node fed by a branching rule:
+  a node is solved when part 1 is covered, and otherwise tries the
+  copies its rule yields.  The part-1 rule yields the copies through
+  the lowest-degree uncovered vertex of part 1 (fail-first ordering).
+  It never sees a vertex of another part that lies in no copy, so past
+  a budget of 2m nodes (m vertices per part) the search starts again
+  under the column rule, Knuth's column choice for exact cover
+  ("Dancing Links", arXiv:cs/0011047) over an index of every copy: it
+  yields the live copies of the uncovered vertex, in any part, in the
+  fewest live copies, and nothing when one lies in none.  Both phases
+  are exponential in the worst case and guarded by a size cap; absence
+  answers come with search statistics.
 * The factor solver takes optional per-part root masks and then decides
   a factor of the induced instance in place, in G's own labels.  The
   relabelling of `PartiteGraph.induced` is monotone within each part,
@@ -48,11 +51,12 @@ Search strategy notes
   factor.  `has_perfect_matching` from `transtile.search` decides each
   matching on the graph's own neighbour rows.  The check runs at a node
   only after its first child has failed, before the second is tried: a
-  search that never backtracks pays nothing for it.  Both phases prune
-  so.  The prune only cuts subtrees without a factor and leaves the
-  branching order alone, so a search that ends within its budget finds
-  the witness the unpruned part-1 search finds, and None is still a
-  proof; only `nodes` and `max_depth` shrink.
+  search that never backtracks pays nothing for it.  The node runs the
+  check, so both rules prune.  The prune only cuts subtrees without a
+  factor and leaves the branching order alone, so a search that ends
+  within its budget finds the witness the unpruned part-1 search
+  finds, and None is still a proof; only `nodes` and `max_depth`
+  shrink.
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
 vertex per part by isolated filler vertices: a 3-vertex path across
@@ -114,7 +118,6 @@ __all__ = [
     "find_transversal_path",
     "find_transversal_cycle",
     "greedy_cycle_tiling",
-    "exact_transversal_factor",
     "exact_transversal_factor_search",
     "maximal_mixed_tiling",
     "check_appendix_invariants",
@@ -336,23 +339,25 @@ def exact_transversal_factor_search(
     exactly the complement of the masks.  Refuses a mask size m above
     the cap unless cap is None.
 
-    The search runs in two phases, each complete, and counts one node
-    per copy tried.
-    1. The part-1 search branches on the copies through the lowest-degree
-       uncovered part-1 vertex, and prunes a node by Hall's condition once
-       its first child has failed.  If it ends within 2m nodes, its answer
+    The search is one recursive node, which counts one node per copy
+    tried.  A node with part 1 covered is solved; otherwise it tries the
+    copies its branching rule yields, in turn, and prunes by Hall's
+    condition once its first child has failed.  Two rules feed it, each
+    complete, one per phase.
+    1. `part1` yields the copies through the lowest-degree uncovered
+       part-1 vertex.  If the search ends within 2m nodes, its answer
        and stats are the result, and a factor lists its copies in the
        order of their part-1 vertices by degree.
-    2. Otherwise the search starts again at the root by Knuth's column
-       choice over an index of every copy inside the masks: it branches
-       on the uncovered vertex, in any part, with the fewest live copies
-       (those disjoint from every copy taken; ties to the lowest part,
-       then index), refutes a node where that count is 0, tries the live
-       copies in index order, and keeps the Hall prune.  A factor lists
-       its copies in the order they were taken, and `nodes` and
-       `max_depth` count both phases.  Above 2^16 copies (`_INDEX_CAP`)
-       the index is not kept, and the part-1 search runs again with no
-       budget, so answer and stats are those of the part-1 search alone.
+    2. Otherwise the search starts again at the root under `column`,
+       Knuth's column choice over an index of every copy inside the
+       masks: it yields the live copies (those disjoint from every copy
+       taken) of the uncovered vertex, in any part, with the fewest of
+       them (ties to the lowest part, then index), in index order, and
+       nothing where that count is 0.  A factor lists its copies in the
+       order they were taken, and `nodes` and `max_depth` count both
+       phases.  Above 2^16 copies (`_INDEX_CAP`) the index is not kept,
+       and the search reruns under `part1` with no budget, so answer and
+       stats are those of the part-1 search alone.
     """
     k = G.k
     if masks is None:
@@ -384,42 +389,42 @@ def exact_transversal_factor_search(
     def hall_holds(cur: list[int]) -> bool:
         return all(has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall)
 
-    def rec(cur: list[int], depth: int, start: int) -> bool:
-        # part 1 only loses vertices along a branch, and each branch
-        # removes its branching vertex order[i], so the scan for the next
-        # uncovered vertex resumes at i + 1
+    def node(cur: list[int], depth: int, state: int) -> bool:
+        # one node of either phase: `rule` yields its moves, each a copy
+        # and the state its child starts from
         nonlocal nodes, best_depth
         if depth > best_depth:
             best_depth = depth
-        left1 = cur[0]
-        if not left1:
+        if not cur[0]:
             return True  # balanced parts: part 1 covered means all are
-        i = start
-        while not left1 >> order[i] & 1:
-            i += 1
-        cand = cur.copy()
-        cand[0] = 1 << order[i]
-        for tried, found in enumerate(copies(cand)):
+        for tried, (found, child) in enumerate(rule(cur, state)):
             if tried == 1 and not hall_holds(cur):
                 return False
             if nodes == budget:
                 raise _OverBudget
             nodes += 1
             acc.append(found)
-            if rec([m ^ (1 << v) for m, v in zip(cur, found)], depth + 1, i + 1):
+            if node([m ^ (1 << v) for m, v in zip(cur, found)], depth + 1, child):
                 return True
             acc.pop()
         return False
 
-    def column(cur: list[int], live: int, depth: int) -> bool:
+    def part1(cur: list[int], start: int) -> Iterator:
+        # part 1 only loses vertices along a branch, and each branch
+        # removes its branching vertex order[i], so the scan for the next
+        # uncovered vertex resumes at i + 1
+        left1 = cur[0]
+        i = start
+        while not left1 >> order[i] & 1:
+            i += 1
+        cand = cur.copy()
+        cand[0] = 1 << order[i]
+        return zip(copies(cand), itertools.repeat(i + 1))
+
+    def column(cur: list[int], live: int) -> Iterator:
         # through[p][v] is the mask of index positions of the copies
         # through vertex v of part p; live masks the copies still disjoint
         # from every copy taken
-        nonlocal nodes, best_depth
-        if depth > best_depth:
-            best_depth = depth
-        if not cur[0]:
-            return True
         least = None
         for p, m in enumerate(cur):
             rows = through[p]
@@ -427,31 +432,25 @@ def exact_transversal_factor_search(
                 c = (rows[v] & live).bit_count()
                 if least is None or c < least:
                     if not c:
-                        return False  # a dead column: no copy covers v
+                        return  # a dead column: no copy covers v
                     least, pick = c, rows[v] & live
-        for tried, i in enumerate(bits(pick)):
-            if tried == 1 and not hall_holds(cur):
-                return False
-            nodes += 1
+        for i in bits(pick):
             found = index[i]
             kill = 0
             for rows, v in zip(through, found):
                 kill |= rows[v]
-            acc.append(found)
-            if column([m ^ (1 << v) for m, v in zip(cur, found)], live & ~kill, depth + 1):
-                return True
-            acc.pop()
-        return False
+            yield found, live & ~kill
 
+    rule = part1
     try:
-        ok = rec(list(root[1:]), 0, 0)
+        ok = node(list(root[1:]), 0, 0)
     except _OverBudget:
         acc.clear()
+        budget = None
         index = list(itertools.islice(copies(root[1:]), _INDEX_CAP + 1))
         if len(index) > _INDEX_CAP:
             nodes = best_depth = 0
-            budget = None
-            ok = rec(list(root[1:]), 0, 0)
+            ok = node(list(root[1:]), 0, 0)
         else:
             # one bitmap per (part, vertex), built bytewise: OR-ing one
             # bit at a time into growing ints would be quadratic in copies
@@ -460,18 +459,12 @@ def exact_transversal_factor_search(
                 for part, v in zip(maps, found):
                     part[v][i >> 3] |= 1 << (i & 7)
             through = [[int.from_bytes(b, "little") for b in part] for part in maps]
-            ok = column(list(root[1:]), (1 << len(index)) - 1, 0)
+            rule = column
+            ok = node(list(root[1:]), 0, (1 << len(index)) - 1)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats
     return Tiling(tuple(map(TransversalCopy, acc)), G.n, G.k), stats
-
-
-def exact_transversal_factor(
-    G: PartiteGraph, cap: Optional[int] = FACTOR_CAP_DEFAULT
-) -> Optional[Tiling]:
-    """Transversal factor, or None as a proof of absence (cap-guarded)."""
-    return exact_transversal_factor_search(G, cap)[0]
 
 
 # -- mixed tilings -------------------------------------------------------------------

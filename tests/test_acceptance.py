@@ -40,7 +40,6 @@ from transtile.generators import (
 from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     check_appendix_invariants,
-    exact_transversal_factor,
     exact_transversal_factor_search,
     find_transversal_cycle,
     find_transversal_path,
@@ -142,7 +141,7 @@ def test_criterion_3_space_barrier_blocks_every_transversal_cycle():
         find_transversal_cycle(G, [0] + [G.full_mask & ~U[p] for p in range(1, k + 1)])
         is None
     )
-    no_factor = exact_transversal_factor(G) is None
+    no_factor = exact_transversal_factor_search(G)[0] is None
     dt = time.monotonic() - t0
     _finish(
         3,

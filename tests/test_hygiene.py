@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -240,3 +241,33 @@ def test_mixed_shape_readers_name_no_shape_kind():
     assert set(found) == readers
     named = {name: lines for name, lines in found.items() if lines}
     assert not named, f"shape kinds named outside the star table: {named}"
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's tracer wraps each TARGETS entry of perfbench/spans.py
+    # by name, at its defining module: a module function, or a
+    # `Class.method` in the class's own __dict__.  Deleting or renaming
+    # one breaks the traced benchmark, so it fails here first
+    spans = SRC.parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(), filename=str(spans))
+    targets = next(
+        node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    missing = []
+    for entry in targets:
+        module, attr = (ast.literal_eval(e) for e in entry.elts[1:3])
+        scope = vars(importlib.import_module(module))
+        *owner, name = attr.split(".")
+        if owner:
+            cls = scope.get(owner[0])
+            scope = vars(cls) if isinstance(cls, type) else {}
+            ok = name in scope
+        else:
+            ok = inspect.isfunction(scope.get(name)) and scope[name].__module__ == module
+        if not ok:
+            missing.append(f"{module}.{attr}")
+    assert len(targets) >= 20
+    assert not missing, f"benchmark spans name what src/transtile lacks: {', '.join(missing)}"

@@ -848,6 +848,19 @@ def test_cli_verify_holes_ignores_the_factor_cap(tmp_path, capsys):
     assert "exact mode refused: n=14 exceeds cap 12" in capsys.readouterr().err
 
 
+def test_cli_verify_negative_cap_is_a_config_error(tmp_path, capsys):
+    # exit 2 means the search refused the instance; a negative cap is a
+    # bad argument, whatever the graph
+    graph_path = str(tmp_path / "g.json")
+    with open(graph_path, "w") as fh:
+        json.dump(complete_blowup(K3, 4).to_json_dict(), fh)
+    for what in ("factor", "holes"):
+        assert main(["verify", graph_path, "--what", what, "--cap", "-1"]) == 1
+        assert "config error: --cap must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["verify", graph_path, "--cap", "0"]) == 2
+    assert "exact mode refused: n=4 exceeds cap 0" in capsys.readouterr().err
+
+
 def test_cli_plot_error_exits_one(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "missing.json"), "--out", "x.svg"]) == 1
     assert "plot error" in capsys.readouterr().err

@@ -28,7 +28,6 @@ from transtile.tiling import (
     Tiling,
     TransversalCopy,
     check_appendix_invariants,
-    exact_transversal_factor,
     exact_transversal_factor_search,
     find_transversal_clique,
     find_transversal_cycle,
@@ -406,7 +405,7 @@ def test_clique_path_cycle_and_barrier_outputs_are_pinned():
 
 def test_factor_complete_blowup():
     G = complete_blowup(K3, 2)
-    t = exact_transversal_factor(G)
+    t, _ = exact_transversal_factor_search(G)
     assert t is not None and len(t.copies) == 2
     Tiling.build(G, t.copies)
 
@@ -429,14 +428,14 @@ def test_factor_absent_with_isolated_vertex():
 def test_factor_minus_cross_matching():
     # remove a perfect matching between parts 1 and 2 only
     G = complete_blowup(K3, 2).delete_edges([(1, 0, 2, 0), (1, 1, 2, 1)])
-    assert (exact_transversal_factor(G) is not None) == naive_factor_exists(G)
+    assert (exact_transversal_factor_search(G)[0] is not None) == naive_factor_exists(G)
 
 
 @pytest.mark.parametrize("pattern", [Pattern.complete(2), K3, C4])
 @pytest.mark.parametrize("seed", range(8))
 def test_factor_agrees_with_permutation_scan(pattern, seed):
     G = random_instance(pattern, 3, 0.6, seed)
-    found = exact_transversal_factor(G)
+    found, _ = exact_transversal_factor_search(G)
     assert (found is not None) == naive_factor_exists(G)
     if found is not None:
         Tiling.build(G, found.copies)
@@ -446,8 +445,8 @@ def test_factor_agrees_with_permutation_scan(pattern, seed):
 def test_factor_cap_refusal():
     G = complete_blowup(Pattern.complete(2), 13)
     with pytest.raises(ValueError, match="exact mode refused"):
-        exact_transversal_factor(G)
-    t = exact_transversal_factor(G, cap=None)
+        exact_transversal_factor_search(G)
+    t, _ = exact_transversal_factor_search(G, cap=None)
     assert t is not None and len(t.copies) == 13
 
 
@@ -588,6 +587,26 @@ def test_factor_search_pins_the_golden_sweep():
     assert hashlib.sha256(json.dumps(kept).encode()).hexdigest() == GOLDEN_SWEEP_UNSWITCHED_SHA
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GOLDEN_SWEEP_FACTOR_SHA
+
+
+# SHA-256 of the factor search's (index, nodes, max_depth, witness) on the
+# refute benchmark's 24 reference barriers (space_barrier, C4, n=8, config
+# seed 1), recorded while each phase had its own recursion.  The 7 listed
+# pass the 16-node budget, so this pins column-phase search trees on a
+# cycle pattern, which the K3 sweep above does not
+REFUTE_BARRIER_SWITCHED = (6, 7, 9, 12, 16, 17, 22)
+REFUTE_BARRIER_SHA = "cc79b4c4a6bf143027ce78aea86d6516e94c6034283bf6111cfe41da5f961243"
+
+
+def test_factor_search_pins_the_refute_barriers():
+    rows = []
+    for index in range(24):
+        G = GenSpec("space_barrier", C4, 8, seed=subseed(1, "instance", index)).build()
+        t, stats = exact_transversal_factor_search(G)
+        copies = None if t is None else [list(c.verts) for c in t.copies]
+        rows.append([index, stats.nodes, stats.max_depth, copies])
+    assert tuple(row[0] for row in rows if row[1] > 16) == REFUTE_BARRIER_SWITCHED
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REFUTE_BARRIER_SHA
 
 
 def test_factor_search_dead_column_refutes_the_heavy_tail():
