@@ -35,14 +35,17 @@ print(f"fan at (1,0): {len(fan.sets)} disjoint completing pairs")
 print("-- connectors: two same-part vertices joined through one set --")
 u, v = VertexId(1, 0), VertexId(1, 1)
 c = find_connector(G, u, v, t=1)
-print(f"t=1 connector for {tuple(u)}..{tuple(v)}: {[tuple(x) for x in c.verts]}")
+# a vertex set is per-part masks: slot p holds part p's vertices as bits
+verts = [(p, i) for p in range(1, G.k + 1) for i in range(G.n) if c.verts[p] >> i & 1]
+print(f"t=1 connector for {tuple(u)}..{tuple(v)}: {verts}")
 reach = is_reachable(G, u, v, m=2, t=1)
 print(f"  reachable with room to spare: {reach.ok} ({reach.checks} avoidance checks)")
 
 print("-- absorbers: a set that factors with and without its target --")
 S = tuple(VertexId(p, 0) for p in (1, 2, 3))
 a = find_absorber(G, S, connector_t=1)
-print(f"absorber for {[tuple(x) for x in S]}: {len(a.verts)} vertices, t={a.t}")
+size = sum(m.bit_count() for m in a.verts[1:])
+print(f"absorber for {[tuple(x) for x in S]}: {size} vertices, t={a.t}")
 a.validate(G)
 print("  both witnesses revalidate")
 

@@ -20,18 +20,12 @@ Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.
 
-Inside the module a vertex set is held as per-part masks (see
-`core.part_masks`), and no search takes a vertex tuple.
-`AbsorbingSet.R` and `AbsorbVerdict.failing` are tuples of masks too,
-and `verify_absorbing_property` checks R with `core.part_masks`.  The
-rest of the boundary speaks in vertices: the `forbidden` argument of
-`find_absorber` and `disjoint_absorbers` and the `W` of
-`find_connector` are iterables of (part, index) pairs, which
-`core.vertex_masks` converts once, rejecting a vertex outside G; and
-the fields of `Fan`, `Connector` and `Absorber` are vertex tuples.
-`_ids` builds the sorted vertex tuples of returned objects, and of the
-forbidden sets that `disjoint_absorbers` and `build_absorbing_set` hand
-to the public `find_absorber`, which they call by name.
+A vertex set is per-part masks (see `core.part_masks`) inside the
+module and at its boundary alike: `forbidden`, `W`, the `verts` of
+connectors and absorbers, `ReachVerdict.witness`, `AbsorbingSet.R` and
+`AbsorbVerdict.failing`, each checked with `part_masks` where it enters.
+Single vertices and copy-like tuples stay (part, index) pairs: connector
+endpoints, absorber targets and fan sets.
 
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
@@ -56,7 +50,7 @@ import functools
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, islice, product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from transtile.core import (
     PartiteGraph,
@@ -98,11 +92,6 @@ SAMPLE_TRIES = 64
 CONNECTOR_EXHAUSTIVE_CAP = 6
 
 
-def _ids(masks: Sequence[int]) -> tuple[VertexId, ...]:
-    """The vertices of per-part masks, sorted."""
-    return tuple(VertexId(p, i) for p in range(1, len(masks)) for i in bits(masks[p]))
-
-
 def _union(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x | y for x, y in zip(a, b)]
 
@@ -112,18 +101,23 @@ def _copy(parts: Sequence[int], idxs: Sequence[int]) -> TransversalCopy:
     return TransversalCopy(tuple(i for _, i in sorted(zip(parts, idxs))))
 
 
-def _vids_json(vs: Iterable[VertexId]) -> list[list[int]]:
-    return [[p, i] for p, i in vs]
+def _forbidden(G: PartiteGraph, masks: Optional[Sequence[int]]) -> tuple[int, ...]:
+    """The checked per-part masks of a forbidden set; None forbids nothing."""
+    return (0,) * (G.k + 1) if masks is None else part_masks(G, masks, "forbidden masks")
+
+
+def _vids_json(masks: Sequence[int]) -> list[list[int]]:
+    return [[p, i] for p in range(1, len(masks)) for i in bits(masks[p])]
 
 
 def _check_partition(
     G: PartiteGraph,
     copies: Sequence[TransversalCopy],
-    expected: set[VertexId],
+    expected: Sequence[int],
     label: str,
 ) -> None:
     try:
-        exact = Tiling.build(G, copies).covered_masks() == vertex_masks(G, expected)
+        exact = Tiling.build(G, copies).covered_masks()[1:] == list(expected[1:])
     except ValueError as e:
         raise ValueError(f"{label}: {e}") from None
     if not exact:
@@ -175,17 +169,18 @@ class Fan:
 
 def _fan_sets(
     G: PartiteGraph, v: VertexId, target_size: int, arena: Sequence[int]
-) -> list[tuple[VertexId, ...]]:
-    """Greedy disjoint completion sets for v, drawn from the `arena` masks."""
+) -> list[tuple[int, ...]]:
+    """Greedy disjoint completion index tuples for v (over the other
+    parts, ascending), drawn from the `arena` masks."""
     parts = [p for p in range(1, G.k + 1) if p != v.part]
     masks = [arena[p] & G.nbr_mask(v.part, v.idx, p) for p in parts]
     first = copy_enumerator(G, parts)
-    out: list[tuple[VertexId, ...]] = []
+    out: list[tuple[int, ...]] = []
     while len(out) < target_size:
         found = next(first(masks), None)
         if found is None:
             break
-        out.append(tuple(VertexId(p, i) for p, i in zip(parts, found)))
+        out.append(found)
         masks = [m & ~(1 << i) for m, i in zip(masks, found)]
     return out
 
@@ -198,10 +193,13 @@ def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -
     """
     if not G.pattern.is_complete:
         raise ValueError("fan search needs a complete pattern")
+    if target_size < 0:
+        raise ValueError(f"fan search needs target_size >= 0, got {target_size}")
     vertex_masks(G, [v])  # rejects a vertex outside G
     v = VertexId(*v)
-    arena = [G.full_mask] * (G.k + 1)
-    fan = Fan(at=v, sets=tuple(_fan_sets(G, v, target_size, arena)))
+    parts = [p for p in range(1, G.k + 1) if p != v.part]
+    found = _fan_sets(G, v, target_size, [G.full_mask] * (G.k + 1))
+    fan = Fan(at=v, sets=tuple(tuple(map(VertexId, parts, idxs)) for idxs in found))
     fan.validate(G)
     return fan
 
@@ -214,26 +212,24 @@ class Connector:
     """Set joining two same-part vertices: both sides factor with it."""
 
     pair: tuple[VertexId, VertexId]
-    verts: tuple[VertexId, ...]
+    verts: tuple[int, ...]
     t: int
     witness_u: tuple[TransversalCopy, ...]
     witness_v: tuple[TransversalCopy, ...]
 
     def validate(self, G: PartiteGraph) -> None:
         u, v = self.pair
+        um, vm = vertex_masks(G, [u]), vertex_masks(G, [v])  # rejects an endpoint outside G
         if u.part != v.part or u == v:
             raise ValueError("connector endpoints must be distinct same-part vertices")
-        s = set(self.verts)
-        if len(s) != len(self.verts):
-            raise ValueError("connector set has repeated vertices")
-        if u in s or v in s:
+        s = part_masks(G, self.verts, "connector set masks")
+        if s[u.part] >> u.idx & 1 or s[v.part] >> v.idx & 1:
             raise ValueError("connector set must avoid its endpoints")
-        if len(s) > G.k * self.t - 1:
-            raise ValueError(
-                f"connector too large: {len(s)} > k*t - 1 = {G.k * self.t - 1}"
-            )
-        _check_partition(G, self.witness_u, s | {u}, "connector u-side")
-        _check_partition(G, self.witness_v, s | {v}, "connector v-side")
+        size = sum(m.bit_count() for m in s)
+        if size > G.k * self.t - 1:
+            raise ValueError(f"connector too large: {size} > k*t - 1 = {G.k * self.t - 1}")
+        _check_partition(G, self.witness_u, _union(s, um), "connector u-side")
+        _check_partition(G, self.witness_v, _union(s, vm), "connector v-side")
 
 
 def _connector_t1(
@@ -251,10 +247,12 @@ def _connector_t1(
     found = next(iter_copies(G, parts, masks), None)
     if found is None:
         return None
-    s = tuple(VertexId(p, i) for p, i in zip(parts, found))
+    s = [0] * (G.k + 1)
+    for p, i in zip(parts, found):
+        s[p] = 1 << i
     wit_u = (_copy([u.part, *parts], (u.idx, *found)),)
     wit_v = (_copy([u.part, *parts], (v.idx, *found)),)
-    conn = Connector(pair=(u, v), verts=s, t=1, witness_u=wit_u, witness_v=wit_v)
+    conn = Connector(pair=(u, v), verts=tuple(s), t=1, witness_u=wit_u, witness_v=wit_v)
     conn.validate(G)
     return conn
 
@@ -301,7 +299,7 @@ def _connector_t2_construct(
         wit_u = (_copy(parts, (u.idx, *k1[1:])), _copy(parts, k2))
         wit_v = (_copy(parts, (v.idx, *k2[1:])), _copy(parts, k1))
         conn = Connector(
-            pair=(u, v), verts=_ids(s), t=2, witness_u=wit_u, witness_v=wit_v
+            pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v
         )
         conn.validate(G)
         return conn
@@ -334,12 +332,8 @@ def _connector_t2_exhaustive(
             wit_v = _factor_witness(G, _union(s, vm))
             if wit_v is None:
                 continue
-            verts = (
-                VertexId(p0, w_idx),
-                *(VertexId(j, i) for j, pair in zip(others, pick) for i in pair),
-            )
             conn = Connector(
-                pair=(u, v), verts=verts, t=2, witness_u=wit_u, witness_v=wit_v
+                pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v
             )
             conn.validate(G)
             return conn
@@ -367,15 +361,15 @@ def find_connector(
     G: PartiteGraph,
     u: VertexId | tuple[int, int],
     v: VertexId | tuple[int, int],
-    W: Iterable[VertexId | tuple[int, int]] = (),
+    W: Optional[Sequence[int]] = None,
     t: int = 1,
 ) -> Optional[Connector]:
-    """Connector for same-part u, v avoiding W, or None.
+    """Connector for same-part u, v avoiding the per-part masks W, or None.
 
-    Endpoints listed in W are ignored.  t=1 runs the complete
-    joint-neighborhood search: None is a proof.  t=2 first tries the
-    split-pool apex construction; when that fails and
-    n <= CONNECTOR_EXHAUSTIVE_CAP, falls through to full enumeration
+    W=None forbids nothing, and the endpoints' bits in W are ignored.
+    t=1 runs the complete joint-neighborhood search: None is a proof.
+    t=2 first tries the split-pool apex construction; when that fails
+    and n <= CONNECTOR_EXHAUSTIVE_CAP, falls through to full enumeration
     (making None a proof there too).  At larger n a t=2 None only means
     the construction failed.  A vertex outside G raises ValueError.
     """
@@ -387,13 +381,13 @@ def find_connector(
         raise ValueError("connector endpoints must be distinct same-part vertices")
     if t not in (1, 2):
         raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
-    return _connector(G, u, v, vertex_masks(G, W), t)
+    return _connector(G, u, v, _forbidden(G, W), t)
 
 
 @dataclass(frozen=True)
 class ReachVerdict:
     ok: bool
-    witness: Optional[tuple[VertexId, ...]]
+    witness: Optional[tuple[int, ...]]
     checks: int
 
 
@@ -410,8 +404,9 @@ def is_reachable(
 
     Tries the structured sets (each endpoint's neighborhood, truncated
     to m) plus `trials` random ones.  A pass is evidence, not a proof;
-    a fail carries the defeating W, which is a proof whenever the
-    connector search itself was complete (t=1 always, t=2 at small n).
+    a fail carries the defeating W, as per-part masks, which is a proof
+    whenever the connector search itself was complete (t=1 always, t=2
+    at small n).
     A vertex outside G, or a negative m or trials, raises ValueError.
     """
     vertex_masks(G, (u, v))  # rejects an endpoint outside G
@@ -423,14 +418,15 @@ def is_reachable(
             raise ValueError(f"reachability needs {name} >= 0, got {value}")
     everything = [x for x in G.vertices() if x != u and x != v]
 
-    def neighborhood(x: VertexId) -> tuple[VertexId, ...]:
-        return _ids([0] + [G.nbr_mask(x.part, x.idx, q) for q in range(1, G.k + 1)])[:m]
+    def neighborhood(x: VertexId) -> tuple[int, ...]:
+        nbrs = ((q, i) for q in range(1, G.k + 1) for i in bits(G.nbr_mask(*x, q)))
+        return tuple(vertex_masks(G, islice(nbrs, m)))
 
     candidates = [neighborhood(u), neighborhood(v)]
     rng = rng_for(seed, "reach")
     for _ in range(trials):
         size = min(m, len(everything))
-        candidates.append(tuple(sorted(rng.sample(everything, size))))
+        candidates.append(tuple(vertex_masks(G, rng.sample(everything, size))))
     checks = 0
     for w in candidates:
         checks += 1
@@ -447,7 +443,7 @@ class Absorber:
     """Set A for a transversal k-set: A and A union the set both factor."""
 
     target: tuple[VertexId, ...]
-    verts: tuple[VertexId, ...]
+    verts: tuple[int, ...]
     t: int
     witness_inner: tuple[TransversalCopy, ...]
     witness_full: tuple[TransversalCopy, ...]
@@ -455,34 +451,34 @@ class Absorber:
     def validate(self, G: PartiteGraph) -> None:
         if sorted(p for p, _ in self.target) != list(range(1, G.k + 1)):
             raise ValueError("absorber target must have one vertex in each part")
-        a = set(self.verts)
-        s = set(self.target)
-        if len(a) != len(self.verts):
-            raise ValueError("absorber set has repeated vertices")
-        if a & s:
+        s = vertex_masks(G, self.target)  # rejects a target vertex outside G
+        a = part_masks(G, self.verts, "absorber set masks")
+        if any(x & y for x, y in zip(a, s)):
             raise ValueError("absorber set must avoid its target")
-        if len(a) > G.k * self.t:
-            raise ValueError(f"absorber too large: {len(a)} > k*t = {G.k * self.t}")
+        size = sum(m.bit_count() for m in a)
+        if size > G.k * self.t:
+            raise ValueError(f"absorber too large: {size} > k*t = {G.k * self.t}")
         _check_partition(G, self.witness_inner, a, "absorber inner")
-        _check_partition(G, self.witness_full, a | s, "absorber full")
+        _check_partition(G, self.witness_full, _union(a, s), "absorber full")
 
 
 def find_absorber(
     G: PartiteGraph,
     S: Sequence[VertexId | tuple[int, int]],
-    forbidden: Iterable[VertexId | tuple[int, int]] = (),
+    forbidden: Optional[Sequence[int]] = None,
     connector_t: int = 1,
 ) -> Optional[Absorber]:
     """Absorber for the transversal k-set S, or None.
 
     One transversal clique T plus, per part p, a connector C_p between
-    the S-vertex s_p and the T-vertex t_p, each avoiding `forbidden`, S
-    and what is already taken.  The witnesses need no search: the
-    v-sides C_p u {t_p} tile A, and T with the u-sides C_p u {s_p} tiles
-    A u S.  connector_t=1 (the default, as in AbsorbParams) gives
-    |A| <= k^2, connector_t=2 gives |A| <= 2k^2; the absorber records
-    t = 2k, so |A| <= k*t either way.  A vertex outside G, or a
-    connector_t other than 1 or 2, raises ValueError.
+    the S-vertex s_p and the T-vertex t_p, each avoiding the per-part
+    masks `forbidden` (None forbids nothing), S and what is already
+    taken.  The witnesses need no search: the v-sides C_p u {t_p} tile
+    A, and T with the u-sides C_p u {s_p} tiles A u S.  connector_t=1
+    (the default, as in AbsorbParams) gives |A| <= k^2, connector_t=2
+    gives |A| <= 2k^2; the absorber records t = 2k, so |A| <= k*t
+    either way.  A vertex outside G, or a connector_t other than 1 or
+    2, raises ValueError.
     """
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
@@ -492,8 +488,8 @@ def find_absorber(
     target = vertex_masks(G, S)
     if len(S) != k or any(m.bit_count() != 1 for m in target[1:]):
         raise ValueError("absorber target must have one vertex in each part")
-    s_ids = _ids(target)
-    blocked = _union(vertex_masks(G, forbidden), target)
+    s_ids = tuple(sorted(VertexId(*x) for x in S))
+    blocked = _union(_forbidden(G, forbidden), target)
     free = [G.full_mask & ~b for b in blocked[1:]]
     clique = next(iter_copies(G, range(1, k + 1), free), None)
     if clique is None:
@@ -509,10 +505,10 @@ def find_absorber(
             return None
         inner += conn.witness_v
         full += conn.witness_u
-        acc = _union(acc, vertex_masks(G, conn.verts))
+        acc = _union(acc, conn.verts)
     absorber = Absorber(
         target=s_ids,
-        verts=_ids(acc),
+        verts=tuple(acc),
         t=2 * k,
         witness_inner=tuple(inner),
         witness_full=tuple(full),
@@ -525,18 +521,21 @@ def disjoint_absorbers(
     G: PartiteGraph,
     S: Sequence[VertexId | tuple[int, int]],
     count_target: int,
-    forbidden: Iterable[VertexId | tuple[int, int]] = (),
+    forbidden: Optional[Sequence[int]] = None,
     connector_t: int = 1,
 ) -> list[Absorber]:
-    """Greedy maximal family of pairwise-disjoint absorbers for S."""
-    used = vertex_masks(G, forbidden)
+    """Greedy maximal family of pairwise-disjoint absorbers for S, each
+    avoiding the per-part masks `forbidden` (None forbids nothing)."""
+    if count_target < 0:
+        raise ValueError(f"absorber family needs count_target >= 0, got {count_target}")
+    used = _forbidden(G, forbidden)
     out: list[Absorber] = []
     while len(out) < count_target:
-        a = find_absorber(G, S, _ids(used), connector_t=connector_t)
+        a = find_absorber(G, S, used, connector_t=connector_t)
         if a is None:
             break
         out.append(a)
-        used = _union(used, vertex_masks(G, a.verts))
+        used = _union(used, a.verts)
     return out
 
 
@@ -645,6 +644,9 @@ def generate_template(
     """
     if m < 1 or beta_m < 0:
         raise ValueError("template needs m >= 1 and beta_m >= 0")
+    for name, value in (("max_tries", max_tries), ("max_degree", max_degree)):
+        if value < 0:
+            raise ValueError(f"template search needs {name} >= 0, got {value}")
     if m + beta_m > TEMPLATE_X_CAP:
         raise ValueError(
             f"template verification refused: |X| = {m + beta_m} exceeds cap {TEMPLATE_X_CAP}"
@@ -655,14 +657,12 @@ def generate_template(
         rng = rng_for(seed, "template", attempt)
         d = min(1 + attempt // 25, left_size, max_degree)
         edges: set[tuple[int, int]] = set()
-        right_deg = [0] * z_size
         left_deg = [0] * left_size
-        for z in range(z_size):
+        for z in range(z_size):  # d distinct left vertices each
             for l in rng.sample(range(left_size), d):
-                if (l, z) not in edges:
-                    edges.add((l, z))
-                    right_deg[z] += 1
-                    left_deg[l] += 1
+                edges.add((l, z))
+                left_deg[l] += 1
+        right_deg = [d] * z_size
         ok = True
         for l in range(left_size):
             if left_deg[l]:
@@ -791,21 +791,17 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         )
 
     # stage sample-x
-    xs: Optional[list[list[int]]] = None
-    attempts = 0
     for attempt in range(SAMPLE_TRIES):
-        attempts = attempt + 1
-        cand = [
+        xs = [
             sorted(rng_for(params.seed, "x", attempt, i).sample(range(n), qn))
             for i in range(1, k + 1)
         ]
-        arena = [0] + [mask_of(cand[i - 1]) for i in range(1, k + 1)]
+        arena = [0] + [mask_of(xs[i - 1]) for i in range(1, k + 1)]
         if fan_min == 0 or all(
             len(_fan_sets(G, v, fan_min, arena)) >= fan_min for v in G.vertices()
         ):
-            xs = cand
             break
-    if xs is None:
+    else:
         raise ValueError(
             f"stage sample-x: no sample kept fans of size {fan_min} "
             f"after {SAMPLE_TRIES} tries"
@@ -850,18 +846,16 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     total_edges = sum(len(t.edges) for t in templates)
     for j in range(1, k + 1):
         tpl = templates[j - 1]
+        left_side = xs[j - 1][: tpl.x_size] + ys[j - 1]  # the template's X then Y
         for l, z in sorted(tpl.edges):
-            if l < tpl.x_size:
-                left_vertex = VertexId(j, xs[j - 1][l])
-            else:
-                left_vertex = VertexId(j, ys[j - 1][l - tpl.x_size])
+            left_vertex = VertexId(j, left_side[l])
             partner = [
                 VertexId(i, zs[(i, j)][z]) for i in range(1, k + 1) if i != j
             ]
             # the target lies inside `reserved`, and find_absorber keeps
             # its target out of the absorber anyway
             a = find_absorber(
-                G, [left_vertex, *partner], _ids(reserved), connector_t=params.connector_t
+                G, [left_vertex, *partner], reserved, connector_t=params.connector_t
             )
             if a is None:
                 raise ValueError(
@@ -869,7 +863,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
                     f"({j},{l},{z}); {len(absorbers)} of {total_edges} placed"
                 )
             absorbers.append(((j, l, z), a))
-            reserved = _union(reserved, vertex_masks(G, a.verts))
+            reserved = _union(reserved, a.verts)
 
     # stage assemble
     sizes = {reserved[p].bit_count() for p in range(1, k + 1)}
@@ -884,7 +878,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     provenance = {
         "params": asdict(params),
         "fan_min": fan_min,
-        "sample_attempts": attempts,
+        "sample_attempts": attempt + 1,
         "x": [sorted(xs[i]) for i in range(k)],
         "y": [sorted(ys[i]) for i in range(k)],
         "z": {f"{i},{j}": sorted(v) for (i, j), v in sorted(zs.items())},
@@ -892,7 +886,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         "absorbers": [
             {
                 "edge": list(edge),
-                "target": _vids_json(a.target),
+                "target": [list(x) for x in a.target],
                 "set": _vids_json(a.verts),
             }
             for edge, a in absorbers
@@ -962,8 +956,9 @@ def verify_absorbing_property(
     k, n = G.k, G.n
     if xi * n < k:
         raise ValueError("absorbing verification needs xi*n >= k")
-    if trials < 1:
-        raise ValueError(f"absorbing verification needs trials >= 1, got {trials}")
+    for name, value, low in (("trials", trials, 1), ("exhaustive_limit", exhaustive_limit, 0)):
+        if value < low:
+            raise ValueError(f"absorbing verification needs {name} >= {low}, got {value}")
     r_masks = part_masks(G, R.R, "absorbing set masks")
     outside = [()] + [
         tuple(v for v in range(n) if not (r_masks[p] >> v & 1)) for p in range(1, k + 1)

@@ -39,6 +39,7 @@ __all__ = [
     "PartiteGraph",
     "delta_star",
     "is_transversal_copy",
+    "is_transversal_tuple",
     "density",
     "common_neighborhood",
     "mask_of",
@@ -490,18 +491,20 @@ def is_transversal_copy(G: PartiteGraph, vs: Sequence[VertexId | tuple[int, int]
     """True iff `vs` picks one valid vertex per part and realizes every
     pattern edge.  Malformed input returns False rather than raising."""
     try:
-        picked = {}
-        for p, i in vs:
-            if not (1 <= p <= G.k and 0 <= i < G.n) or p in picked:
-                return False
-            picked[p] = i
+        picked = sorted((p, i) for p, i in vs)
+        if [p for p, _ in picked] != list(range(1, G.k + 1)):
+            return False
+        return is_transversal_tuple(G, [i for _, i in picked])
     except (TypeError, ValueError):
         return False
-    if len(picked) != G.k:
+
+
+def is_transversal_tuple(G: PartiteGraph, verts: Sequence[int]) -> bool:
+    """True iff the indices `verts`, verts[p-1] in part p, pick one vertex
+    of G per part and realize every pattern edge."""
+    if len(verts) != G.k or not all(0 <= i < G.n for i in verts):
         return False
-    return all(
-        G.nbr_mask(i, picked[i], j) >> picked[j] & 1 for i, j in G.pattern.edges
-    )
+    return all(G.nbr_mask(i, verts[i - 1], j) >> verts[j - 1] & 1 for i, j in G.pattern.edges)
 
 
 def density(

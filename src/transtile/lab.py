@@ -220,7 +220,7 @@ def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
     return {
         "found": len(fam),
         "requested": args["count_target"],
-        "vertices_used": sum(len(a.verts) for a in fam),
+        "vertices_used": sum(m.bit_count() for a in fam for m in a.verts[1:]),
     }
 
 
@@ -588,7 +588,8 @@ def _cmd_verify(args) -> int:
             if a is None:
                 print("absorber: none found for the lowest-index target")
             else:
-                print(f"absorber: found, {len(a.verts)} vertices (t={a.t})")
+                size = sum(m.bit_count() for m in a.verts[1:])
+                print(f"absorber: found, {size} vertices (t={a.t})")
     except ValueError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return 2

@@ -95,7 +95,7 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
-    is_transversal_copy,
+    is_transversal_tuple,
     part_masks,
 )
 from transtile.search import (
@@ -173,7 +173,7 @@ class Tiling(_DisjointCopies):
     def build(G: PartiteGraph, copies: Sequence[TransversalCopy]) -> "Tiling":
         t = Tiling(tuple(copies), G.n, G.k)
         for c in copies:
-            if not is_transversal_copy(G, c.vertex_ids()):
+            if not is_transversal_tuple(G, c.verts):
                 raise ValueError(f"not a transversal copy: {c.verts}")
         covered = t.covered_masks()
         if any(covered[p].bit_count() != len(copies) for p in range(1, G.k + 1)):

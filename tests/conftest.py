@@ -10,7 +10,7 @@ import math
 import random
 from itertools import combinations, permutations, product
 
-from transtile.core import Pattern, PartiteGraph, mask_of
+from transtile.core import Pattern, PartiteGraph, VertexId, mask_of
 from transtile.generators import rng_for
 from transtile.tiling import exact_transversal_factor_search
 
@@ -92,6 +92,16 @@ def table_alpha_pair(G: PartiteGraph) -> int:
 
 def mask(ids) -> int:
     return mask_of(ids)
+
+
+def ids(masks) -> tuple[VertexId, ...]:
+    """The vertices of per-part masks, by part and then index."""
+    return tuple(
+        VertexId(p, i)
+        for p in range(1, len(masks))
+        for i in range(masks[p].bit_length())
+        if masks[p] >> i & 1
+    )
 
 
 def naive_has_perfect_matching(G: PartiteGraph, p: int, q: int, mp: int, mq: int) -> bool:

@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_is_factor, naive_verify_absorbing_property, random_instance
+from conftest import (
+    ids,
+    naive_is_factor,
+    naive_verify_absorbing_property,
+    random_instance,
+)
 from transtile import absorbing
 from transtile.core import (
     Pattern,
@@ -23,6 +28,7 @@ from transtile.core import (
     VertexId,
     bits,
     common_neighborhood,
+    vertex_masks,
 )
 from transtile.generators import (
     complete_blowup,
@@ -194,17 +200,17 @@ def test_fan_validate_rejects_overlapping_sets():
 def test_small_connector_on_complete_blowup():
     G = complete_blowup(K3, 3)
     c = find_connector(G, (1, 0), (1, 1), t=1)
-    assert c.t == 1 and len(c.verts) == 2
+    assert c.t == 1 and len(ids(c.verts)) == 2
     assert len(c.witness_u) == len(c.witness_v) == 1
     c.validate(G)
 
 
 def test_small_connector_respects_forbidden_set():
     G = complete_blowup(K3, 2)
-    blocked = find_connector(G, (1, 0), (1, 1), [(2, 0), (2, 1)], t=1)
+    blocked = find_connector(G, (1, 0), (1, 1), vertex_masks(G, [(2, 0), (2, 1)]), t=1)
     assert blocked is None
-    c = find_connector(G, (1, 0), (1, 1), [(2, 0)], t=1)
-    assert VertexId(2, 1) in c.verts
+    c = find_connector(G, (1, 0), (1, 1), vertex_masks(G, [(2, 0)]), t=1)
+    assert VertexId(2, 1) in ids(c.verts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,16 +219,16 @@ def test_small_connector_absence_matches_enumeration(seed):
     G = random_instance(K3, 4, 0.5, seed)
     u, v = VertexId(1, 0), VertexId(1, 1)
     W = [(2, 0), (3, 3)]
-    c = find_connector(G, u, v, W, t=1)
+    c = find_connector(G, u, v, vertex_masks(G, W), t=1)
     assert (c is not None) == naive_small_connector_exists(G, u, v, W)
     if c is not None:
         c.validate(G)
-        assert not {u, v} & set(c.verts)
+        assert not {u, v} & set(ids(c.verts))
 
 
 def test_connector_drops_endpoints_from_forbidden():
     G = complete_blowup(K3, 3)
-    with_eps = find_connector(G, (1, 0), (1, 1), [(1, 0), (1, 1)], t=1)
+    with_eps = find_connector(G, (1, 0), (1, 1), vertex_masks(G, [(1, 0), (1, 1)]), t=1)
     without = find_connector(G, (1, 0), (1, 1), t=1)
     assert with_eps.verts == without.verts
 
@@ -249,8 +255,8 @@ def test_two_clique_connector_when_joint_neighborhood_splits():
     u, v = VertexId(1, 0), VertexId(1, 1)
     assert find_connector(G, u, v, t=1) is None
     c = find_connector(G, u, v, t=2)
-    assert c.t == 2 and len(c.verts) == 5
-    assert sorted(c.verts) == [
+    assert c.t == 2 and len(ids(c.verts)) == 5
+    assert sorted(ids(c.verts)) == [
         VertexId(1, 2),
         VertexId(2, 0),
         VertexId(2, 2),
@@ -270,7 +276,7 @@ def test_two_clique_connector_gives_u_the_larger_half_of_an_odd_pool():
     u, v = VertexId(1, 0), VertexId(1, 1)
     assert find_connector(G, u, v, t=1) is None
     c = find_connector(G, u, v, t=2)
-    assert c.verts == (
+    assert ids(c.verts) == (
         VertexId(1, 2), VertexId(2, 0), VertexId(2, 3), VertexId(3, 0), VertexId(3, 3)
     )
     assert [w.verts for w in c.witness_u] == [(0, 0, 0), (2, 3, 3)]
@@ -290,7 +296,7 @@ def test_exhaustive_fallback_finds_what_the_construction_misses():
     assert _connector_t2_construct(G, u, v, [0] * 4) is None
     c = find_connector(G, u, v, t=2)
     assert c is not None and c.t == 2
-    assert c.verts == (
+    assert ids(c.verts) == (
         VertexId(1, 2), VertexId(2, 0), VertexId(2, 1), VertexId(3, 1), VertexId(3, 2)
     )
     assert [w.verts for w in c.witness_u] == [(0, 0, 1), (2, 1, 2)]
@@ -301,16 +307,17 @@ def test_exhaustive_fallback_finds_what_the_construction_misses():
 @pytest.mark.parametrize(
     "W",
     [
-        [(-1, 0), (-1, 1), (-1, 2)],  # part -1 would index the last mask slot
-        [(0, 1)],
-        [(4, 0)],
-        [(2, -1)],
-        [(2, 3)],
+        [0, 0, 0],  # no slot for part 3
+        [0, 0, 0, 0, 0],  # a slot for a part 4
+        [0, 0, 0, 0, 1],  # a vertex in a part 4
+        [0, 0, -1, 0],  # a negative mask has every bit set
+        [0, 0, 1 << 3, 0],  # index 3 at n = 3
     ],
 )
 def test_connector_rejects_forbidden_vertices_outside_the_graph(W):
     G = complete_blowup(K3, 3)
-    with pytest.raises(ValueError, match="is not in G"):
+    message = r"forbidden masks need slots 1\.\.3 with bits below n=3"
+    with pytest.raises(ValueError, match=message):
         find_connector(G, (1, 0), (1, 1), W=W, t=1)
 
 
@@ -325,15 +332,16 @@ def test_connector_and_reachability_reject_endpoints_outside_the_graph(u, v):
 
 def test_exhaustive_connector_lists_the_apex_first():
     # the fallback instance above with parts 1 and 2 swapped: the
-    # enumerated set keeps its apex-then-pairs order
+    # enumerated set is the apex and then its pairs, and a mask keeps no
+    # order, so it compares sorted
     G = complete_blowup(K3, 4).delete_edges(
         [(2, 0, 3, 2), (2, 0, 3, 3), (2, 1, 3, 0), (2, 1, 3, 1),
          (1, 0, 3, 0), (1, 1, 3, 0)]
     )
     c = find_connector(G, (2, 0), (2, 1), t=2)
-    assert c.verts == (
+    assert ids(c.verts) == tuple(sorted((
         VertexId(2, 2), VertexId(1, 0), VertexId(1, 1), VertexId(3, 1), VertexId(3, 2)
-    )
+    )))
     assert [w.verts for w in c.witness_u] == [(0, 0, 1), (1, 2, 2)]
     assert [w.verts for w in c.witness_v] == [(0, 1, 2), (1, 2, 1)]
     c.validate(G)
@@ -360,6 +368,24 @@ def test_connector_validate_rejects_tampered_witness():
         bad.validate(G)
 
 
+@pytest.mark.parametrize(
+    "verts, message",
+    [
+        ((0, 0b10, 0b10), r"connector set masks need slots 1\.\.3"),
+        ((0, 0, -1, 0b10), r"connector set masks need slots 1\.\.3"),
+        ((0, 0, 0b1000, 0b10), r"connector set masks .* with bits below n=3"),
+        ((0, 0b1, 0b10, 0b10), "connector set must avoid its endpoints"),
+        ((0, 0b10, 0b10, 0b10), "connector set must avoid its endpoints"),
+    ],
+)
+def test_connector_validate_checks_its_masks(verts, message):
+    # short, negative, a bit at n, and each endpoint inside the set
+    G = complete_blowup(K3, 3)
+    c = find_connector(G, (1, 0), (1, 1), t=1)
+    with pytest.raises(ValueError, match=message):
+        Connector(c.pair, verts, c.t, c.witness_u, c.witness_v).validate(G)
+
+
 # -- reachability --------------------------------------------------------------
 
 
@@ -375,7 +401,7 @@ def test_reachability_fail_returns_defeating_set():
     G = complete_blowup(K3, 4).delete_edges([(1, 0, 2, 2), (1, 0, 2, 3)])
     r = is_reachable(G, (1, 0), (1, 1), m=2, t=1, trials=4, seed=0)
     assert not r.ok and r.checks == 1
-    assert r.witness == (VertexId(2, 0), VertexId(2, 1))
+    assert ids(r.witness) == (VertexId(2, 0), VertexId(2, 1))
     assert find_connector(G, (1, 0), (1, 1), r.witness, t=1) is None
 
 
@@ -394,7 +420,7 @@ def test_reachability_consistent_with_exhaustive_forbidden_scan(seed):
         assert r.ok
     if not r.ok:
         assert not truth
-        assert not naive_small_connector_exists(G, u, v, r.witness)
+        assert not naive_small_connector_exists(G, u, v, ids(r.witness))
 
 
 def test_reachability_argument_validation():
@@ -415,14 +441,40 @@ def test_reachability_rejects_negative_counts(kwargs, message):
         is_reachable(G, (1, 0), (1, 1), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda G: find_fan(G, (1, 0), -1), "target_size >= 0, got -1"),
+        (
+            lambda G: disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], -2),
+            "count_target >= 0, got -2",
+        ),
+        (lambda G: generate_template(1, 1, max_tries=-1), "max_tries >= 0, got -1"),
+        (lambda G: generate_template(1, 1, max_degree=-1), "max_degree >= 0, got -1"),
+        (
+            lambda G: verify_absorbing_property(
+                G, _set_of([0, 0, 0, 0]), 1.5, exhaustive_limit=-1
+            ),
+            "exhaustive_limit >= 0, got -1",
+        ),
+    ],
+    ids=["find_fan", "disjoint_absorbers", "max_tries", "max_degree", "exhaustive_limit"],
+)
+def test_absorbing_entries_reject_negative_counts(call, message):
+    # each once passed: an empty fan, no absorbers, no template, a failure
+    # inside random.sample, and a sampled check instead of an exhaustive one
+    with pytest.raises(ValueError, match=message):
+        call(complete_blowup(K3, 3))
+
+
 # -- absorbers -----------------------------------------------------------------
 
 
 def test_absorber_on_complete_blowup():
     G = complete_blowup(K3, 6)
     a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=1)
-    assert a is not None and a.t == 6 and len(a.verts) == 9
-    assert not set(a.target) & set(a.verts)
+    assert a is not None and a.t == 6 and len(ids(a.verts)) == 9
+    assert not set(a.target) & set(ids(a.verts))
     a.validate(G)
 
 
@@ -431,17 +483,19 @@ def test_absorber_connector_t2_stays_balanced_on_rich_instance():
     # vertices per part even under the larger connector budget
     G = complete_blowup(K3, 6)
     a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=2)
-    assert a is not None and len(a.verts) == 9
-    per_part = [sum(1 for x in a.verts if x.part == p) for p in (1, 2, 3)]
+    assert a is not None and len(ids(a.verts)) == 9
+    per_part = [sum(1 for x in ids(a.verts) if x.part == p) for p in (1, 2, 3)]
     assert per_part == [3, 3, 3]
 
 
 def test_absorber_respects_forbidden_set():
     G = complete_blowup(K3, 6)
     keep_out = [(p, i) for p in (1, 2, 3) for i in (1, 2)]
-    a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=keep_out, connector_t=1)
+    a = find_absorber(
+        G, [(1, 0), (2, 0), (3, 0)], forbidden=vertex_masks(G, keep_out), connector_t=1
+    )
     assert a is not None
-    assert not set(a.verts) & {VertexId(p, i) for p, i in keep_out}
+    assert not set(ids(a.verts)) & {VertexId(p, i) for p, i in keep_out}
 
 
 def test_absorber_with_isolated_target_vertex_is_none():
@@ -461,8 +515,8 @@ def test_absorber_rejects_vertices_outside_the_graph():
     G = complete_blowup(K3, 3)
     with pytest.raises(ValueError, match=r"vertex \(1, 7\) is not in G"):
         find_absorber(G, [(1, 7), (2, 0), (3, 0)])
-    with pytest.raises(ValueError, match=r"vertex \(-1, 0\) is not in G"):
-        find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=[(-1, 0)])
+    with pytest.raises(ValueError, match=r"forbidden masks need slots 1\.\.3"):
+        find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=[0, 1 << 3, 0, 0])
     with pytest.raises(ValueError, match=r"vertex \(1, 7\) is not in G"):
         disjoint_absorbers(G, [(1, 7), (2, 0), (3, 0)], 2)
 
@@ -494,10 +548,29 @@ def test_absorber_rejects_connector_t_3_before_any_search():
         disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], 2, connector_t=3)
 
 
+@pytest.mark.parametrize(
+    "verts, message",
+    [
+        ((0, 0b1110, 0b1110), r"absorber set masks need slots 1\.\.3"),
+        ((0, 0b1110, -1, 0b1110), r"absorber set masks need slots 1\.\.3"),
+        ((0, 0b1110, 0b1110, 0b10110), r"absorber set masks .* with bits below n=4"),
+        ((0, 0b1110, 0b1111, 0b1110), "absorber set must avoid its target"),
+    ],
+)
+def test_absorber_validate_checks_its_masks(verts, message):
+    # short, negative, a bit at n, and a target vertex inside the set
+    G = complete_blowup(K3, 4)
+    a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=1)
+    assert a.verts == (0, 0b1110, 0b1110, 0b1110)
+    with pytest.raises(ValueError, match=message):
+        Absorber(a.target, verts, a.t, a.witness_inner, a.witness_full).validate(G)
+
+
 def test_absorber_forbidden_everything_is_none():
     G = complete_blowup(K3, 4)
     everything = [(p, i) for p in (1, 2, 3) for i in range(4)]
-    assert find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=everything) is None
+    forbidden = vertex_masks(G, everything)
+    assert find_absorber(G, [(1, 0), (2, 0), (3, 0)], forbidden=forbidden) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -507,7 +580,7 @@ def test_absorber_witnesses_revalidate_on_random_instances(seed):
     a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=1)
     if a is not None:
         a.validate(G)
-        assert len(a.verts) <= 3 * a.t
+        assert len(ids(a.verts)) <= 3 * a.t
 
 
 def test_disjoint_absorber_family_fills_the_instance():
@@ -517,8 +590,8 @@ def test_disjoint_absorber_family_fills_the_instance():
     seen: set[VertexId] = set()
     for a in fam:
         a.validate(G)
-        assert not seen & set(a.verts)
-        seen.update(a.verts)
+        assert not seen & set(ids(a.verts))
+        seen.update(ids(a.verts))
 
 
 def test_disjoint_absorbers_stop_at_count_target():
@@ -534,9 +607,10 @@ def test_disjoint_absorbers_on_empty_graph():
 # SHA-256 of json.dumps(rows) over 294 outputs: for k in 3, 4, n in 4, 6,
 # 8, p in 0.6, 0.8, 0.95, seeds 0..3 and t in 1, 2, G is a random
 # spanning subgraph (p, seed) of the K_k blow-up and S = {(q, seed % n)};
-# each combination adds find_absorber(G, S, forbidden=[(1, (seed+1) % n)],
-# connector_t=t) as [verts, target, t] or None, then the verts of
-# disjoint_absorbers(G, S, 3, connector_t=t).  Six build_absorbing_set
+# each combination adds find_absorber(G, S, forbidden=the masks of
+# [(1, (seed+1) % n)], connector_t=t) as [verts, target, t] or None, then
+# the verts of disjoint_absorbers(G, S, 3, connector_t=t), each verts the
+# sorted vertex list of the absorber's masks.  Six build_absorbing_set
 # runs on the K3 blow-up at n = 45 (q = 1/45, seeds 0..5) close the list,
 # as to_json_dict() or the error message.  Moving an absorber vertex, a
 # None or a pipeline message moves it.
@@ -548,9 +622,10 @@ def test_absorbers_are_pinned():
     for k, n, p, seed, t in product((3, 4), (4, 6, 8), (0.6, 0.8, 0.95), range(4), (1, 2)):
         G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
         S = [(q, seed % n) for q in range(1, k + 1)]
-        a = find_absorber(G, S, forbidden=[(1, (seed + 1) % n)], connector_t=t)
-        rows.append(None if a is None else [a.verts, a.target, a.t])
-        rows.append([a.verts for a in disjoint_absorbers(G, S, 3, connector_t=t)])
+        forbidden = vertex_masks(G, [(1, (seed + 1) % n)])
+        a = find_absorber(G, S, forbidden=forbidden, connector_t=t)
+        rows.append(None if a is None else [ids(a.verts), a.target, a.t])
+        rows.append([ids(a.verts) for a in disjoint_absorbers(G, S, 3, connector_t=t)])
     G = complete_blowup(K3, 45)
     for seed in range(6):
         params = AbsorbParams(q=1 / 45, tau=3.0, beta_prime=0.003, m=1, seed=seed)

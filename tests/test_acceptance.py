@@ -23,7 +23,7 @@ import random
 import time
 from itertools import combinations, product
 
-from conftest import naive_alpha_star, random_instance
+from conftest import ids, naive_alpha_star, random_instance
 from transtile.core import (
     Pattern,
     PartiteGraph,
@@ -205,9 +205,9 @@ def test_criterion_5_connector_and_absorber_certificates_revalidate():
                     continue
                 connectors += 1
                 c.validate(G)
-                sound = len(c.verts) <= G.k * c.t - 1
-                sound = sound and _balanced_factorable(G, (u, *c.verts))
-                sound = sound and _balanced_factorable(G, (v, *c.verts))
+                sound = len(ids(c.verts)) <= G.k * c.t - 1
+                sound = sound and _balanced_factorable(G, (u, *ids(c.verts)))
+                sound = sound and _balanced_factorable(G, (v, *ids(c.verts)))
                 bad += not sound
         targets = [
             tuple(VertexId(p, 0) for p in range(1, G.k + 1)),
@@ -220,9 +220,9 @@ def test_criterion_5_connector_and_absorber_certificates_revalidate():
                     continue
                 absorbers += 1
                 a.validate(G)
-                sound = len(a.verts) <= G.k * a.t
-                sound = sound and _balanced_factorable(G, a.verts)
-                sound = sound and _balanced_factorable(G, (*a.verts, *S))
+                sound = len(ids(a.verts)) <= G.k * a.t
+                sound = sound and _balanced_factorable(G, ids(a.verts))
+                sound = sound and _balanced_factorable(G, (*ids(a.verts), *S))
                 bad += not sound
     dt = time.monotonic() - t0
     _finish(

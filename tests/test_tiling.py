@@ -12,7 +12,14 @@ import random
 import pytest
 
 from transtile.absorbing import AbsorbingSet, verify_absorbing_property
-from transtile.core import Pattern, PartiteGraph, VertexId, bits, mask_of
+from transtile.core import (
+    Pattern,
+    PartiteGraph,
+    VertexId,
+    bits,
+    is_transversal_copy,
+    mask_of,
+)
 from transtile.generators import (
     GenSpec,
     complete_blowup,
@@ -192,6 +199,30 @@ def test_find_clique_errors():
     H = complete_blowup(C4, 2)
     with pytest.raises(ValueError, match="complete pattern"):
         find_transversal_clique(H, full_masks(H))
+
+
+# -- copy checks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "copies, message",
+    [
+        ([(0, 0)], r"not a transversal copy: \(0, 0\)"),  # too short
+        ([(0, 0, 0, 0)], "not a transversal copy"),  # too long
+        ([(0, -1, 0)], "not a transversal copy"),  # negative index
+        ([(0, 3, 0)], "not a transversal copy"),  # index at n
+        ([(1, 0, 0)], "not a transversal copy"),  # (1, 1)-(2, 0) is missing
+        ([(0, 0, 0), (2, 1, 0)], "^copies overlap$"),
+    ],
+)
+def test_copy_checks_share_their_rejections(copies, message):
+    # Tiling.build and is_transversal_copy run one check on index tuples
+    G = complete_blowup(K3, 3).delete_edges([(1, 1, 2, 0)])
+    with pytest.raises(ValueError, match=message):
+        Tiling.build(G, [TransversalCopy(c) for c in copies])
+    if len(copies) == 1:
+        assert not is_transversal_copy(G, [(p, i) for p, i in enumerate(copies[0], 1)])
+    Tiling.build(G, [TransversalCopy((0, 0, 0)), TransversalCopy((2, 1, 1))])  # fine
 
 
 # -- greedy clique tiling -------------------------------------------------------
