@@ -18,7 +18,11 @@ The pieces fit together bottom-up:
 
 Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
-never has to trust the search that produced them.
+never has to trust the search that produced them.  Each is checked
+once: a public entry (`find_fan`, `find_connector`, `find_absorber`)
+checks its arguments and validates what it returns; private builders
+return unchecked pieces, and an absorber's witnesses hold every copy of
+its connectors, so its one `validate` covers them.
 
 A vertex set is per-part masks (see `core.part_masks`) inside the
 module and at its boundary alike: `forbidden`, `W`, the `verts` of
@@ -106,10 +110,6 @@ def _forbidden(G: PartiteGraph, masks: Optional[Sequence[int]]) -> tuple[int, ..
     return (0,) * (G.k + 1) if masks is None else part_masks(G, masks, "forbidden masks")
 
 
-def _vids_json(masks: Sequence[int]) -> list[list[int]]:
-    return [[p, i] for p in range(1, len(masks)) for i in bits(masks[p])]
-
-
 def _check_partition(
     G: PartiteGraph,
     copies: Sequence[TransversalCopy],
@@ -155,14 +155,13 @@ class Fan:
         return len(self.sets)
 
     def validate(self, G: PartiteGraph) -> None:
-        used: set[VertexId] = {self.at}
+        flat = [self.at, *(v for s in self.sets for v in s)]
+        masks = vertex_masks(G, flat)  # rejects a vertex outside G
+        if sum(m.bit_count() for m in masks) != len(flat):
+            raise ValueError("fan sets are not disjoint")
         for s in self.sets:
             if len(s) != G.k - 1:
                 raise ValueError(f"fan set {s} has the wrong size")
-            for v in s:
-                if v in used:
-                    raise ValueError(f"fan sets are not disjoint at {v}")
-                used.add(v)
             if not is_transversal_copy(G, (self.at, *s)):
                 raise ValueError(f"fan set {s} does not complete {self.at}")
 
@@ -207,6 +206,26 @@ def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -
 # -- connectors ----------------------------------------------------------------
 
 
+def _check_t(t: int) -> None:
+    if t not in (1, 2):
+        raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
+
+
+def _connector_args(
+    G: PartiteGraph, u: VertexId | tuple[int, int], v: VertexId | tuple[int, int], t: int
+) -> tuple[VertexId, VertexId]:
+    """u and v as VertexIds, once G's pattern is complete, t is 1 or 2, and
+    u and v are distinct same-part vertices of G; else ValueError."""
+    if not G.pattern.is_complete:
+        raise ValueError("connector search needs a complete pattern")
+    _check_t(t)
+    vertex_masks(G, (u, v))  # rejects an endpoint outside G
+    u, v = VertexId(*u), VertexId(*v)
+    if u.part != v.part or u == v:
+        raise ValueError("connector endpoints must be distinct same-part vertices")
+    return u, v
+
+
 @dataclass(frozen=True)
 class Connector:
     """Set joining two same-part vertices: both sides factor with it."""
@@ -218,18 +237,15 @@ class Connector:
     witness_v: tuple[TransversalCopy, ...]
 
     def validate(self, G: PartiteGraph) -> None:
-        u, v = self.pair
-        um, vm = vertex_masks(G, [u]), vertex_masks(G, [v])  # rejects an endpoint outside G
-        if u.part != v.part or u == v:
-            raise ValueError("connector endpoints must be distinct same-part vertices")
+        u, v = _connector_args(G, *self.pair, self.t)
         s = part_masks(G, self.verts, "connector set masks")
         if s[u.part] >> u.idx & 1 or s[v.part] >> v.idx & 1:
             raise ValueError("connector set must avoid its endpoints")
         size = sum(m.bit_count() for m in s)
         if size > G.k * self.t - 1:
             raise ValueError(f"connector too large: {size} > k*t - 1 = {G.k * self.t - 1}")
-        _check_partition(G, self.witness_u, _union(s, um), "connector u-side")
-        _check_partition(G, self.witness_v, _union(s, vm), "connector v-side")
+        _check_partition(G, self.witness_u, _union(s, vertex_masks(G, [u])), "connector u-side")
+        _check_partition(G, self.witness_v, _union(s, vertex_masks(G, [v])), "connector v-side")
 
 
 def _connector_t1(
@@ -252,9 +268,7 @@ def _connector_t1(
         s[p] = 1 << i
     wit_u = (_copy([u.part, *parts], (u.idx, *found)),)
     wit_v = (_copy([u.part, *parts], (v.idx, *found)),)
-    conn = Connector(pair=(u, v), verts=tuple(s), t=1, witness_u=wit_u, witness_v=wit_v)
-    conn.validate(G)
-    return conn
+    return Connector(pair=(u, v), verts=tuple(s), t=1, witness_u=wit_u, witness_v=wit_v)
 
 
 def _connector_t2_construct(
@@ -298,11 +312,7 @@ def _connector_t2_construct(
         # clique into the v-side pool covers the rest, and symmetrically
         wit_u = (_copy(parts, (u.idx, *k1[1:])), _copy(parts, k2))
         wit_v = (_copy(parts, (v.idx, *k2[1:])), _copy(parts, k1))
-        conn = Connector(
-            pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v
-        )
-        conn.validate(G)
-        return conn
+        return Connector(pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v)
     return None
 
 
@@ -332,11 +342,7 @@ def _connector_t2_exhaustive(
             wit_v = _factor_witness(G, _union(s, vm))
             if wit_v is None:
                 continue
-            conn = Connector(
-                pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v
-            )
-            conn.validate(G)
-            return conn
+            return Connector(pair=(u, v), verts=tuple(s), t=2, witness_u=wit_u, witness_v=wit_v)
     return None
 
 
@@ -373,15 +379,11 @@ def find_connector(
     (making None a proof there too).  At larger n a t=2 None only means
     the construction failed.  A vertex outside G raises ValueError.
     """
-    if not G.pattern.is_complete:
-        raise ValueError("connector search needs a complete pattern")
-    vertex_masks(G, (u, v))  # rejects an endpoint outside G
-    u, v = VertexId(*u), VertexId(*v)
-    if u.part != v.part or u == v:
-        raise ValueError("connector endpoints must be distinct same-part vertices")
-    if t not in (1, 2):
-        raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
-    return _connector(G, u, v, _forbidden(G, W), t)
+    u, v = _connector_args(G, u, v, t)
+    conn = _connector(G, u, v, _forbidden(G, W), t)
+    if conn is not None:
+        conn.validate(G)
+    return conn
 
 
 @dataclass(frozen=True)
@@ -407,12 +409,9 @@ def is_reachable(
     a fail carries the defeating W, as per-part masks, which is a proof
     whenever the connector search itself was complete (t=1 always, t=2
     at small n).
-    A vertex outside G, or a negative m or trials, raises ValueError.
+    What find_connector refuses, or a negative m or trials, raises ValueError.
     """
-    vertex_masks(G, (u, v))  # rejects an endpoint outside G
-    u, v = VertexId(*u), VertexId(*v)
-    if u.part != v.part or u == v:
-        raise ValueError("reachability needs distinct same-part vertices")
+    u, v = _connector_args(G, u, v, t)
     for name, value in (("m", m), ("trials", trials)):
         if value < 0:
             raise ValueError(f"reachability needs {name} >= 0, got {value}")
@@ -422,17 +421,15 @@ def is_reachable(
         nbrs = ((q, i) for q in range(1, G.k + 1) for i in bits(G.nbr_mask(*x, q)))
         return tuple(vertex_masks(G, islice(nbrs, m)))
 
-    candidates = [neighborhood(u), neighborhood(v)]
     rng = rng_for(seed, "reach")
-    for _ in range(trials):
-        size = min(m, len(everything))
-        candidates.append(tuple(vertex_masks(G, rng.sample(everything, size))))
-    checks = 0
-    for w in candidates:
-        checks += 1
-        if find_connector(G, u, v, w, t) is None:
+    size = min(m, len(everything))
+    candidates = [neighborhood(u), neighborhood(v)] + [
+        tuple(vertex_masks(G, rng.sample(everything, size))) for _ in range(trials)
+    ]
+    for checks, w in enumerate(candidates, 1):
+        if _connector(G, u, v, w, t) is None:
             return ReachVerdict(ok=False, witness=w, checks=checks)
-    return ReachVerdict(ok=True, witness=None, checks=checks)
+    return ReachVerdict(ok=True, witness=None, checks=len(candidates))
 
 
 # -- absorbers -----------------------------------------------------------------
@@ -482,8 +479,7 @@ def find_absorber(
     """
     if not G.pattern.is_complete:
         raise ValueError("absorber search needs a complete pattern")
-    if connector_t not in (1, 2):
-        raise ValueError(f"connector parameter t must be 1 or 2, got {connector_t}")
+    _check_t(connector_t)
     k = G.k
     target = vertex_masks(G, S)
     if len(S) != k or any(m.bit_count() != 1 for m in target[1:]):
@@ -887,7 +883,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
             {
                 "edge": list(edge),
                 "target": [list(x) for x in a.target],
-                "set": _vids_json(a.verts),
+                "set": [[p, i] for p in range(1, k + 1) for i in bits(a.verts[p])],
             }
             for edge, a in absorbers
         ],

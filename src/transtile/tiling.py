@@ -152,6 +152,10 @@ class _DisjointCopies:
                 masks[p] |= 1 << c.verts[p - 1]
         return masks
 
+    def overlaps(self) -> bool:
+        """True iff two copies share a vertex."""
+        return sum(m.bit_count() for m in self.covered_masks()) != self.k * len(self.copies)
+
     def leftover_masks(self) -> list[int]:
         full = (1 << self.n) - 1
         return [0] + [full & ~m for m in self.covered_masks()[1:]]
@@ -175,8 +179,7 @@ class Tiling(_DisjointCopies):
         for c in copies:
             if not is_transversal_tuple(G, c.verts):
                 raise ValueError(f"not a transversal copy: {c.verts}")
-        covered = t.covered_masks()
-        if any(covered[p].bit_count() != len(copies) for p in range(1, G.k + 1)):
+        if t.overlaps():
             raise ValueError("copies overlap")
         return t
 
@@ -721,8 +724,7 @@ def _validate_mixed(G: PartiteGraph, T: MixedTiling) -> None:
             u = (centre, c.verts[centre - 1])
             if not all(G.has_edge(u, (q, c.verts[q - 1])) for q in leaves):
                 raise ValueError(f"shape edges missing in copy {c}")
-    covered = T.covered_masks()
-    if any(covered[p].bit_count() != len(T.copies) for p in range(1, k + 1)):
+    if T.overlaps():
         raise ValueError("leftover unbalanced: copies overlap or collide")
 
 

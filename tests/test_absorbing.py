@@ -194,6 +194,34 @@ def test_fan_validate_rejects_overlapping_sets():
         Fan(at=VertexId(1, 0), sets=(s, s)).validate(G)
 
 
+@pytest.mark.parametrize(
+    "fan, vertex",
+    [
+        (Fan(at=VertexId(9, 99), sets=()), r"\(9, 99\)"),
+        (Fan(at=VertexId(1, 0), sets=((VertexId(2, 7), VertexId(3, 0)),)), r"\(2, 7\)"),
+    ],
+    ids=["at", "set vertex"],
+)
+def test_fan_validate_rejects_vertices_outside_the_graph(fan, vertex):
+    # the first once passed with no sets to check, and the second was
+    # reported as a set that "does not complete" its vertex
+    with pytest.raises(ValueError, match=rf"vertex {vertex} is not in G"):
+        fan.validate(complete_blowup(K3, 4))
+
+
+def _partition_checks(monkeypatch) -> list[str]:
+    """The labels of every witness partition check made from now on."""
+    labels: list[str] = []
+    check = absorbing._check_partition
+
+    def counted(G, copies, expected, label):
+        labels.append(label)
+        check(G, copies, expected, label)
+
+    monkeypatch.setattr(absorbing, "_check_partition", counted)
+    return labels
+
+
 # -- connectors ----------------------------------------------------------------
 
 
@@ -354,6 +382,27 @@ def test_connector_absence_for_cut_off_endpoint():
     assert find_connector(G, (1, 0), (1, 1), t=2) is None
 
 
+@pytest.mark.parametrize(
+    "deleted, t",
+    [
+        ([], 1),  # the joint-neighbourhood search
+        ([(1, 0, 2, 2), (1, 0, 2, 3), (1, 1, 2, 0), (1, 1, 2, 1)], 2),  # the apex construction
+        (
+            [(1, 0, 3, 2), (1, 0, 3, 3), (1, 1, 3, 0), (1, 1, 3, 1), (2, 0, 3, 0), (2, 1, 3, 0)],
+            2,
+        ),  # the exhaustive fallback
+    ],
+    ids=["t1", "t2-construct", "t2-exhaustive"],
+)
+def test_find_connector_checks_its_witnesses_once(monkeypatch, deleted, t):
+    # the builders return unchecked connectors; find_connector validates
+    # the one it returns, one partition check per side
+    G = complete_blowup(K3, 4).delete_edges(deleted)
+    labels = _partition_checks(monkeypatch)
+    assert find_connector(G, (1, 0), (1, 1), t=t).t == t
+    assert labels == ["connector u-side", "connector v-side"]
+
+
 def test_connector_validate_rejects_tampered_witness():
     G = complete_blowup(K3, 3)
     c = find_connector(G, (1, 0), (1, 1), t=1)
@@ -427,6 +476,30 @@ def test_reachability_argument_validation():
     G = complete_blowup(K3, 3)
     with pytest.raises(ValueError, match="same-part"):
         is_reachable(G, (1, 0), (2, 0), m=1)
+
+
+@pytest.mark.parametrize(
+    "pattern, t, message",
+    [(Pattern.cycle(4), 1, "complete pattern"), (K3, 3, "t must be 1 or 2, got 3")],
+    ids=["C4", "t=3"],
+)
+def test_reachability_refuses_its_arguments_before_any_search(monkeypatch, pattern, t, message):
+    # both refusals once came from the first of its connector searches
+    def no_search(*args, **kwargs):
+        raise AssertionError("is_reachable searched before refusing its arguments")
+
+    monkeypatch.setattr(absorbing, "_connector", no_search)
+    monkeypatch.setattr(absorbing, "find_connector", no_search)
+    with pytest.raises(ValueError, match=message):
+        is_reachable(complete_blowup(pattern, 3), (1, 0), (1, 1), m=1, t=t)
+
+
+def test_reachability_validates_no_connector(monkeypatch):
+    # every connector it finds is thrown away, so none is checked
+    labels = _partition_checks(monkeypatch)
+    r = is_reachable(complete_blowup(K3, 4), (1, 0), (1, 1), m=2, t=1, trials=8, seed=3)
+    assert r.ok and r.checks == 10
+    assert labels == []
 
 
 @pytest.mark.parametrize(
@@ -536,6 +609,16 @@ def test_absorber_assembles_its_witnesses_without_a_factor_search(monkeypatch):
     a = find_absorber(G, [(1, 0), (2, 0), (3, 0)], connector_t=1)
     assert a is not None and len(a.witness_full) == len(a.witness_inner) + 1
     a.validate(G)
+
+
+def test_find_absorber_checks_each_witness_once(monkeypatch):
+    # the absorber's inner and full witnesses hold every copy of its
+    # connectors, so its own check is the only one: 2 partition checks
+    # where checking each connector too made 2k + 2 = 8
+    labels = _partition_checks(monkeypatch)
+    a = find_absorber(complete_blowup(K3, 6), [(1, 0), (2, 0), (3, 0)], connector_t=1)
+    assert a is not None and len(a.witness_inner) == 3
+    assert labels == ["absorber inner", "absorber full"]
 
 
 def test_absorber_rejects_connector_t_3_before_any_search():

@@ -271,3 +271,22 @@ def test_benchmark_span_targets_resolve():
             missing.append(f"{module}.{attr}")
     assert len(targets) >= 20
     assert not missing, f"benchmark spans name what src/transtile lacks: {', '.join(missing)}"
+
+
+def test_absorbing_validates_only_in_public_entries():
+    # a public entry checks its arguments and validates what it returns,
+    # once; a private builder returns unchecked pieces, so a `.validate(`
+    # there checks a witness its caller checks again
+    tree = ast.parse((SRC / "absorbing.py").read_text(), filename="absorbing.py")
+    callers = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+    assert {"find_fan", "find_connector", "find_absorber"} <= {name for name, _ in callers}
+    private = sorted(f"{name} (line {line})" for name, line in callers if name.startswith("_"))
+    assert not private, f"absorbing.py validates in private functions: {', '.join(private)}"
