@@ -20,9 +20,13 @@ Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.  Each is checked
 once: a public entry (`find_fan`, `find_connector`, `find_absorber`)
-checks its arguments and validates what it returns; private builders
-return unchecked pieces, and an absorber's witnesses hold every copy of
-its connectors, so its one `validate` covers them.
+checks its arguments and validates what it returns.  Private builders
+(`_fan_sets`, the `_connector*` searches, `_factor_witness`,
+`_absorb_factor`) neither check arguments nor validate: they trust the
+entry that called them, and an absorber's witnesses hold every copy of
+its connectors, so its one `validate` covers them.  Each parameter rule
+(t is 1 or 2, the template scale, the template X cap) is written once,
+and the pipeline reuses it under its stage name.
 
 A vertex set is per-part masks (see `core.part_masks`) inside the
 module and at its boundary alike: `forbidden`, `W`, the `verts` of
@@ -60,7 +64,6 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
-    common_neighborhood,
     is_transversal_copy,
     mask_of,
     part_masks,
@@ -92,6 +95,7 @@ __all__ = [
 
 TEMPLATE_X_CAP = 20
 TEMPLATE_TRIES = 1000
+TEMPLATE_MAX_DEGREE = 40
 SAMPLE_TRIES = 64
 CONNECTOR_EXHAUSTIVE_CAP = 6
 
@@ -129,13 +133,9 @@ def _factor_witness(
 ) -> Optional[tuple[TransversalCopy, ...]]:
     """Transversal factor of G[masks], or None if it has none.
 
-    None also when the masks are empty or unbalanced across the parts.
     The exact search runs on G itself, so the copies come back in G's
     labels.
     """
-    sizes = {masks[p].bit_count() for p in range(1, G.k + 1)}
-    if len(sizes) != 1 or sizes == {0}:
-        return None
     tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
     return None if tiling is None else tiling.copies
 
@@ -206,9 +206,9 @@ def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -
 # -- connectors ----------------------------------------------------------------
 
 
-def _check_t(t: int) -> None:
+def _check_t(t: int, prefix: str = "") -> None:
     if t not in (1, 2):
-        raise ValueError(f"connector parameter t must be 1 or 2, got {t}")
+        raise ValueError(f"{prefix}connector parameter t must be 1 or 2, got {t}")
 
 
 def _connector_args(
@@ -259,7 +259,7 @@ def _connector_t1(
     proof that no size-(k-1) connector avoids W.
     """
     parts = [p for p in range(1, G.k + 1) if p != u.part]
-    masks = [common_neighborhood(G, (u, v), p) & ~W[p] for p in parts]
+    masks = [G.nbr_mask(*u, p) & G.nbr_mask(*v, p) & ~W[p] for p in parts]
     found = next(iter_copies(G, parts, masks), None)
     if found is None:
         return None
@@ -517,14 +517,12 @@ def disjoint_absorbers(
     G: PartiteGraph,
     S: Sequence[VertexId | tuple[int, int]],
     count_target: int,
-    forbidden: Optional[Sequence[int]] = None,
     connector_t: int = 1,
 ) -> list[Absorber]:
-    """Greedy maximal family of pairwise-disjoint absorbers for S, each
-    avoiding the per-part masks `forbidden` (None forbids nothing)."""
+    """Greedy maximal family of pairwise-disjoint absorbers for S."""
     if count_target < 0:
         raise ValueError(f"absorber family needs count_target >= 0, got {count_target}")
-    used = _forbidden(G, forbidden)
+    used = (0,) * (G.k + 1)
     out: list[Absorber] = []
     while len(out) < count_target:
         a = find_absorber(G, S, used, connector_t=connector_t)
@@ -550,7 +548,7 @@ class Template:
     m: int
     beta_m: int
     edges: frozenset[tuple[int, int]]
-    max_degree: int = 40
+    max_degree: int = TEMPLATE_MAX_DEGREE
 
     @property
     def x_size(self) -> int:
@@ -577,8 +575,7 @@ class Template:
         return left, right
 
     def validate(self) -> None:
-        if self.m < 1 or self.beta_m < 0:
-            raise ValueError("template needs m >= 1 and beta_m >= 0")
+        _check_scale(self.m, self.beta_m)
         for l, z in self.edges:
             if not (0 <= l < self.left_size and 0 <= z < self.z_size):
                 raise ValueError(f"template edge ({l},{z}) out of range")
@@ -607,13 +604,22 @@ class Template:
         )
 
 
+def _check_scale(m: int, beta_m: int, prefix: str = "") -> None:
+    if m < 1 or beta_m < 0:
+        raise ValueError(f"{prefix}template scale needs m >= 1, beta_m >= 0")
+
+
+def _check_x_cap(x_size: int) -> None:
+    if x_size > TEMPLATE_X_CAP:
+        raise ValueError(
+            f"template verification refused: |X| = {x_size} exceeds cap {TEMPLATE_X_CAP}"
+        )
+
+
 def verify_template(T: Template) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustive robustness check; returns (ok, violating X' or None)."""
     T.validate()
-    if T.x_size > TEMPLATE_X_CAP:
-        raise ValueError(
-            f"template verification refused: |X| = {T.x_size} exceeds cap {TEMPLATE_X_CAP}"
-        )
+    _check_x_cap(T.x_size)
     rows = [0] * T.left_size
     for l, z in T.edges:
         rows[l] |= 1 << z
@@ -625,33 +631,22 @@ def verify_template(T: Template) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, None
 
 
-def generate_template(
-    m: int,
-    beta_m: int,
-    max_tries: int = 1000,
-    seed: int = 0,
-    max_degree: int = 40,
-) -> Optional[Template]:
+def generate_template(m: int, beta_m: int, seed: int = 0) -> Optional[Template]:
     """Randomized sparse-first template search.
 
     Attempt i samples each right vertex's neighborhood at degree
     1 + i // 25 (so the sparsest candidates come first), patches any
     uncovered left vertex, and keeps the first sample that verifies.
+    It makes TEMPLATE_TRIES attempts, keeps every degree within
+    TEMPLATE_MAX_DEGREE, and returns None when no attempt verifies.
     """
-    if m < 1 or beta_m < 0:
-        raise ValueError("template needs m >= 1 and beta_m >= 0")
-    for name, value in (("max_tries", max_tries), ("max_degree", max_degree)):
-        if value < 0:
-            raise ValueError(f"template search needs {name} >= 0, got {value}")
-    if m + beta_m > TEMPLATE_X_CAP:
-        raise ValueError(
-            f"template verification refused: |X| = {m + beta_m} exceeds cap {TEMPLATE_X_CAP}"
-        )
+    _check_scale(m, beta_m)
+    _check_x_cap(m + beta_m)
     left_size = m + beta_m + 2 * m
     z_size = 3 * m
-    for attempt in range(max_tries):
+    for attempt in range(TEMPLATE_TRIES):
         rng = rng_for(seed, "template", attempt)
-        d = min(1 + attempt // 25, left_size, max_degree)
+        d = min(1 + attempt // 25, left_size, TEMPLATE_MAX_DEGREE)
         edges: set[tuple[int, int]] = set()
         left_deg = [0] * left_size
         for z in range(z_size):  # d distinct left vertices each
@@ -666,7 +661,7 @@ def generate_template(
             start = rng.randrange(z_size)
             for off in range(z_size):
                 z = (start + off) % z_size
-                if right_deg[z] < max_degree:
+                if right_deg[z] < TEMPLATE_MAX_DEGREE:
                     edges.add((l, z))
                     right_deg[z] += 1
                     left_deg[l] += 1
@@ -674,10 +669,10 @@ def generate_template(
             else:
                 ok = False
                 break
-        if not ok or max(left_deg) > max_degree:
+        if not ok or max(left_deg) > TEMPLATE_MAX_DEGREE:
             continue
         cand = Template(
-            m=m, beta_m=beta_m, edges=frozenset(edges), max_degree=max_degree
+            m=m, beta_m=beta_m, edges=frozenset(edges), max_degree=TEMPLATE_MAX_DEGREE
         )
         if verify_template(cand)[0]:
             return cand
@@ -757,10 +752,8 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         raise ValueError("absorbing-set assembly needs a complete pattern")
     k, n = G.k, G.n
     m, beta_m = params.m, params.beta_m
-    if m < 1 or beta_m < 0:
-        raise ValueError("stage sample-x: template scale needs m >= 1, beta_m >= 0")
-    if params.connector_t not in (1, 2):
-        raise ValueError("stage absorbers: connector_t must be 1 or 2")
+    _check_scale(m, beta_m, "stage sample-x: ")
+    _check_t(params.connector_t, "stage absorbers: ")
     if not 0 <= params.q <= 1:
         raise ValueError(f"stage sample-x: q must lie in [0, 1], got {params.q}")
     if params.beta_prime < 0:
@@ -819,12 +812,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     # stage template
     templates: list[Template] = []
     for i in range(1, k + 1):
-        tpl = generate_template(
-            m,
-            beta_m,
-            max_tries=TEMPLATE_TRIES,
-            seed=params.seed * (k + 1) + i,
-        )
+        tpl = generate_template(m, beta_m, seed=params.seed * (k + 1) + i)
         if tpl is None:
             raise ValueError(
                 f"stage template: no verified template for part {i} "

@@ -10,7 +10,7 @@ Records serialize to CSV plus a lossless JSON mirror, and `emit_plot`
 renders them to SVG.  Everything derived from the same
 config is byte-identical across runs: instances run one after another
 in index order, each on RNG streams keyed by (seed, instance index),
-and wall-clock times stay out of the files.
+and no record holds a wall-clock time.
 
 Per-instance failures (a refused exact cap, an unsatisfiable pipeline
 stage) are recorded as rows with `failed=true` and the run continues;
@@ -26,7 +26,6 @@ import io
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -133,15 +132,14 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRecord:
-    """One instance outcome.  Wall time is kept for interactive use but
-    never serialized; files must not depend on machine speed."""
+    """One instance outcome.  It holds no wall time: files must not
+    depend on machine speed."""
 
     config_hash: str
     scenario: str
     index: int
     instance: dict
     metrics: dict
-    wall_ms: float = 0.0
     artifact_version: str = ARTIFACT_VERSION
 
     @property
@@ -368,7 +366,6 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     chash = config.config_hash()
     records = []
     for index, desc, extra in _worklist(config):
-        started = time.perf_counter()
         try:
             G = _load_instance(desc)
             metrics = {**extra, **body(G, config.args, subseed(config.seed, "run", index))}
@@ -381,7 +378,6 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
                 index=index,
                 instance=desc,
                 metrics=metrics,
-                wall_ms=(time.perf_counter() - started) * 1000.0,
             )
         )
     if config.out_csv:

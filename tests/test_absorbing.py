@@ -522,8 +522,6 @@ def test_reachability_rejects_negative_counts(kwargs, message):
             lambda G: disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], -2),
             "count_target >= 0, got -2",
         ),
-        (lambda G: generate_template(1, 1, max_tries=-1), "max_tries >= 0, got -1"),
-        (lambda G: generate_template(1, 1, max_degree=-1), "max_degree >= 0, got -1"),
         (
             lambda G: verify_absorbing_property(
                 G, _set_of([0, 0, 0, 0]), 1.5, exhaustive_limit=-1
@@ -531,11 +529,11 @@ def test_reachability_rejects_negative_counts(kwargs, message):
             "exhaustive_limit >= 0, got -1",
         ),
     ],
-    ids=["find_fan", "disjoint_absorbers", "max_tries", "max_degree", "exhaustive_limit"],
+    ids=["find_fan", "disjoint_absorbers", "exhaustive_limit"],
 )
 def test_absorbing_entries_reject_negative_counts(call, message):
-    # each once passed: an empty fan, no absorbers, no template, a failure
-    # inside random.sample, and a sampled check instead of an exhaustive one
+    # each once passed: an empty fan, no absorbers, and a sampled check
+    # instead of an exhaustive one
     with pytest.raises(ValueError, match=message):
         call(complete_blowup(K3, 3))
 
@@ -757,9 +755,11 @@ def test_template_m2_b1_generates_and_verifies():
     assert max(left + right) <= 40
 
 
-def test_template_degree_cap_one_is_unsatisfiable():
+def test_template_degree_cap_one_is_unsatisfiable(monkeypatch):
     # six right vertices at degree one cannot cover seven left vertices
-    assert generate_template(2, 1, max_tries=60, seed=0, max_degree=1) is None
+    monkeypatch.setattr(absorbing, "TEMPLATE_TRIES", 60)
+    monkeypatch.setattr(absorbing, "TEMPLATE_MAX_DEGREE", 1)
+    assert generate_template(2, 1, seed=0) is None
 
 
 def test_template_hand_built_robust_pair():
@@ -795,7 +795,7 @@ def test_template_verifier_matches_brute_force(seed):
 
 def test_template_x_cap_refusal():
     with pytest.raises(ValueError, match="exceeds cap 20"):
-        generate_template(21, 0, max_tries=1)
+        generate_template(21, 0)
     with pytest.raises(ValueError, match="exceeds cap 20"):
         verify_template(Template(m=20, beta_m=1, edges=frozenset()))
 
@@ -823,6 +823,21 @@ def test_template_generation_is_deterministic():
     a = generate_template(2, 1, seed=9)
     b = generate_template(2, 1, seed=9)
     assert a == b
+
+
+# SHA-256 of json.dumps(rows), one row per generate_template(m, beta_m,
+# seed) for m in 1..3, beta_m in 0..2 and seed in 0..3 (36 templates):
+# the template's sorted edges as [left, right] pairs, or None.  Moving an
+# edge, a degree cap or the number of tries moves it.
+TEMPLATE_GRID_SHA = "1702e75715a9d3d1b8a0a5dd09fb4bf50b7222e75e8b5c5b94d66dd6a37ae036"
+
+
+def test_templates_are_pinned():
+    rows = []
+    for m, beta_m, seed in product(range(1, 4), range(3), range(4)):
+        T = generate_template(m, beta_m, seed=seed)
+        rows.append(None if T is None else sorted(T.edges))
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == TEMPLATE_GRID_SHA
 
 
 # -- absorbing-set pipeline ------------------------------------------------------
@@ -923,14 +938,36 @@ def test_build_rejects_insufficient_yz_room():
         (1.5, 0.003, r"stage sample-x: q must lie in \[0, 1\], got 1.5"),
         (-0.1, 0.003, r"stage sample-x: q must lie in \[0, 1\], got -0.1"),
         (0.1, -0.01, "stage sample-x: beta_prime must be >= 0, got -0.01"),
+        # the rules the pipeline shares with the searches it calls, under
+        # its stage names; these rows give the fields they change
+        pytest.param(
+            0.1,
+            {"connector_t": 3},
+            "^stage absorbers: connector parameter t must be 1 or 2, got 3$",
+            id="connector_t-3",
+        ),
+        pytest.param(
+            0.1,
+            {"m": 0},
+            "^stage sample-x: template scale needs m >= 1, beta_m >= 0$",
+            id="m-0",
+        ),
+        pytest.param(
+            0.1,
+            {"beta_m": -1},
+            "^stage sample-x: template scale needs m >= 1, beta_m >= 0$",
+            id="beta_m--1",
+        ),
     ],
 )
 def test_build_rejects_out_of_range_sample_params(q, beta_prime, message):
     # q = 1.5 once failed at stage select-yz ("only -15 remain"), and a
     # negative beta_prime ran as no fan requirement
     G = complete_blowup(K3, 30)
+    fields = {"q": q, "tau": 3.0, "beta_prime": 0.003, "m": 1, "seed": 0}
+    fields.update(beta_prime if isinstance(beta_prime, dict) else {"beta_prime": beta_prime})
     with pytest.raises(ValueError, match=message):
-        build_absorbing_set(G, AbsorbParams(q=q, tau=3.0, beta_prime=beta_prime, m=1, seed=0))
+        build_absorbing_set(G, AbsorbParams(**fields))
 
 
 def test_build_rejects_negative_tau_up_front(monkeypatch):

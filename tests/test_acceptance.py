@@ -260,7 +260,7 @@ def test_criterion_6_template_verifier_agrees_with_matching_brute_force():
     t0 = time.monotonic()
     generated = disagreements = 0
     for m in (1, 2, 3):
-        T = generate_template(m, 1, seed=0, max_degree=40)
+        T = generate_template(m, 1, seed=0)
         if T is None:
             continue
         ok, failing = verify_template(T)

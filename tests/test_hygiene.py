@@ -290,3 +290,31 @@ def test_absorbing_validates_only_in_public_entries():
     assert {"find_fan", "find_connector", "find_absorber"} <= {name for name, _ in callers}
     private = sorted(f"{name} (line {line})" for name, line in callers if name.startswith("_"))
     assert not private, f"absorbing.py validates in private functions: {', '.join(private)}"
+
+
+def test_absorbing_builders_check_no_arguments():
+    # the public entry that calls a private builder has checked its
+    # arguments already; a check inside the builder runs again on every
+    # call (a connector search runs once per absorber part)
+    builders = {
+        "_fan_sets",
+        "_connector_t1",
+        "_connector_t2_construct",
+        "_connector_t2_exhaustive",
+        "_connector",
+        "_factor_witness",
+        "_absorb_factor",
+    }
+    checks = {"_connector_args", "_check_t", "part_masks", "_forbidden", "common_neighborhood"}
+    tree = ast.parse((SRC / "absorbing.py").read_text(), filename="absorbing.py")
+    found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert builders <= set(found)
+    calls = sorted(
+        f"{name} calls {node.func.id} (line {node.lineno})"
+        for name in builders
+        for node in ast.walk(found[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in checks
+    )
+    assert not calls, f"absorbing.py builders re-check arguments: {', '.join(calls)}"

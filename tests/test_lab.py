@@ -453,7 +453,6 @@ def test_render_rejects_empty_or_mixed():
 
 def test_wall_time_stays_out_of_serialized_records():
     record = run(sweep_config())[0]
-    assert record.wall_ms >= 0
     assert "wall" not in json.dumps(record.to_json_dict())
 
 
