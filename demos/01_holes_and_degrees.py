@@ -12,12 +12,10 @@ import sys
 
 from transtile import (
     Pattern,
-    VertexId,
     alpha_star_exact,
     certify_no_hole,
     complete_blowup,
     delta_star,
-    density,
     random_spanning_subgraph,
     verify_hole,
 )
@@ -26,12 +24,7 @@ K3 = Pattern.complete(3)
 
 print("-- complete blow-up: no holes at all --")
 G = complete_blowup(K3, 6)
-part1 = [VertexId(1, i) for i in range(G.n)]
-part2 = [VertexId(2, i) for i in range(G.n)]
-print(
-    f"k={G.k} n={G.n} delta*={delta_star(G)} "
-    f"d(part1,part2)={density(G, part1, part2)}"
-)
+print(f"k={G.k} n={G.n} delta*={delta_star(G)}")
 for r in (2, 3):
     rep = alpha_star_exact(G, r)
     print(f"  alpha*_{r} = {rep.alpha} ({rep.method}, {rep.explored} branch nodes)")

@@ -2,11 +2,11 @@
 
 Absorption turns near-factors into factors: a pre-built vertex set R is
 robust enough that R together with any small balanced remainder still
-factors.  The chain runs fans (local option sets at a vertex), then
-connectors (sets joining two same-part vertices so either side factors),
-then absorbers (sets that factor with and without a given transversal
-tuple), then a sparse template whose matchings survive losing most of
-one side, and finally the assembled set R with its verifier.
+factors.  The chain runs connectors (sets joining two same-part vertices
+so either side factors), then absorbers (sets that factor with and
+without a given transversal tuple), then a sparse template whose
+matchings survive losing most of one side, and finally the assembled
+set R with its verifier.
 """
 
 from transtile import (
@@ -17,9 +17,7 @@ from transtile import (
     complete_blowup,
     find_absorber,
     find_connector,
-    find_fan,
     generate_template,
-    is_reachable,
     random_spanning_subgraph,
     verify_absorbing_property,
     verify_template,
@@ -28,18 +26,12 @@ from transtile import (
 K3 = Pattern.complete(3)
 G = random_spanning_subgraph(complete_blowup(K3, 8), 0.85, seed=2)
 
-print("-- fans: disjoint completions at one vertex --")
-fan = find_fan(G, VertexId(1, 0), target_size=3)
-print(f"fan at (1,0): {len(fan.sets)} disjoint completing pairs")
-
 print("-- connectors: two same-part vertices joined through one set --")
 u, v = VertexId(1, 0), VertexId(1, 1)
 c = find_connector(G, u, v, t=1)
 # a vertex set is per-part masks: slot p holds part p's vertices as bits
 verts = [(p, i) for p in range(1, G.k + 1) for i in range(G.n) if c.verts[p] >> i & 1]
 print(f"t=1 connector for {tuple(u)}..{tuple(v)}: {verts}")
-reach = is_reachable(G, u, v, m=2, t=1)
-print(f"  reachable with room to spare: {reach.ok} ({reach.checks} avoidance checks)")
 
 print("-- absorbers: a set that factors with and without its target --")
 S = tuple(VertexId(p, 0) for p in (1, 2, 3))

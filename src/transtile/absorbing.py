@@ -19,8 +19,8 @@ The pieces fit together bottom-up:
 Every returned object carries explicit witness factors and a
 `validate` method that re-checks them from scratch, so downstream code
 never has to trust the search that produced them.  Each is checked
-once: a public entry (`find_fan`, `find_connector`, `find_absorber`)
-checks its arguments and validates what it returns.  Private builders
+once: a public entry (`find_connector`, `find_absorber`) checks its
+arguments and validates what it returns.  Private builders
 (`_fan_sets`, the `_connector*` searches, `_factor_witness`,
 `_absorb_factor`) neither check arguments nor validate: they trust the
 entry that called them, and an absorber's witnesses hold every copy of
@@ -30,10 +30,10 @@ and the pipeline reuses it under its stage name.
 
 A vertex set is per-part masks (see `core.part_masks`) inside the
 module and at its boundary alike: `forbidden`, `W`, the `verts` of
-connectors and absorbers, `ReachVerdict.witness`, `AbsorbingSet.R` and
-`AbsorbVerdict.failing`, each checked with `part_masks` where it enters.
-Single vertices and copy-like tuples stay (part, index) pairs: connector
-endpoints, absorber targets and fan sets.
+connectors and absorbers, `AbsorbingSet.R` and `AbsorbVerdict.failing`,
+each checked with `part_masks` where it enters.  Single vertices and
+copy-like tuples stay (part, index) pairs: connector endpoints and
+absorber targets.
 
 Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
@@ -64,7 +64,6 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
-    is_transversal_copy,
     mask_of,
     part_masks,
     vertex_masks,
@@ -74,17 +73,13 @@ from transtile.search import copy_enumerator, has_perfect_matching, iter_copies
 from transtile.tiling import Tiling, TransversalCopy, exact_transversal_factor_search
 
 __all__ = [
-    "Fan",
     "Connector",
     "Absorber",
     "Template",
     "AbsorbingSet",
     "AbsorbParams",
-    "ReachVerdict",
     "AbsorbVerdict",
-    "find_fan",
     "find_connector",
-    "is_reachable",
     "find_absorber",
     "disjoint_absorbers",
     "generate_template",
@@ -143,29 +138,6 @@ def _factor_witness(
 # -- fans ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Pairwise disjoint (k-1)-sets, each completing `at` to a copy."""
-
-    at: VertexId
-    sets: tuple[tuple[VertexId, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.sets)
-
-    def validate(self, G: PartiteGraph) -> None:
-        flat = [self.at, *(v for s in self.sets for v in s)]
-        masks = vertex_masks(G, flat)  # rejects a vertex outside G
-        if sum(m.bit_count() for m in masks) != len(flat):
-            raise ValueError("fan sets are not disjoint")
-        for s in self.sets:
-            if len(s) != G.k - 1:
-                raise ValueError(f"fan set {s} has the wrong size")
-            if not is_transversal_copy(G, (self.at, *s)):
-                raise ValueError(f"fan set {s} does not complete {self.at}")
-
-
 def _fan_sets(
     G: PartiteGraph, v: VertexId, target_size: int, arena: Sequence[int]
 ) -> list[tuple[int, ...]]:
@@ -182,25 +154,6 @@ def _fan_sets(
         out.append(found)
         masks = [m & ~(1 << i) for m, i in zip(masks, found)]
     return out
-
-
-def find_fan(G: PartiteGraph, v: VertexId | tuple[int, int], target_size: int) -> Fan:
-    """Greedy fan at v: stops at target_size or exhaustion.
-
-    Greedy extraction is maximal, not maximum; the reported size is a
-    lower bound on the best possible fan.
-    """
-    if not G.pattern.is_complete:
-        raise ValueError("fan search needs a complete pattern")
-    if target_size < 0:
-        raise ValueError(f"fan search needs target_size >= 0, got {target_size}")
-    vertex_masks(G, [v])  # rejects a vertex outside G
-    v = VertexId(*v)
-    parts = [p for p in range(1, G.k + 1) if p != v.part]
-    found = _fan_sets(G, v, target_size, [G.full_mask] * (G.k + 1))
-    fan = Fan(at=v, sets=tuple(tuple(map(VertexId, parts, idxs)) for idxs in found))
-    fan.validate(G)
-    return fan
 
 
 # -- connectors ----------------------------------------------------------------
@@ -384,52 +337,6 @@ def find_connector(
     if conn is not None:
         conn.validate(G)
     return conn
-
-
-@dataclass(frozen=True)
-class ReachVerdict:
-    ok: bool
-    witness: Optional[tuple[int, ...]]
-    checks: int
-
-
-def is_reachable(
-    G: PartiteGraph,
-    u: VertexId | tuple[int, int],
-    v: VertexId | tuple[int, int],
-    m: int,
-    t: int = 1,
-    trials: int = 32,
-    seed: int = 0,
-) -> ReachVerdict:
-    """Adversarial probe: does every size-m forbidden set leave a connector?
-
-    Tries the structured sets (each endpoint's neighborhood, truncated
-    to m) plus `trials` random ones.  A pass is evidence, not a proof;
-    a fail carries the defeating W, as per-part masks, which is a proof
-    whenever the connector search itself was complete (t=1 always, t=2
-    at small n).
-    What find_connector refuses, or a negative m or trials, raises ValueError.
-    """
-    u, v = _connector_args(G, u, v, t)
-    for name, value in (("m", m), ("trials", trials)):
-        if value < 0:
-            raise ValueError(f"reachability needs {name} >= 0, got {value}")
-    everything = [x for x in G.vertices() if x != u and x != v]
-
-    def neighborhood(x: VertexId) -> tuple[int, ...]:
-        nbrs = ((q, i) for q in range(1, G.k + 1) for i in bits(G.nbr_mask(*x, q)))
-        return tuple(vertex_masks(G, islice(nbrs, m)))
-
-    rng = rng_for(seed, "reach")
-    size = min(m, len(everything))
-    candidates = [neighborhood(u), neighborhood(v)] + [
-        tuple(vertex_masks(G, rng.sample(everything, size))) for _ in range(trials)
-    ]
-    for checks, w in enumerate(candidates, 1):
-        if _connector(G, u, v, w, t) is None:
-            return ReachVerdict(ok=False, witness=w, checks=checks)
-    return ReachVerdict(ok=True, witness=None, checks=len(candidates))
 
 
 # -- absorbers -----------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -38,10 +37,7 @@ __all__ = [
     "VertexId",
     "PartiteGraph",
     "delta_star",
-    "is_transversal_copy",
     "is_transversal_tuple",
-    "density",
-    "common_neighborhood",
     "mask_of",
     "part_masks",
     "vertex_masks",
@@ -487,66 +483,9 @@ def delta_star(G: PartiteGraph) -> int:
     return best
 
 
-def is_transversal_copy(G: PartiteGraph, vs: Sequence[VertexId | tuple[int, int]]) -> bool:
-    """True iff `vs` picks one valid vertex per part and realizes every
-    pattern edge.  Malformed input returns False rather than raising."""
-    try:
-        picked = sorted((p, i) for p, i in vs)
-        if [p for p, _ in picked] != list(range(1, G.k + 1)):
-            return False
-        return is_transversal_tuple(G, [i for _, i in picked])
-    except (TypeError, ValueError):
-        return False
-
-
 def is_transversal_tuple(G: PartiteGraph, verts: Sequence[int]) -> bool:
     """True iff the indices `verts`, verts[p-1] in part p, pick one vertex
     of G per part and realize every pattern edge."""
     if len(verts) != G.k or not all(0 <= i < G.n for i in verts):
         return False
     return all(G.nbr_mask(i, verts[i - 1], j) >> verts[j - 1] & 1 for i, j in G.pattern.edges)
-
-
-def density(
-    G: PartiteGraph,
-    X: Iterable[VertexId | tuple[int, int]],
-    Y: Iterable[VertexId | tuple[int, int]],
-) -> Fraction:
-    """Exact edge density e(X, Y) / (|X| |Y|) between disjoint vertex sets."""
-    xs = list(dict.fromkeys(tuple(v) for v in X))
-    ys = list(dict.fromkeys(tuple(v) for v in Y))
-    if not xs or not ys:
-        raise ValueError("empty side: density needs two nonempty sets")
-    if set(xs) & set(ys):
-        raise ValueError("density needs disjoint sets")
-    vertex_masks(G, xs)  # rejects a vertex outside G
-    ymask = vertex_masks(G, ys)
-    e = 0
-    for p, i in xs:
-        for q in G.pattern.neighbors(p):
-            e += (G.nbr_mask(p, i, q) & ymask[q]).bit_count()
-    return Fraction(e, len(xs) * len(ys))
-
-
-def common_neighborhood(
-    G: PartiteGraph, S: Iterable[VertexId | tuple[int, int]], target: int
-) -> int:
-    """Mask of target-part vertices adjacent to every vertex of S.
-
-    Empty S returns the full target part.  Every vertex of S must lie in
-    G, in a part the pattern joins to `target`.
-    """
-    if not (1 <= target <= G.k):
-        raise ValueError(f"target part {target} out of range [1..{G.k}]")
-    S = list(S)
-    vertex_masks(G, S)  # rejects a vertex outside G
-    out = G.full_mask
-    for p, i in S:
-        if not G.pattern.adjacent(p, target):
-            raise ValueError(
-                f"non-adjacent part: vertex ({p},{i}) cannot constrain part {target}"
-            )
-        out &= G.nbr_mask(p, i, target)
-        if not out:
-            break
-    return out

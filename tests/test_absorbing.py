@@ -27,7 +27,6 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
-    common_neighborhood,
     vertex_masks,
 )
 from transtile.generators import (
@@ -43,15 +42,12 @@ from transtile.absorbing import (
     AbsorbingSet,
     AbsorbParams,
     Connector,
-    Fan,
     Template,
     build_absorbing_set,
     disjoint_absorbers,
     find_absorber,
     find_connector,
-    find_fan,
     generate_template,
-    is_reachable,
     verify_absorbing_property,
     verify_template,
 )
@@ -62,11 +58,15 @@ K3 = Pattern.complete(3)
 # -- oracles -------------------------------------------------------------------
 
 
-def max_fan_size_k3(G: PartiteGraph, v: VertexId) -> int:
+def max_fan_size_k3(G: PartiteGraph, v: VertexId, arena=None) -> int:
     """Maximum fan at v for k=3: a fan set is an edge between v's two
-    neighborhoods, so the best fan is a maximum matching between them."""
-    a_pool = list(bits(G.nbr_mask(v.part, v.idx, 2)))
-    b_pool = list(bits(G.nbr_mask(v.part, v.idx, 3)))
+    neighborhoods, so the best fan is a maximum matching between them.
+    An `arena` (per-part masks) limits both neighborhoods to its vertices."""
+    a_pool = [a for a in range(G.n) if G.has_edge(v, (2, a))]
+    b_pool = [b for b in range(G.n) if G.has_edge(v, (3, b))]
+    if arena is not None:
+        a_pool = [a for a in a_pool if arena[2] >> a & 1]
+        b_pool = [b for b in b_pool if arena[3] >> b & 1]
     best = 0
 
     def rec(ai: int, used_b: frozenset, size: int) -> None:
@@ -85,18 +85,17 @@ def max_fan_size_k3(G: PartiteGraph, v: VertexId) -> int:
 
 def naive_small_connector_exists(G, u, v, W=()) -> bool:
     """Any (k-1)-set in the joint neighborhood forming a transversal
-    copy with each endpoint?  Full product scan."""
+    copy with each endpoint?  Full product scan over edge lookups."""
     wset = {VertexId(*w) for w in W}
-    pools = []
-    for p in range(1, G.k + 1):
-        if p == u.part:
-            continue
-        cands = [
-            VertexId(p, i)
-            for i in bits(common_neighborhood(G, (u, v), p))
-            if VertexId(p, i) not in wset
+    pools = [
+        [
+            x
+            for x in (VertexId(p, i) for i in range(G.n))
+            if x not in wset and G.has_edge(u, x) and G.has_edge(v, x)
         ]
-        pools.append(cands)
+        for p in range(1, G.k + 1)
+        if p != u.part
+    ]
     for pick in product(*pools):
         if all(G.has_edge(x, y) for x, y in combinations(pick, 2)):
             return True
@@ -125,88 +124,73 @@ def naive_template_robust(T: Template) -> bool:
 
 
 # -- fans ----------------------------------------------------------------------
+#
+# The greedy fan is a private step of the pipeline's sample-x stage, so
+# these tests call `_fan_sets` directly; `everywhere` is the full arena.
+
+
+def everywhere(G: PartiteGraph) -> list[int]:
+    return [G.full_mask] * (G.k + 1)
+
+
+def check_fan(G: PartiteGraph, v: VertexId, sets, arena) -> None:
+    """Each set completes v to a copy inside `arena`, and no two meet."""
+    parts = [p for p in range(1, G.k + 1) if p != v.part]
+    flat = [VertexId(p, i) for s in sets for p, i in zip(parts, s)]
+    assert len(set(flat)) == len(flat), "fan sets are not disjoint"
+    assert all(arena[x.part] >> x.idx & 1 for x in flat), "fan set leaves the arena"
+    for s in sets:
+        copy = [v, *map(VertexId, parts, s)]
+        assert all(G.has_edge(x, y) for x, y in combinations(copy, 2)), s
 
 
 def test_fan_on_complete_blowup_reaches_part_size():
     G = complete_blowup(K3, 4)
-    fan = find_fan(G, VertexId(1, 0), 10)
-    assert fan.size == 4
-    fan.validate(G)
+    sets = absorbing._fan_sets(G, VertexId(1, 0), 10, everywhere(G))
+    assert len(sets) == 4
+    check_fan(G, VertexId(1, 0), sets, everywhere(G))
 
 
 def test_fan_target_size_truncates():
     G = complete_blowup(K3, 4)
-    assert find_fan(G, VertexId(1, 0), 2).size == 2
-
-
-def test_fan_accepts_a_plain_tuple_vertex():
-    fan = find_fan(complete_blowup(K3, 3), (1, 0), 2)
-    assert fan.at == VertexId(1, 0)
-    assert fan.size == 2
+    assert len(absorbing._fan_sets(G, VertexId(1, 0), 2, everywhere(G))) == 2
 
 
 def test_fan_at_isolated_vertex_is_empty():
     G = complete_blowup(K3, 3).delete_edges(
         [(1, 0, p, a) for p in (2, 3) for a in range(3)]
     )
-    assert find_fan(G, VertexId(1, 0), 5).sets == ()
+    assert absorbing._fan_sets(G, VertexId(1, 0), 5, everywhere(G)) == []
 
 
-def test_fan_rejects_a_vertex_outside_the_graph():
-    G = complete_blowup(K3, 3)
-    with pytest.raises(ValueError, match=r"vertex \(1, 3\) is not in G"):
-        find_fan(G, VertexId(1, 3), 2)
-
-
-def test_fan_requires_complete_pattern():
-    G = complete_blowup(Pattern.cycle(4), 3)
-    with pytest.raises(ValueError, match="complete pattern"):
-        find_fan(G, VertexId(1, 0), 2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 200))
-def test_fan_greedy_within_matching_bounds(seed):
-    # greedy is maximal, which pins it between max/2 and max
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 200),
+    arena=st.none() | st.lists(st.integers(0, 31), min_size=4, max_size=4),
+)
+def test_fan_greedy_within_matching_bounds(seed, arena):
+    # greedy is maximal, which pins it between max/2 and max of the
+    # arena's fans; sample-x passes a random subset of each part, which
+    # need not hold v, and None stands for the full arena
     G = random_instance(K3, 5, 0.55, seed)
+    arena = everywhere(G) if arena is None else arena
     v = VertexId(1, 0)
-    greedy = find_fan(G, v, 99)
-    greedy.validate(G)
-    best = max_fan_size_k3(G, v)
-    assert greedy.size <= best <= 2 * greedy.size
+    greedy = absorbing._fan_sets(G, v, 99, arena)
+    check_fan(G, v, greedy, arena)
+    best = max_fan_size_k3(G, v, arena)
+    assert len(greedy) <= best <= 2 * len(greedy)
 
 
 def test_fan_greedy_hits_maximum_on_pinned_seed():
     G = random_instance(K3, 5, 0.55, 1)
-    assert find_fan(G, VertexId(1, 0), 99).size == max_fan_size_k3(G, VertexId(1, 0)) == 3
+    v = VertexId(1, 0)
+    assert len(absorbing._fan_sets(G, v, 99, everywhere(G))) == max_fan_size_k3(G, v) == 3
 
 
 def test_fan_greedy_can_fall_short_of_maximum():
     G = random_instance(K3, 5, 0.55, 6)
-    assert find_fan(G, VertexId(1, 0), 99).size == 2
+    assert len(absorbing._fan_sets(G, VertexId(1, 0), 99, everywhere(G))) == 2
     assert max_fan_size_k3(G, VertexId(1, 0)) == 3
-
-
-def test_fan_validate_rejects_overlapping_sets():
-    G = complete_blowup(K3, 3)
-    s = (VertexId(2, 0), VertexId(3, 0))
-    with pytest.raises(ValueError, match="not disjoint"):
-        Fan(at=VertexId(1, 0), sets=(s, s)).validate(G)
-
-
-@pytest.mark.parametrize(
-    "fan, vertex",
-    [
-        (Fan(at=VertexId(9, 99), sets=()), r"\(9, 99\)"),
-        (Fan(at=VertexId(1, 0), sets=((VertexId(2, 7), VertexId(3, 0)),)), r"\(2, 7\)"),
-    ],
-    ids=["at", "set vertex"],
-)
-def test_fan_validate_rejects_vertices_outside_the_graph(fan, vertex):
-    # the first once passed with no sets to check, and the second was
-    # reported as a set that "does not complete" its vertex
-    with pytest.raises(ValueError, match=rf"vertex {vertex} is not in G"):
-        fan.validate(complete_blowup(K3, 4))
 
 
 def _partition_checks(monkeypatch) -> list[str]:
@@ -354,8 +338,6 @@ def test_connector_and_reachability_reject_endpoints_outside_the_graph(u, v):
     G = complete_blowup(K3, 3)
     with pytest.raises(ValueError, match="is not in G"):
         find_connector(G, u, v, t=1)
-    with pytest.raises(ValueError, match="is not in G"):
-        is_reachable(G, u, v, m=1)
 
 
 def test_exhaustive_connector_lists_the_apex_first():
@@ -435,89 +417,9 @@ def test_connector_validate_checks_its_masks(verts, message):
         Connector(c.pair, verts, c.t, c.witness_u, c.witness_v).validate(G)
 
 
-# -- reachability --------------------------------------------------------------
-
-
-def test_reachable_on_complete_blowup():
-    G = complete_blowup(K3, 4)
-    r = is_reachable(G, (1, 0), (1, 1), m=2, t=1, trials=8, seed=3)
-    assert r.ok and r.witness is None and r.checks == 10
-
-
-def test_reachability_fail_returns_defeating_set():
-    # u keeps only two part-2 neighbors; forbidding exactly those
-    # (the structured candidate) severs every small connector
-    G = complete_blowup(K3, 4).delete_edges([(1, 0, 2, 2), (1, 0, 2, 3)])
-    r = is_reachable(G, (1, 0), (1, 1), m=2, t=1, trials=4, seed=0)
-    assert not r.ok and r.checks == 1
-    assert ids(r.witness) == (VertexId(2, 0), VertexId(2, 1))
-    assert find_connector(G, (1, 0), (1, 1), r.witness, t=1) is None
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 150))
-def test_reachability_consistent_with_exhaustive_forbidden_scan(seed):
-    G = random_instance(K3, 3, 0.7, seed)
-    u, v = VertexId(1, 0), VertexId(1, 1)
-    rest = [x for x in G.vertices() if x not in (u, v)]
-    truth = all(
-        naive_small_connector_exists(G, u, v, W)
-        for W in combinations(rest, 2)
-    )
-    r = is_reachable(G, u, v, m=2, t=1, trials=30, seed=seed)
-    if truth:
-        assert r.ok
-    if not r.ok:
-        assert not truth
-        assert not naive_small_connector_exists(G, u, v, ids(r.witness))
-
-
-def test_reachability_argument_validation():
-    G = complete_blowup(K3, 3)
-    with pytest.raises(ValueError, match="same-part"):
-        is_reachable(G, (1, 0), (2, 0), m=1)
-
-
-@pytest.mark.parametrize(
-    "pattern, t, message",
-    [(Pattern.cycle(4), 1, "complete pattern"), (K3, 3, "t must be 1 or 2, got 3")],
-    ids=["C4", "t=3"],
-)
-def test_reachability_refuses_its_arguments_before_any_search(monkeypatch, pattern, t, message):
-    # both refusals once came from the first of its connector searches
-    def no_search(*args, **kwargs):
-        raise AssertionError("is_reachable searched before refusing its arguments")
-
-    monkeypatch.setattr(absorbing, "_connector", no_search)
-    monkeypatch.setattr(absorbing, "find_connector", no_search)
-    with pytest.raises(ValueError, match=message):
-        is_reachable(complete_blowup(pattern, 3), (1, 0), (1, 1), m=1, t=t)
-
-
-def test_reachability_validates_no_connector(monkeypatch):
-    # every connector it finds is thrown away, so none is checked
-    labels = _partition_checks(monkeypatch)
-    r = is_reachable(complete_blowup(K3, 4), (1, 0), (1, 1), m=2, t=1, trials=8, seed=3)
-    assert r.ok and r.checks == 10
-    assert labels == []
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [({"m": -1}, "m >= 0, got -1"), ({"m": 1, "trials": -5}, "trials >= 0, got -5")],
-)
-def test_reachability_rejects_negative_counts(kwargs, message):
-    # m = -1 once failed inside random.sample; trials = -5 passed after
-    # the two structured checks
-    G = complete_blowup(K3, 3)
-    with pytest.raises(ValueError, match=message):
-        is_reachable(G, (1, 0), (1, 1), **kwargs)
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda G: find_fan(G, (1, 0), -1), "target_size >= 0, got -1"),
         (
             lambda G: disjoint_absorbers(G, [(1, 0), (2, 0), (3, 0)], -2),
             "count_target >= 0, got -2",
@@ -529,11 +431,11 @@ def test_reachability_rejects_negative_counts(kwargs, message):
             "exhaustive_limit >= 0, got -1",
         ),
     ],
-    ids=["find_fan", "disjoint_absorbers", "exhaustive_limit"],
+    ids=["disjoint_absorbers", "exhaustive_limit"],
 )
 def test_absorbing_entries_reject_negative_counts(call, message):
-    # each once passed: an empty fan, no absorbers, and a sampled check
-    # instead of an exhaustive one
+    # each once passed: no absorbers, and a sampled check instead of an
+    # exhaustive one
     with pytest.raises(ValueError, match=message):
         call(complete_blowup(K3, 3))
 

@@ -1,6 +1,4 @@
 import json
-from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +8,8 @@ from conftest import naive_delta_star, random_instance
 from transtile.core import (
     Pattern,
     PartiteGraph,
-    VertexId,
-    common_neighborhood,
     delta_star,
-    density,
-    is_transversal_copy,
+    is_transversal_tuple,
     part_masks,
 )
 
@@ -101,21 +96,19 @@ def test_nonadjacent_read_is_empty():
 
 def test_is_transversal_copy_complete():
     G = PartiteGraph.complete(Pattern.complete(3), 2)
-    assert is_transversal_copy(G, [VertexId(1, 0), VertexId(2, 1), VertexId(3, 0)])
+    assert is_transversal_tuple(G, [0, 1, 0])
 
 
 def test_is_transversal_copy_missing_edge():
     G = PartiteGraph.complete(Pattern.cycle(4), 2).delete_edges([(1, 0, 2, 0)])
-    assert not is_transversal_copy(G, [(1, 0), (2, 0), (3, 0), (4, 0)])
-    assert is_transversal_copy(G, [(1, 1), (2, 0), (3, 0), (4, 0)])
+    assert not is_transversal_tuple(G, [0, 0, 0, 0])
+    assert is_transversal_tuple(G, [1, 0, 0, 0])
 
 
 def test_is_transversal_copy_malformed():
     G = PartiteGraph.complete(Pattern.complete(3), 2)
-    assert not is_transversal_copy(G, [(1, 0), (2, 0)])          # too short
-    assert not is_transversal_copy(G, [(1, 0), (1, 1), (3, 0)])  # repeated part
-    assert not is_transversal_copy(G, [(1, 0), (2, 0), (3, 9)])  # bad index
-    assert not is_transversal_copy(G, [(1, 0), (2, 0), (9, 0)])  # bad part
+    assert not is_transversal_tuple(G, [0, 0])     # too short
+    assert not is_transversal_tuple(G, [0, 0, 9])  # bad index
 
 
 def test_transversal_copies_complete_small():
@@ -125,84 +118,7 @@ def test_transversal_copies_complete_small():
         from itertools import product
 
         for tup in product(range(3), repeat=k):
-            vs = [(p + 1, tup[p]) for p in range(k)]
-            assert is_transversal_copy(G, vs)
-
-
-# -- density ------------------------------------------------------------------
-
-
-def test_density_exact():
-    G = PartiteGraph.from_edges(
-        Pattern.complete(2), 2, [(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 2, 0)]
-    )
-    X = [(1, 0), (1, 1)]
-    Y = [(2, 0), (2, 1)]
-    assert density(G, X, Y) == Fraction(3, 4)
-    assert density(G, Y, X) == Fraction(3, 4)
-
-
-def test_density_errors():
-    G = PartiteGraph.complete(Pattern.complete(2), 2)
-    with pytest.raises(ValueError, match="empty side"):
-        density(G, [], [(2, 0)])
-    with pytest.raises(ValueError, match="disjoint"):
-        density(G, [(1, 0)], [(1, 0), (2, 0)])
-
-
-@pytest.mark.parametrize("X,Y", [
-    ([(1, 0)], [(2, 7)]), ([(1, -1)], [(2, 0)]), ([(1, 0)], [(3, 0)]), ([(0, 1)], [(2, 0)]),
-])
-def test_density_rejects_a_vertex_outside_g(X, Y):
-    # at n = 3, (2, 7) once counted as a vertex with no edges: density 0
-    G = PartiteGraph.complete(Pattern.complete(2), 3)
-    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
-        density(G, X, Y)
-    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
-        density(G, Y, X)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_density_symmetric(seed):
-    import random as _r
-
-    rng = _r.Random(seed)
-    G = random_instance(Pattern.complete(3), 4, 0.5, seed)
-    verts = [(p, i) for p in (1, 2, 3) for i in range(4)]
-    rng.shuffle(verts)
-    cut = 1 + rng.randrange(5)
-    X, Y = verts[:cut], verts[cut : cut + 1 + rng.randrange(5)]
-    assert density(G, X, Y) == density(G, Y, X)
-
-
-# -- common neighborhood -------------------------------------------------------
-
-
-def test_common_neighborhood():
-    G = PartiteGraph.complete(Pattern.complete(3), 3).delete_edges(
-        [(1, 0, 3, 2), (2, 1, 3, 0)]
-    )
-    assert common_neighborhood(G, [], 3) == 0b111
-    assert common_neighborhood(G, [(1, 0)], 3) == 0b011
-    assert common_neighborhood(G, [(1, 0), (2, 1)], 3) == 0b010
-
-
-@pytest.mark.parametrize("S", [[(1, -1)], [(1, 3)], [(1, 0), (2, 5)], [(0, 0)], [(4, 0)]])
-def test_common_neighborhood_rejects_a_vertex_outside_g(S):
-    # (1, -1) once read row -1 and returned a wrong mask; (1, 0), (2, 5)
-    # hid its bad vertex behind the early exit on an empty mask
-    G = PartiteGraph.complete(Pattern.complete(3), 3).delete_edges(
-        [(1, 0, 3, y) for y in range(3)]
-    )
-    with pytest.raises(ValueError, match=r"vertex \(.*\) is not in G"):
-        common_neighborhood(G, S, 3)
-
-
-def test_common_neighborhood_nonadjacent():
-    G = PartiteGraph.complete(Pattern.cycle(4), 2)
-    with pytest.raises(ValueError, match="non-adjacent part"):
-        common_neighborhood(G, [(1, 0)], 3)
+            assert is_transversal_tuple(G, tup)
 
 
 # -- per-part masks ---------------------------------------------------------------

@@ -16,10 +16,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # SHA-256 of each demo's stdout, with demo 05's temporary directory
 # (`<TMPDIR>/sweep-<random>`) written as `<tmp>`.
 STDOUT_SHA = {
-    "01_holes_and_degrees": "bcdf5f8d2cd8fb520df7c6e441d24e15c595c04c397a17fe04149f8b1ee39ee3",
+    "01_holes_and_degrees": "5e999378b860da3db342517d0ae518bd03190b8fbbf02295bdf5c0d0a2366d60",
     "02_tilings_paths_cycles": "0f01622e811a15dff379c69f3e79831bc6096973eb0e8f0a1c6fd856eb300aae",
     "03_mixed_tilings": "c081e6ccdf12d5fc335a3ae27b85296301395491df9bb165feedf6a41a1dc00f",
-    "04_absorbing_pipeline": "1af1fcc04957c0a6098eff69adc55a99d059416bb8614db97b6ac01b8060811c",
+    "04_absorbing_pipeline": "bc58e79a316bfa71bbfbb2019ba5feaee92fdac8496d98ded710b3852a769353",
     "05_threshold_sweep": "7f223250a4a48e78bd67939472dee6120f46ca3335a87e129ec3d7622720a31a",
 }
 

@@ -9,7 +9,7 @@ from conftest import (
     naive_random_spanning_subgraph,
     random_instance,
 )
-from transtile.core import Pattern, PartiteGraph, bits, delta_star, is_transversal_copy
+from transtile.core import Pattern, PartiteGraph, bits, delta_star, is_transversal_tuple
 from transtile.generators import (
     GenSpec,
     complete_blowup,
@@ -35,7 +35,7 @@ def test_complete_blowup_counts():
     assert H.edge_count() == 36 and delta_star(H) == 3
     single = complete_blowup(Pattern.complete(4), 1)
     assert single.edge_count() == 6
-    assert is_transversal_copy(single, [(1, 0), (2, 0), (3, 0), (4, 0)])
+    assert is_transversal_tuple(single, [0, 0, 0, 0])
 
 
 # -- random subgraphs -----------------------------------------------------------

@@ -287,7 +287,7 @@ def test_absorbing_validates_only_in_public_entries():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "validate"
     ]
-    assert {"find_fan", "find_connector", "find_absorber"} <= {name for name, _ in callers}
+    assert {"find_connector", "find_absorber"} <= {name for name, _ in callers}
     private = sorted(f"{name} (line {line})" for name, line in callers if name.startswith("_"))
     assert not private, f"absorbing.py validates in private functions: {', '.join(private)}"
 
@@ -305,7 +305,7 @@ def test_absorbing_builders_check_no_arguments():
         "_factor_witness",
         "_absorb_factor",
     }
-    checks = {"_connector_args", "_check_t", "part_masks", "_forbidden", "common_neighborhood"}
+    checks = {"_connector_args", "_check_t", "part_masks", "_forbidden"}
     tree = ast.parse((SRC / "absorbing.py").read_text(), filename="absorbing.py")
     found = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     assert builders <= set(found)
@@ -318,3 +318,68 @@ def test_absorbing_builders_check_no_arguments():
         and node.func.id in checks
     )
     assert not calls, f"absorbing.py builders re-check arguments: {', '.join(calls)}"
+
+
+def _named(path: Path) -> set[str]:
+    """Names a file reads or looks up: every Name and Attribute, and the
+    last dotted part of every string constant (spans name their targets
+    by string)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_exported_function_has_a_product_caller():
+    # a product path is the library itself, the benchmark or the
+    # acceptance gate; a function only demos and its own tests call is
+    # code to keep correct for no output, so it is not exported
+    import transtile
+
+    root = SRC.parent.parent
+    product = [p for p in MODULES if p.name != "__init__.py"]
+    product += sorted((root / "perfbench").glob("*.py"))
+    product.append(root / "tests" / "test_acceptance.py")
+    named = {p: _named(p) for p in product}
+    uncalled = []
+    for name in transtile.__all__:
+        fn = getattr(transtile, name)
+        if not inspect.isfunction(fn):
+            continue
+        home = SRC / f"{fn.__module__.rsplit('.', 1)[-1]}.py"
+        if not any(name in names for p, names in named.items() if p != home):
+            uncalled.append(name)
+    assert not uncalled, f"no product path names these exports: {', '.join(uncalled)}"
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under filterwarnings = error, Hypothesis's failure report once raised
+    # a DeprecationWarning that ended the session with INTERNALERROR, so
+    # neither the falsifying example nor any later test was reported
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers(0, 10))\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = str(SRC.parent.parent / "pyproject.toml")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", config, "-p", "no:cacheprovider", "test_probe.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+    assert "Falsifying example" in proc.stdout, proc.stdout

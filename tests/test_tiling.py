@@ -17,7 +17,7 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
-    is_transversal_copy,
+    is_transversal_tuple,
     mask_of,
 )
 from transtile.generators import (
@@ -216,12 +216,12 @@ def test_find_clique_errors():
     ],
 )
 def test_copy_checks_share_their_rejections(copies, message):
-    # Tiling.build and is_transversal_copy run one check on index tuples
+    # Tiling.build runs is_transversal_tuple on every copy
     G = complete_blowup(K3, 3).delete_edges([(1, 1, 2, 0)])
     with pytest.raises(ValueError, match=message):
         Tiling.build(G, [TransversalCopy(c) for c in copies])
     if len(copies) == 1:
-        assert not is_transversal_copy(G, [(p, i) for p, i in enumerate(copies[0], 1)])
+        assert not is_transversal_tuple(G, copies[0])
     Tiling.build(G, [TransversalCopy((0, 0, 0)), TransversalCopy((2, 1, 1))])  # fine
 
 
