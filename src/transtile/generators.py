@@ -214,13 +214,14 @@ def space_barrier(
     if budget is None:
         budget = len(candidates)
 
-    # per orientation i -> j, the cycle parts from j round to i and the
-    # outside masks of the parts strictly between them: an edge (i,a)-(j,b)
-    # closes a transversal cycle avoiding U iff a walk from b reaches a
+    # per orientation i -> j, the cycle parts from j round to the part
+    # before i and the outside masks of all but the first: an edge
+    # (i,a)-(j,b) closes a transversal cycle avoiding U iff a walk from b
+    # through them ends at a neighbour of a (a itself is outside U)
     arcs = {}
     for j in range(1, k + 1):
-        seq = [(j - 1 + t) % k + 1 for t in range(k)]
-        arcs[j] = seq, [outside[p] for p in seq[1:-1]]
+        seq = [(j - 1 + t) % k + 1 for t in range(k - 1)]
+        arcs[j] = seq, [outside[p] for p in seq[1:]]
 
     base = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
     kept = []
@@ -237,8 +238,9 @@ def space_barrier(
             pi, pa, pj, pb = i, a, j, b
         adj[(pi, pj)][pa] |= 1 << pb
         adj[(pj, pi)][pb] |= 1 << pa
-        seq, between = arcs[pj]
-        if sweep(adj, seq, [1 << pb, *between, outside[pi] & 1 << pa]) is not None:
+        seq, rest = arcs[pj]
+        layers = sweep(adj, seq, [1 << pb, *rest])
+        if layers is not None and layers[-1] & adj[(pi, seq[-1])][pa]:
             adj[(pi, pj)][pa] &= ~(1 << pb)
             adj[(pj, pi)][pb] &= ~(1 << pa)
             continue

@@ -35,9 +35,14 @@ Search strategy notes
   under the column rule, Knuth's column choice for exact cover
   ("Dancing Links", arXiv:cs/0011047) over an index of every copy: it
   yields the live copies of the uncovered vertex, in any part, in the
-  fewest live copies, and nothing when one lies in none.  Both phases
-  are exponential in the worst case and guarded by a size cap; absence
-  answers come with search statistics.
+  fewest live copies, and nothing when one lies in none.  Before the
+  first column node, a greedy cover over the index refutes the root
+  when at most m - 1 vertices meet every copy: m disjoint copies would
+  need m of them, so that None is a proof too.  A root with a factor is
+  never refuted, so this changes no witness and no statistic of a
+  search that finds one.  Both phases are exponential in the worst case
+  and guarded by a size cap; absence answers come with search
+  statistics.
 * The factor solver takes optional per-part root masks and then decides
   a factor of the induced instance in place, in G's own labels.  The
   relabelling of `PartiteGraph.induced` is monotone within each part,
@@ -326,6 +331,30 @@ class _OverBudget(Exception):
     """The part-1 phase of the factor search would pass its node budget."""
 
 
+def _cover_refutes(through: list[list[int]], live: int, m: int) -> bool:
+    """True when a greedy cover of at most m - 1 vertices meets every copy
+    in `live`, which proves there is no factor.
+
+    `through[p][v]` masks the copies through vertex v of part p + 1.  A
+    factor of m copies needs m distinct vertices to meet them all, so a
+    smaller cover is a proof.  Each pick is the vertex in the most live
+    copies, ties to the lowest part, then index; False says only that
+    the greedy found no smaller cover.
+    """
+    if not live:
+        return m > 0
+    for _ in range(m - 1):
+        best = 0
+        for rows in through:
+            for row in rows:
+                if (c := (row & live).bit_count()) > best:
+                    best, kill = c, row
+        live &= ~kill
+        if not live:
+            return True
+    return False
+
+
 def exact_transversal_factor_search(
     G: PartiteGraph,
     cap: Optional[int] = FACTOR_CAP_DEFAULT,
@@ -356,9 +385,12 @@ def exact_transversal_factor_search(
        masks: it yields the live copies (those disjoint from every copy
        taken) of the uncovered vertex, in any part, with the fewest of
        them (ties to the lowest part, then index), in index order, and
-       nothing where that count is 0.  A factor lists its copies in the
-       order they were taken, and `nodes` and `max_depth` count both
-       phases.  Above 2^16 copies (`_INDEX_CAP`) the index is not kept,
+       nothing where that count is 0.  Before its first node, the greedy
+       cover of `_cover_refutes` picks at most m - 1 vertices; if they
+       meet every copy, the answer is None with the part-1 phase's stats.
+       A factor lists its copies in the order they were taken, and
+       `nodes` and `max_depth` count both phases.  Above 2^16 copies
+       (`_INDEX_CAP`) the index is not kept, no cover is tried,
        and the search reruns under `part1` with no budget, so answer and
        stats are those of the part-1 search alone.
     """
@@ -463,7 +495,8 @@ def exact_transversal_factor_search(
                     part[v][i >> 3] |= 1 << (i & 7)
             through = [[int.from_bytes(b, "little") for b in part] for part in maps]
             rule = column
-            ok = node(list(root[1:]), 0, (1 << len(index)) - 1)
+            live = (1 << len(index)) - 1
+            ok = not _cover_refutes(through, live, sizes[0]) and node(list(root[1:]), 0, live)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

@@ -569,15 +569,65 @@ def test_factor_space_barrier_matches_unpruned_search(seed):
 def test_factor_space_barrier_node_budget():
     # Work-count guard for the Hall prune: these eight absence proofs
     # took 30462 nodes unpruned and 41 with the prune; seed 5 passes the
-    # 16-node budget, and with the column phase they take 57 (92 if the
-    # column phase dropped the prune).
+    # 16-node budget, where the cover refutation stops it at the column
+    # phase's root: 23 in all (57 when the column phase searched, 92 if
+    # it also dropped the prune).
     total = 0
     for seed in range(8):
         G, _, _ = space_barrier(C4, 8, seed=seed)
         t, stats = exact_transversal_factor_search(G)
         assert t is None
         total += stats.nodes
-    assert total <= 82
+    assert total <= 40
+
+
+def test_factor_search_refutes_the_n12_barriers_by_cover():
+    # the column rule alone took up to 3,266,374 nodes on these (one ran
+    # past 120 s); each has a set U of k(n/k - 1) = 8 < n vertices that
+    # meets every copy, and the greedy cover refutes each at the column
+    # phase's root
+    for index in range(24):
+        G = GenSpec("space_barrier", C4, 12, seed=subseed(1, "instance", index)).build()
+        t, stats = exact_transversal_factor_search(G)
+        assert t is None and stats.nodes <= 2 * G.n, index
+
+
+def copy_index(G, masks):
+    """The column phase's `through` bitmaps and live mask, built naively."""
+    index = list(iter_transversal_copies(G, masks))
+    through = [
+        [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(G.n)]
+        for p in range(G.k)
+    ]
+    return through, (1 << len(index)) - 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cover_refutation_needs_fewer_than_m_vertices(n):
+    # every copy of the complete blow-up meets part 1, so n vertices hit
+    # them all, but no fewer: the factor exists and must not be refuted
+    G = complete_blowup(K3, n)
+    through, live = copy_index(G, full_masks(G))
+    assert not tiling._cover_refutes(through, live, n)
+    assert tiling._cover_refutes(through, live, n + 1)
+
+
+@pytest.mark.parametrize("pattern", [K3, C4, C5])
+def test_cover_refutation_is_sound(pattern):
+    # whenever the greedy cover refutes a random root, the unpruned
+    # reference finds no factor of the induced instance either
+    refuted = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        G = random_instance(pattern, n, rng.uniform(0.3, 0.9), seed)
+        size = rng.randint(1, n)
+        masks = [0] + [_random_masks(rng, n, size) for _ in range(pattern.k)]
+        through, live = copy_index(G, masks)
+        if tiling._cover_refutes(through, live, size):
+            refuted += live != 0  # a root with no copy is refuted by 0 picks
+            assert unpruned_factor_search(G.induced(masks)[0])[0] is None, seed
+    assert refuted >= 10
 
 
 # SHA-256 of the factor search's (index, nodes, max_depth, witness copies)
@@ -622,11 +672,11 @@ def test_factor_search_pins_the_golden_sweep():
 
 # SHA-256 of the factor search's (index, nodes, max_depth, witness) on the
 # refute benchmark's 24 reference barriers (space_barrier, C4, n=8, config
-# seed 1), recorded while each phase had its own recursion.  The 7 listed
-# pass the 16-node budget, so this pins column-phase search trees on a
-# cycle pattern, which the K3 sweep above does not
+# seed 1), recorded with the cover refutation.  The 7 listed reach the
+# 16-node budget, and the cover refutes each at the column phase's root,
+# so they stop there; the others end in the part-1 search
 REFUTE_BARRIER_SWITCHED = (6, 7, 9, 12, 16, 17, 22)
-REFUTE_BARRIER_SHA = "cc79b4c4a6bf143027ce78aea86d6516e94c6034283bf6111cfe41da5f961243"
+REFUTE_BARRIER_SHA = "fc71983f1febbaf72a36e4f29246b15da01a915f221fe31a7aa9b6bde6012e97"
 
 
 def test_factor_search_pins_the_refute_barriers():
@@ -636,7 +686,7 @@ def test_factor_search_pins_the_refute_barriers():
         t, stats = exact_transversal_factor_search(G)
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
-    assert tuple(row[0] for row in rows if row[1] > 16) == REFUTE_BARRIER_SWITCHED
+    assert tuple(row[0] for row in rows if row[1] == 16) == REFUTE_BARRIER_SWITCHED
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == REFUTE_BARRIER_SHA
 
 
