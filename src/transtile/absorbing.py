@@ -39,15 +39,21 @@ Scale notes.  All thresholds that are asymptotic constants in the
 underlying theory (q, tau, beta_prime, xi) are explicit parameters
 here, sized by the caller for instances of a few dozen vertices per
 part; see AbsorbParams.  An absorber's witnesses are assembled from its
-clique and its connectors' witnesses, with no search.  Every other
-factor check runs the exact solver on G itself, restricted to per-part
-masks, so no relabelled copy of the graph is built.
+clique and its connectors' witnesses, with no search.  A set with one
+vertex per part factors only as itself, so an edge check decides it
+with no search either.  Every other factor check runs the exact solver
+on G itself, restricted to per-part masks, so no relabelled copy of the
+graph is built.  Stage sample-x needs a fan at every vertex, but a fan
+depends on v only through its part and its neighbourhoods in the
+sample, so it searches one fan per such class (at most k per sample
+on a complete blow-up, not kn).
 `verify_absorbing_property` needs a factor of G[R u U], and R alone is
 most of the graph at the reference parameters (49 to 59 of 60 vertices
 per part in the check-7 and benchmark configs).  So it searches G[R]
 once, with no size cap, and builds each check's factor from that one:
-it adds a factor of G[U] (step 1), or else swaps one copy C of it for a
-factor of G[C u U], two vertices per part when U has one (step 2).
+it adds a factor of G[U] (step 1, an edge check when U has one vertex
+per part), or else swaps one copy C of it for a factor of G[C u U], two
+vertices per part when U has one (step 2).
 Only when both fail does the exact search run on all of R u U (step 3),
 the one step that can answer no and the one that can backtrack deep.
 """
@@ -64,6 +70,7 @@ from transtile.core import (
     PartiteGraph,
     VertexId,
     bits,
+    is_transversal_tuple,
     mask_of,
     part_masks,
     vertex_masks,
@@ -128,9 +135,15 @@ def _factor_witness(
 ) -> Optional[tuple[TransversalCopy, ...]]:
     """Transversal factor of G[masks], or None if it has none.
 
-    The exact search runs on G itself, so the copies come back in G's
-    labels.
+    A k-set, one vertex per part, has one candidate factor, the set
+    itself, so an edge check decides it: the copy when the set is one,
+    else None, which is what the exact search would return.  Any other
+    set goes to the exact search, which runs on G itself, so the copies
+    come back in G's labels.
     """
+    if all(m.bit_count() == 1 for m in masks[1:]):
+        verts = tuple(m.bit_length() - 1 for m in masks[1:])
+        return (TransversalCopy(verts),) if is_transversal_tuple(G, verts) else None
     tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
     return None if tiling is None else tiling.copies
 
@@ -154,6 +167,28 @@ def _fan_sets(
         out.append(found)
         masks = [m & ~(1 << i) for m, i in zip(masks, found)]
     return out
+
+
+def _every_vertex_keeps_a_fan(
+    G: PartiteGraph, target_size: int, arena: Sequence[int]
+) -> bool:
+    """True iff `_fan_sets` finds `target_size` sets at every vertex of G.
+
+    A fan at v reads v only through its part and its neighbourhoods in
+    the arena, so vertices that share both (twins, on a blow-up) share a
+    verdict, and each such class is searched once.
+    """
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for part in range(1, G.k + 1):
+        others = [p for p in range(1, G.k + 1) if p != part]
+        for idx in range(G.n):
+            key = (part, *[arena[p] & G.nbr_mask(part, idx, p) for p in others])
+            if key not in verdicts:
+                fan = _fan_sets(G, VertexId(part, idx), target_size, arena)
+                verdicts[key] = len(fan) >= target_size
+            if not verdicts[key]:
+                return False
+    return True
 
 
 # -- connectors ----------------------------------------------------------------
@@ -693,9 +728,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
             for i in range(1, k + 1)
         ]
         arena = [0] + [mask_of(xs[i - 1]) for i in range(1, k + 1)]
-        if fan_min == 0 or all(
-            len(_fan_sets(G, v, fan_min, arena)) >= fan_min for v in G.vertices()
-        ):
+        if fan_min == 0 or _every_vertex_keeps_a_fan(G, fan_min, arena):
             break
     else:
         raise ValueError(
@@ -707,7 +740,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     ys: list[list[int]] = []
     zs: dict[tuple[int, int], list[int]] = {}
     for i in range(1, k + 1):
-        pool = [v for v in range(n) if v not in set(xs[i - 1])]
+        pool = [v for v in range(n) if not arena[i] >> v & 1]
         ys.append(pool[: 2 * m])
         at = 2 * m
         for j in range(1, k + 1):
@@ -730,7 +763,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     # stage absorbers
     reserved = [0] * (k + 1)
     for i in range(1, k + 1):
-        reserved[i] = mask_of(xs[i - 1]) | mask_of(ys[i - 1])
+        reserved[i] = arena[i] | mask_of(ys[i - 1])
     for (i, j), block in zs.items():
         reserved[i] |= mask_of(block)
     absorbers: list[tuple[tuple[int, int, int], Absorber]] = []
@@ -838,11 +871,13 @@ def verify_absorbing_property(
 
     Each check builds its factor of G[R u U] from one factor F_R of
     G[R], searched once at the first check: F_R plus a factor of G[U]
-    (step 1), or else F_R with its first copy C whose G[C u U] factors
-    swapped for that factor (step 2).  Only when both fail does the
-    exact search run on all of R u U (step 3), so every pass has a
-    witness, and a fail carries the defeating U and is always a proof
-    (the factor solver's absence answers are complete).
+    (step 1; when U has one vertex per part, that factor is U itself if
+    U is a copy, decided by an edge check with no search), or else F_R
+    with its first copy C whose G[C u U] factors swapped for that factor
+    (step 2).  Only when both fail does the exact search run on all of
+    R u U (step 3), so every pass has a witness, and a fail carries the
+    defeating U and is always a proof (the factor solver's absence
+    answers are complete).
     """
     k, n = G.k, G.n
     if xi * n < k:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -34,6 +35,7 @@ from transtile.generators import (
     hole_suppressed_process,
     random_spanning_subgraph,
 )
+from transtile.tiling import exact_transversal_factor_search
 from transtile.absorbing import (
     _absorb_factor,
     _connector_t2_construct,
@@ -191,6 +193,21 @@ def test_fan_greedy_can_fall_short_of_maximum():
     G = random_instance(K3, 5, 0.55, 6)
     assert len(absorbing._fan_sets(G, VertexId(1, 0), 99, everywhere(G))) == 2
     assert max_fan_size_k3(G, VertexId(1, 0)) == 3
+
+
+@pytest.mark.parametrize("k, n", [(3, 6), (4, 5)])
+def test_fan_verdict_per_twin_class_matches_every_vertex(k, n):
+    # sample-x searches one vertex per (part, arena neighbourhoods) key;
+    # its verdict must be the one a search at every vertex gives
+    verdicts = []
+    for seed, size in product(range(8), (1, 2)):
+        G = random_instance(Pattern.complete(k), n, 0.5 + 0.05 * seed, seed)
+        rng = random.Random(seed)
+        arena = [0, *(rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(k))]
+        want = all(len(absorbing._fan_sets(G, v, size, arena)) >= size for v in G.vertices())
+        assert absorbing._every_vertex_keeps_a_fan(G, size, arena) == want
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
 
 
 def _partition_checks(monkeypatch) -> list[str]:
@@ -640,6 +657,71 @@ def test_absorbing_sets_on_random_hosts_are_pinned():
     assert hashlib.sha256(canon).hexdigest() == RANDOM_HOST_BUILD_SHA
 
 
+# SHA-256 of json.dumps(build_absorbing_set(G, RETRY_PARAMS).to_json_dict(),
+# sort_keys=True), G a random spanning subgraph (0.8, seed 2) of the K3
+# blow-up at n = 60: stage sample-x keeps its fifth sample, so the pin
+# covers re-sampling, which the pins above never reach.
+RETRY_BUILD_SHA = "e52db31503a645874d77527f469e14c4f749025d4a9fea7e456295792f0bb29a"
+RETRY_PARAMS = AbsorbParams(q=0.1, tau=3, beta_prime=0.003, m=1, seed=7)
+
+
+def test_absorbing_set_after_sample_retries_is_pinned():
+    G = random_spanning_subgraph(complete_blowup(K3, 60), 0.8, seed=2)
+    data = build_absorbing_set(G, RETRY_PARAMS).to_json_dict()
+    assert data["provenance"]["sample_attempts"] == 5
+    canon = json.dumps(data, sort_keys=True).encode()
+    assert hashlib.sha256(canon).hexdigest() == RETRY_BUILD_SHA
+
+
+@pytest.mark.parametrize(
+    "n, p, beta_prime, seed, message",
+    [
+        pytest.param(
+            24, 0.7, 0.01, 0, "stage sample-x: no sample kept fans of size 2 after 64 tries",
+            id="sample-x-24",
+        ),
+        pytest.param(
+            30, 0.5, 0.02, 1, "stage sample-x: no sample kept fans of size 4 after 64 tries",
+            id="sample-x-30",
+        ),
+        pytest.param(
+            24, 0.7, 0.005, 2,
+            "stage absorbers: no disjoint absorber for template edge (1,2,1); 3 of 15 placed",
+            id="absorbers-24",
+        ),
+        pytest.param(
+            30, 0.7, 0.01, 0,
+            "stage absorbers: no disjoint absorber for template edge (1,3,1); 4 of 13 placed",
+            id="absorbers-30",
+        ),
+    ],
+)
+def test_build_failures_on_random_hosts_are_pinned(n, p, beta_prime, seed, message):
+    # sample-x fails after every one of its samples; the absorbers stage
+    # fails on the sample sample-x kept, so a moved sample moves its message
+    G = random_spanning_subgraph(complete_blowup(K3, n), p, seed)
+    params = AbsorbParams(q=0.2, tau=3, beta_prime=beta_prime, m=1, seed=seed)
+    with pytest.raises(ValueError) as err:
+        build_absorbing_set(G, params)
+    assert str(err.value) == message
+
+
+def test_sample_x_searches_one_fan_per_part_on_a_blowup(monkeypatch):
+    # work guard: the vertices of a part of a complete blow-up are twins,
+    # so each sample costs at most k fan searches, not one per vertex
+    G = complete_blowup(K3, 60)
+    calls = []
+    fan_sets = absorbing._fan_sets
+
+    def counted(G, v, target_size, arena):
+        calls.append(v)
+        return fan_sets(G, v, target_size, arena)
+
+    monkeypatch.setattr(absorbing, "_fan_sets", counted)
+    out = build_absorbing_set(G, CHECK7_PARAMS["complete"])
+    assert 0 < len(calls) <= G.k * out.provenance["sample_attempts"]
+
+
 # -- templates -----------------------------------------------------------------
 
 
@@ -1061,21 +1143,38 @@ def test_absorb_factor_failure_is_the_full_search_verdict():
     assert _verdict(v) == naive_verify_absorbing_property(G, R, xi=0.75)
 
 
+@pytest.mark.parametrize("k, n", [(3, 8), (4, 5)])
+def test_factor_witness_of_a_k_set_is_the_search_verdict(k, n):
+    # one vertex per part: the edge check must answer exactly as the
+    # exact search does, copy for copy, on yes and no sets alike
+    answers = set()
+    for p, seed in product((0.3, 0.6, 1.0), range(2)):
+        G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
+        for pick in product(range(n), repeat=k):
+            masks = [0, *(1 << v for v in pick)]
+            tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
+            want = None if tiling is None else tiling.copies
+            assert _factor_witness(G, masks) == want
+            answers.add(want is None)
+    assert answers == {True, False}
+
+
 def test_exhaustive_check7_verify_searches_one_large_instance(check7_sets, monkeypatch):
-    # work guard: besides the one search of G[R], every check factors at
-    # most two vertices per part
+    # work guard: every U of the exhaustive scan is a k-set that is a
+    # copy, so step 1 decides it by an edge check, and the one factor
+    # search is that of G[R]
     G, R = check7_sets[0]
-    sizes = []
+    searched = []
     search = absorbing.exact_transversal_factor_search
 
     def counted(G, cap=None, masks=None):
-        sizes.append(max(m.bit_count() for m in masks[1:]))
+        searched.append(tuple(masks))
         return search(G, cap=cap, masks=masks)
 
     monkeypatch.setattr(absorbing, "exact_transversal_factor_search", counted)
     v = verify_absorbing_property(G, R, R.xi, trials=1, seed=11, exhaustive_limit=1000)
     assert v.ok and v.checks == 125
-    assert [s for s in sizes if s > 2] == [R.size_per_part()]
+    assert searched == [R.R]
 
 
 def test_absorbing_set_json_shape():
