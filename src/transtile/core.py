@@ -488,4 +488,5 @@ def is_transversal_tuple(G: PartiteGraph, verts: Sequence[int]) -> bool:
     of G per part and realize every pattern edge."""
     if len(verts) != G.k or not all(0 <= i < G.n for i in verts):
         return False
-    return all(G.nbr_mask(i, verts[i - 1], j) >> verts[j - 1] & 1 for i, j in G.pattern.edges)
+    adj = G._adj  # rows read directly: a pattern edge always has them
+    return all(adj[i, j][verts[i - 1]] >> verts[j - 1] & 1 for i, j in G.pattern.edges)

@@ -6,20 +6,20 @@ leftover is automatically balanced because every copy consumes exactly
 one vertex per part.  A *factor* is a tiling with empty leftover.
 
 Every search that takes a vertex set per part takes it as per-part
-masks (see `core.part_masks`): the clique, path and cycle searches, the
-copy enumeration and the factor search.  Each checks its masks at the
-call and raises ValueError on a short list, a bit at or above n, or a
-negative mask.  An empty slot holds no vertex, so a clique, path or
-cycle search through that part answers None, and that None is a proof.
+masks (see `core.part_masks`): the path and cycle searches and the
+factor search.  Each checks its masks at the call and raises ValueError
+on a short list, a bit at or above n, or a negative mask.  An empty slot
+holds no vertex, so a path or cycle search through that part answers
+None, and that None is a proof.
 
 Search strategy notes
 ---------------------
 * The search kernels live in `transtile.search`.  Copy searches use
-  its copy kernel (`copy_enumerator`, planned once per search, or the
-  one-off `iter_copies`): complete backtracking over parts with bitmask
-  neighborhood propagation, always branching on the part with the
-  fewest candidates and breaking ties toward the lowest part index and
-  lowest vertex index.  "None" answers are therefore proofs.
+  its copy kernel (`copy_enumerator`, planned once per search):
+  complete backtracking over parts with bitmask neighborhood
+  propagation, always branching on the part with the fewest candidates
+  and breaking ties toward the lowest part index and lowest vertex
+  index.  "None" answers are therefore proofs.
 * Paths and cycles use `sweep` and `trace_back`.  The cycle finder
   anchors on every vertex of one part in turn and sweeps layer sets
   around the cycle, its first and last layers restricted to the
@@ -35,7 +35,8 @@ Search strategy notes
   under the column rule, Knuth's column choice for exact cover
   ("Dancing Links", arXiv:cs/0011047) over an index of every copy: it
   yields the live copies of the uncovered vertex, in any part, in the
-  fewest live copies, and nothing when one lies in none.  Before the
+  fewest live copies, and nothing when one lies in none.  Every search
+  past the budget builds that index, whatever its size.  Before the
   first column node, a greedy cover over the index refutes the root
   when at most m - 1 vertices meet every copy: m disjoint copies would
   need m of them, so that None is a proof too.  A root with a factor is
@@ -106,7 +107,6 @@ from transtile.core import (
 from transtile.search import (
     copy_enumerator,
     has_perfect_matching,
-    iter_copies,
     sweep,
     trace_back,
 )
@@ -118,7 +118,6 @@ __all__ = [
     "MixedTiling",
     "SearchStats",
     "InvariantReport",
-    "find_transversal_clique",
     "greedy_clique_tiling",
     "find_transversal_path",
     "find_transversal_cycle",
@@ -126,7 +125,6 @@ __all__ = [
     "exact_transversal_factor_search",
     "maximal_mixed_tiling",
     "check_appendix_invariants",
-    "iter_transversal_copies",
 ]
 
 FACTOR_CAP_DEFAULT = 12
@@ -199,29 +197,6 @@ class SearchStats:
 
 
 # -- copy search ----------------------------------------------------------------
-
-
-def iter_transversal_copies(
-    G: PartiteGraph, masks: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """All transversal copies with part-p vertex inside masks[p].
-
-    `masks` are per-part masks (see `core.part_masks`), checked at the
-    call.  The copy kernel of `transtile.search` over all parts:
-    complete, deterministic order.
-    """
-    masks = part_masks(G, masks, "copy masks")
-    return iter_copies(G, range(1, G.k + 1), masks[1:])
-
-
-def find_transversal_clique(
-    G: PartiteGraph, masks: Sequence[int]
-) -> Optional[TransversalCopy]:
-    """First transversal clique with part-p vertex in masks[p], or None (a proof)."""
-    if not G.pattern.is_complete:
-        raise ValueError("transversal clique search needs a complete pattern")
-    found = next(iter_transversal_copies(G, masks), None)
-    return TransversalCopy(found) if found else None
 
 
 def greedy_clique_tiling(G: PartiteGraph) -> Tiling:
@@ -322,11 +297,6 @@ def greedy_cycle_tiling(G: PartiteGraph) -> Tiling:
 # -- exact factor decision ---------------------------------------------------------
 
 
-# the column phase indexes at most this many copies (about 10 MB); a
-# search with more runs the part-1 search to the end instead
-_INDEX_CAP = 1 << 16
-
-
 class _OverBudget(Exception):
     """The part-1 phase of the factor search would pass its node budget."""
 
@@ -389,10 +359,10 @@ def exact_transversal_factor_search(
        cover of `_cover_refutes` picks at most m - 1 vertices; if they
        meet every copy, the answer is None with the part-1 phase's stats.
        A factor lists its copies in the order they were taken, and
-       `nodes` and `max_depth` count both phases.  Above 2^16 copies
-       (`_INDEX_CAP`) the index is not kept, no cover is tried,
-       and the search reruns under `part1` with no budget, so answer and
-       stats are those of the part-1 search alone.
+       `nodes` and `max_depth` count both phases.
+    Every search past the budget builds the whole index, and its memory
+    is the column phase's price: one tuple per copy, plus k*n bitmaps
+    (one per vertex) with one bit per copy.
     """
     k = G.k
     if masks is None:
@@ -482,21 +452,18 @@ def exact_transversal_factor_search(
     except _OverBudget:
         acc.clear()
         budget = None
-        index = list(itertools.islice(copies(root[1:]), _INDEX_CAP + 1))
-        if len(index) > _INDEX_CAP:
-            nodes = best_depth = 0
-            ok = node(list(root[1:]), 0, 0)
-        else:
-            # one bitmap per (part, vertex), built bytewise: OR-ing one
-            # bit at a time into growing ints would be quadratic in copies
-            maps = [[bytearray(len(index) + 7 >> 3) for _ in range(G.n)] for _ in range(k)]
-            for i, found in enumerate(index):
-                for part, v in zip(maps, found):
-                    part[v][i >> 3] |= 1 << (i & 7)
-            through = [[int.from_bytes(b, "little") for b in part] for part in maps]
-            rule = column
-            live = (1 << len(index)) - 1
-            ok = not _cover_refutes(through, live, sizes[0]) and node(list(root[1:]), 0, live)
+        index = list(copies(root[1:]))
+        # one bitmap per (part, vertex), built bytewise: OR-ing one bit at
+        # a time into growing ints would be quadratic in copies
+        maps = [[bytearray(len(index) + 7 >> 3) for _ in range(G.n)] for _ in range(k)]
+        for i, found in enumerate(index):
+            for p, v in enumerate(found):
+                maps[p][v][i >> 3] |= 1 << (i & 7)
+        through = [[int.from_bytes(b, "little") for b in part] for part in maps]
+        del maps  # the buffers, as large as `through`, are spent
+        rule = column
+        live = (1 << len(index)) - 1
+        ok = not _cover_refutes(through, live, sizes[0]) and node(list(root[1:]), 0, live)
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_no_copy_search_planned_per_iteration(path):
     # search that asks the same parts under many masks hoists one
     # `copy_enumerator` instead
     tree = ast.parse(path.read_text(), filename=str(path))
-    one_off = {"iter_copies", "iter_transversal_copies"}
+    one_off = {"iter_copies"}
     calls = sorted(
         {
             node.lineno
@@ -320,11 +321,10 @@ def test_absorbing_builders_check_no_arguments():
     assert not calls, f"absorbing.py builders re-check arguments: {', '.join(calls)}"
 
 
-def _named(path: Path) -> set[str]:
-    """Names a file reads or looks up: every Name and Attribute, and the
+def _named(tree: ast.AST) -> set[str]:
+    """Names code reads or looks up: every Name and Attribute, and the
     last dotted part of every string constant (spans name their targets
     by string)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -336,25 +336,58 @@ def _named(path: Path) -> set[str]:
     return out
 
 
+def _statements(path: Path) -> list[tuple[Optional[str], set[str]]]:
+    """Each top-level statement of a file, as the name it defines
+    ("__all__" for the export list, None if none) and `_named` of it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for stmt in tree.body:
+        one = ast.Module(body=[stmt], type_ignores=[])
+        defined = "__all__" if _exported_names(one) else getattr(stmt, "name", None)
+        out.append((defined, _named(one)))
+    return out
+
+
 def test_every_exported_function_has_a_product_caller():
     # a product path is the library itself, the benchmark or the
     # acceptance gate; a function only demos and its own tests call is
-    # code to keep correct for no output, so it is not exported
+    # code to keep correct for no output, so it is not exported.  A
+    # module export may be called from its own module, but an `__all__`
+    # entry, its own body or an uncalled export's body is no call; a
+    # package export needs a caller outside its home module
     import transtile
 
     root = SRC.parent.parent
-    product = [p for p in MODULES if p.name != "__init__.py"]
-    product += sorted((root / "perfbench").glob("*.py"))
+    modules = [p for p in MODULES if p.name != "__init__.py"]
+    product = modules + sorted((root / "perfbench").glob("*.py"))
     product.append(root / "tests" / "test_acceptance.py")
-    named = {p: _named(p) for p in product}
-    uncalled = []
+    statements = {p: _statements(p) for p in product}
+
+    def called(name: str, home: Path, at_home: bool, dead: set[str]) -> bool:
+        return any(
+            name in names
+            for p, rows in statements.items()
+            if at_home or p != home
+            for defined, names in rows
+            if defined not in ("__all__", name) and defined not in dead
+        )
+
+    exports = []
+    for home in modules:
+        module = importlib.import_module(f"transtile.{home.stem}")
+        for name in getattr(module, "__all__", ()):
+            if inspect.isfunction(getattr(module, name)):
+                exports.append((home, name))
+    dead: set[str] = set()
+    while more := {n for h, n in exports if not called(n, h, True, dead)} - dead:
+        dead |= more
+    uncalled = [f"{h.stem}.{n}" for h, n in exports if n in dead]
     for name in transtile.__all__:
         fn = getattr(transtile, name)
-        if not inspect.isfunction(fn):
-            continue
-        home = SRC / f"{fn.__module__.rsplit('.', 1)[-1]}.py"
-        if not any(name in names for p, names in named.items() if p != home):
-            uncalled.append(name)
+        if inspect.isfunction(fn):
+            home = SRC / f"{fn.__module__.rsplit('.', 1)[-1]}.py"
+            if not called(name, home, False, dead):
+                uncalled.append(name)
     assert not uncalled, f"no product path names these exports: {', '.join(uncalled)}"
 
 

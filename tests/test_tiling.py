@@ -31,21 +31,18 @@ from transtile.holes import HoleCertificate, alpha_star_exact, verify_hole
 from transtile.tiling import (
     MixedCopy,
     MixedTiling,
-    SearchStats,
     Tiling,
     TransversalCopy,
     check_appendix_invariants,
     exact_transversal_factor_search,
-    find_transversal_clique,
     find_transversal_cycle,
     find_transversal_path,
     greedy_clique_tiling,
     greedy_cycle_tiling,
-    iter_transversal_copies,
     maximal_mixed_tiling,
 )
 from transtile import tiling
-from transtile.search import has_perfect_matching
+from transtile.search import has_perfect_matching, iter_copies
 
 from conftest import naive_has_perfect_matching, random_instance
 
@@ -57,6 +54,15 @@ C5 = Pattern.cycle(5)
 
 def full_masks(G):
     return [0] + [G.full_mask] * G.k
+
+
+def copies_in(G, masks):
+    """The copy kernel over all parts, inside per-part masks (slot 0 ignored)."""
+    return iter_copies(G, range(1, G.k + 1), masks[1:])
+
+
+def first_clique(G, masks):
+    return next(copies_in(G, masks), None)
 
 
 def naive_copy_set(G):
@@ -148,14 +154,14 @@ def naive_mixed_exchangeable(G, t):
 def test_copy_enumeration_matches_product_scan(pattern, seed):
     G = random_instance(pattern, 3, 0.55, seed)
     masks = [0] + [G.full_mask] * G.k
-    got = set(iter_transversal_copies(G, masks))
+    got = set(copies_in(G, masks))
     assert got == naive_copy_set(G)
 
 
 def test_copy_enumeration_respects_masks():
     G = complete_blowup(K3, 3)
     masks = [0, 0b010, 0b101, 0b111]
-    got = set(iter_transversal_copies(G, masks))
+    got = set(copies_in(G, masks))
     assert got == {(1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2)}
 
 
@@ -164,8 +170,7 @@ def test_copy_enumeration_respects_masks():
 
 def test_find_clique_complete_lowest_first():
     G = complete_blowup(K3, 2)
-    found = find_transversal_clique(G, full_masks(G))
-    assert found == TransversalCopy((0, 0, 0))
+    assert first_clique(G, full_masks(G)) == (0, 0, 0)
 
 
 def test_find_clique_inside_hole_is_none():
@@ -174,31 +179,21 @@ def test_find_clique_inside_hole_is_none():
     fam = full_masks(G)
     cert = HoleCertificate(3, (1, 2, 3), (frozenset(range(3)),) * 3)
     assert verify_hole(G, cert)
-    assert find_transversal_clique(G, fam) is None
+    assert first_clique(G, fam) is None
+    # an empty part holds no clique: None is the proof
+    G = complete_blowup(K3, 2)
+    assert first_clique(G, [0, 0b1, 0b1, 0]) is None
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_find_clique_agrees_with_tuple_scan(seed):
     G = random_instance(K3, 5, 0.4, seed)
-    found = find_transversal_clique(G, full_masks(G))
+    found = first_clique(G, full_masks(G))
     naive = naive_copy_set(G)
     if found is None:
         assert not naive
     else:
-        assert found.verts in naive
-
-
-def test_find_clique_errors():
-    G = complete_blowup(K3, 2)
-    with pytest.raises(ValueError, match="need slots 1..3"):
-        find_transversal_clique(G, [0, 0b1, 0b1])
-    with pytest.raises(ValueError, match="bits below n=2"):
-        find_transversal_clique(G, [0, 0b1, 0b1, 1 << 5])
-    # an empty part holds no clique: None is the proof
-    assert find_transversal_clique(G, [0, 0b1, 0b1, 0]) is None
-    H = complete_blowup(C4, 2)
-    with pytest.raises(ValueError, match="complete pattern"):
-        find_transversal_clique(H, full_masks(H))
+        assert found in naive
 
 
 # -- copy checks ----------------------------------------------------------------
@@ -394,11 +389,12 @@ def test_greedy_cycle_tiling_matches_constrained_searches(pattern, seed):
 
 # SHA-256 of json.dumps(rows) over 456 outputs, recorded when the searches
 # took vertex set families: for k in 3, 4, 5, n in 3, 5, 7, p in 0.4, 0.7,
-# 0.9 and seeds 0..2, find_transversal_clique on a random spanning
-# subgraph (p, seed) of the K_k blow-up, inside random masks and inside
-# everything; for k >= 4 the same for find_transversal_cycle on the C_k
-# blow-up, then find_transversal_path over parts (1, k), (2, k-1), (1, 2)
-# inside the cycle's random masks.  Twenty-four space_barrier runs (C4,
+# 0.9 and seeds 0..2, the first transversal clique (the copy kernel's
+# first copy) on a random spanning subgraph (p, seed) of the K_k
+# blow-up, inside random masks and inside everything; for k >= 4 the
+# same for find_transversal_cycle on the C_k blow-up, then
+# find_transversal_path over parts (1, k), (2, k-1), (1, 2) inside the
+# cycle's random masks.  Twenty-four space_barrier runs (C4,
 # C5; n = 2k, 3k; seeds 0..2; no hole target and s = 3) close the list as
 # [graph JSON, U's indices per part, report].  A moved witness, None,
 # barrier edge or blocker vertex moves it.
@@ -412,8 +408,8 @@ def test_clique_path_cycle_and_barrier_outputs_are_pinned():
         everything = [0] + [(1 << n) - 1] * k
         G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
         masks = [0] + [rng.randrange(1 << n) for _ in range(k)]
-        for found in (find_transversal_clique(G, masks), find_transversal_clique(G, everything)):
-            rows.append(None if found is None else found.verts)
+        rows.append(first_clique(G, masks))
+        rows.append(first_clique(G, everything))
         if k < 4:
             continue
         H = random_spanning_subgraph(complete_blowup(Pattern.cycle(k), n), p, seed)
@@ -505,7 +501,7 @@ def unpruned_factor_search(G):
             return True
         cand = list(masks)
         cand[1] = 1 << v1
-        for found in iter_transversal_copies(G, cand):
+        for found in copies_in(G, cand):
             nodes += 1
             nxt = [m & ~(1 << found[p - 1]) if p else m for p, m in enumerate(masks)]
             acc.append(found)
@@ -550,13 +546,26 @@ def test_factor_witness_matches_unpruned_search(pattern, seed):
 def test_witness_cases_cover_the_column_phase(monkeypatch):
     # the cases above check the column phase only where the part-1
     # search passes its budget; 12 of the 60 do, and at least 10 must.
-    # With no room for a copy index, the part-1 search runs to the end
-    monkeypatch.setattr(tiling, "_INDEX_CAP", 0)
+    # Every such search runs the greedy cover exactly once, at the
+    # column phase's root, so the cover's calls count the switches
+    calls = []
+    cover = tiling._cover_refutes
+
+    def counted(*args):
+        calls.append(1)
+        return cover(*args)
+
+    monkeypatch.setattr(tiling, "_cover_refutes", counted)
     switched = 0
     for pattern in (K3, C4, C5):
         for seed in range(20):
             G = witness_case(pattern, seed)
-            switched += exact_transversal_factor_search(G, cap=None)[1].nodes > 2 * G.n
+            before = len(calls)
+            stats = exact_transversal_factor_search(G, cap=None)[1]
+            ran = len(calls) - before
+            assert ran in (0, 1)
+            assert ran or stats.nodes <= 2 * G.n
+            switched += ran
     assert switched >= 10
 
 
@@ -594,7 +603,7 @@ def test_factor_search_refutes_the_n12_barriers_by_cover():
 
 def copy_index(G, masks):
     """The column phase's `through` bitmaps and live mask, built naively."""
-    index = list(iter_transversal_copies(G, masks))
+    index = list(copies_in(G, masks))
     through = [
         [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(G.n)]
         for p in range(G.k)
@@ -708,26 +717,15 @@ def test_factor_search_column_phase_finds_the_heavy_tail_factor():
     assert len(t.copies) == 12
 
 
-# the part-1 search's witness on sweep_instance(10001, 7), the one the
-# factor search returned before the column phase existed (12,243 nodes)
-PART1_WITNESS = (
-    (2, 0, 2), (7, 1, 8), (8, 3, 3), (4, 8, 5), (9, 7, 10), (0, 10, 0),
-    (1, 9, 1), (3, 11, 6), (5, 6, 11), (11, 2, 4), (6, 4, 7), (10, 5, 9),
-)
-
-
-@pytest.mark.parametrize("index_cap", [0, 8])
-def test_factor_search_over_the_index_cap_is_the_part1_search(monkeypatch, index_cap):
-    # with more copies than the index may hold, a search past its budget
-    # keeps the part-1 search to the end: its witness, its node count
-    G = sweep_instance(10001, 7)
-    monkeypatch.setattr(tiling, "_INDEX_CAP", index_cap)
-    t, stats = exact_transversal_factor_search(G)
-    assert tuple(c.verts for c in t.copies) == PART1_WITNESS
-    assert stats == SearchStats(nodes=12243, max_depth=12)
-    # at exactly as many copies as the cap, the index is kept
-    monkeypatch.setattr(tiling, "_INDEX_CAP", len(list(iter_transversal_copies(G, full_masks(G)))))
-    assert exact_transversal_factor_search(G)[1].nodes <= 72
+def test_factor_search_decides_a_sparse_n120_host_by_column_choice():
+    # 109,960 copies; the part-1 search alone takes 323,311 nodes here,
+    # and the column phase takes one copy per vertex after the 240-node
+    # budget
+    G = random_spanning_subgraph(complete_blowup(K3, 120), 0.4, seed=2)
+    t, stats = exact_transversal_factor_search(G, cap=None)
+    assert t is not None and stats.nodes <= 3 * G.n
+    Tiling.build(G, t.copies)
+    assert len(t.copies) == G.n
 
 
 def _random_masks(rng, n, size):
@@ -772,10 +770,8 @@ def test_factor_on_masks_rejects_unbalanced_masks():
 # every public entry that takes per-part masks, as (pattern, call)
 MASK_ENTRIES = {
     "factor_search": (K3, lambda G, m: exact_transversal_factor_search(G, None, m)),
-    "clique": (K3, find_transversal_clique),
     "cycle": (C4, find_transversal_cycle),
     "path": (C4, lambda G, m: find_transversal_path(G, 1, 4, m)),
-    "copies": (K3, iter_transversal_copies),
     "induced": (K3, lambda G, m: G.induced(m)),
     "absorbing_R": (
         K3,
