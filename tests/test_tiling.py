@@ -180,9 +180,16 @@ def test_find_clique_inside_hole_is_none():
     cert = HoleCertificate(3, (1, 2, 3), (frozenset(range(3)),) * 3)
     assert verify_hole(G, cert)
     assert first_clique(G, fam) is None
+
+
+def test_find_clique_errors():
     # an empty part holds no clique: None is the proof
     G = complete_blowup(K3, 2)
     assert first_clique(G, [0, 0b1, 0b1, 0]) is None
+    # the clique tiling is the product entry of the clique search
+    H = complete_blowup(C4, 2)
+    with pytest.raises(ValueError, match="complete pattern"):
+        greedy_clique_tiling(H)
 
 
 @pytest.mark.parametrize("seed", range(6))
