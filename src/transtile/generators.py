@@ -28,10 +28,9 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Param, Pattern, PartiteGraph, bits
+from transtile.core import Param, Pattern, PartiteGraph
 from transtile.core import json_field, json_params
 from transtile.holes import certify_no_hole
-from transtile.search import sweep
 
 __all__ = [
     "GenSpec",
@@ -75,22 +74,19 @@ def random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGra
     for i, j in sorted(G.pattern.edges):
         draw = rng_for(seed, "pair", i, j).random
         fwd = []
-        for row in G._adj[(i, j)]:
-            # one draw per edge of the row, in ascending column order
+        back = [0] * G.n
+        for a, row in enumerate(G._adj[(i, j)]):
+            # one draw per edge of the row, in ascending column order; a
+            # kept edge goes into its backward row as it is drawn
+            bit = 1 << a
             kept = 0
             while row:
                 low = row & -row
                 if draw() < p:
                     kept |= low
+                    back[low.bit_length() - 1] |= bit
                 row ^= low
             fwd.append(kept)
-        back = [0] * G.n
-        for a, kept in enumerate(fwd):
-            bit = 1 << a
-            while kept:
-                low = kept & -kept
-                back[low.bit_length() - 1] |= bit
-                kept ^= low
         adj[(i, j)] = tuple(fwd)
         adj[(j, i)] = tuple(back)
     return PartiteGraph(G.pattern, G.n, adj)
@@ -173,8 +169,10 @@ def space_barrier(
     vertices of each part, deletes every edge with both ends outside U,
     then runs a constrained random process that re-adds outside edges
     one by one, rejecting any edge that would close a transversal cycle
-    avoiding U.  Rejection is permanent (more edges only create more
-    cycles), so a single shuffled pass reaches a maximal admissible set.
+    avoiding U.  Each candidate is tested before it is added, by one walk
+    round the rest of the cycle, and only a kept edge is added.
+    Rejection is permanent (more edges only create more cycles), so a
+    single shuffled pass reaches a maximal admissible set.
 
     Every transversal cycle of the result meets U, and |U| = k(n/k - 1)
     is too small to cover a factor, so no transversal cycle factor
@@ -195,10 +193,10 @@ def space_barrier(
         raise ValueError(f"candidate budget must be >= 0, got {budget}")
     u_size = n // k - 1
     u_mask = (1 << u_size) - 1
-    outside = [0] + [((1 << n) - 1) & ~u_mask for _ in range(k)]
+    full = (1 << n) - 1
+    outside = full & ~u_mask
 
     adj: dict[tuple[int, int], list[int]] = {}
-    full = (1 << n) - 1
     for i, j in pattern.edges:
         # keep exactly the edges meeting U on either side
         adj[(i, j)] = [full if a < u_size else u_mask for a in range(n)]
@@ -207,21 +205,27 @@ def space_barrier(
     candidates = [
         (i, a, j, b)
         for i, j in sorted(pattern.edges)
-        for a in bits(outside[i])
-        for b in bits(outside[j])
+        for a in range(u_size, n)
+        for b in range(u_size, n)
     ]
     rng_for(seed, "order").shuffle(candidates)
     if budget is None:
         budget = len(candidates)
 
-    # per orientation i -> j, the cycle parts from j round to the part
-    # before i and the outside masks of all but the first: an edge
-    # (i,a)-(j,b) closes a transversal cycle avoiding U iff a walk from b
-    # through them ends at a neighbour of a (a itself is outside U)
+    # per orientation i -> j = i + 1 (mod k), the neighbour rows of each
+    # step of the arc from j round to the part before i (the first apart,
+    # as it starts from the one vertex b), and the closing
+    # rows from i to the part before it: an edge (i,a)-(j,b) closes a
+    # transversal cycle avoiding U iff a walk from b along the steps,
+    # staying outside U, ends at a neighbour of a (a itself is outside U).
+    # The walk never reads the pair (i, j), so the edge is tested before
+    # it is added, and the rows are the process's own lists, which see
+    # every edge kept so far
     arcs = {}
-    for j in range(1, k + 1):
-        seq = [(j - 1 + t) % k + 1 for t in range(k - 1)]
-        arcs[j] = seq, [outside[p] for p in seq[1:]]
+    for i in range(1, k + 1):
+        seq = [(i + t) % k + 1 for t in range(k - 1)]
+        first, *rest = [adj[(p, q)] for p, q in zip(seq, seq[1:])]
+        arcs[i] = first, rest, adj[(i, seq[-1])]
 
     base = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
     kept = []
@@ -236,14 +240,21 @@ def space_barrier(
             pi, pa, pj, pb = k, b, 1, a
         else:
             pi, pa, pj, pb = i, a, j, b
+        first, rest, close = arcs[pi]
+        layer = first[pb] & outside
+        for rows in rest:
+            reach = 0
+            while layer:
+                low = layer & -layer
+                reach |= rows[low.bit_length() - 1]
+                layer ^= low
+            layer = reach & outside
+            if not layer:
+                break
+        if layer & close[pa]:
+            continue
         adj[(pi, pj)][pa] |= 1 << pb
         adj[(pj, pi)][pb] |= 1 << pa
-        seq, rest = arcs[pj]
-        layers = sweep(adj, seq, [1 << pb, *rest])
-        if layers is not None and layers[-1] & adj[(pi, seq[-1])][pa]:
-            adj[(pi, pj)][pa] &= ~(1 << pb)
-            adj[(pj, pi)][pb] &= ~(1 << pa)
-            continue
         kept.append((i, a, j, b))
     added, certified, checks = len(kept), None, 0
     if hole_target_s is None:

@@ -13,9 +13,8 @@
   search keep one enumerator per loop; `iter_copies` is the one-off
   form for a single question, such as a hole check.
 * `sweep` computes layered reachability along a sequence of parts, and
-  `trace_back` reads one walk out of the layers.  Transversal paths,
-  transversal cycles (one sweep per anchor vertex) and the
-  space-barrier generator's edge test are such walks.
+  `trace_back` reads one walk out of the layers.  Transversal paths
+  and transversal cycles (one sweep per anchor vertex) are such walks.
 * `has_perfect_matching` decides a perfect matching of a bipartite
   graph given by neighbour-mask rows.  The factor search's Hall prune
   and robust-template verification ask it.

@@ -309,16 +309,21 @@ def _cover_refutes(through: list[list[int]], live: int, m: int) -> bool:
     factor of m copies needs m distinct vertices to meet them all, so a
     smaller cover is a proof.  Each pick is the vertex in the most live
     copies, ties to the lowest part, then index; False says only that
-    the greedy found no smaller cover.
+    the greedy found no smaller cover.  No pick meets more live copies
+    than the one before it, so once the best count times the picks left
+    falls short of the live copies, the greedy cannot finish: it stops
+    there with the same False.
     """
     if not live:
         return m > 0
-    for _ in range(m - 1):
+    for left in range(m - 1, 0, -1):
         best = 0
         for rows in through:
             for row in rows:
                 if (c := (row & live).bit_count()) > best:
                     best, kill = c, row
+        if best * left < live.bit_count():
+            return False
         live &= ~kill
         if not live:
             return True

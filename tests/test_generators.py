@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations, product
 
@@ -69,6 +70,32 @@ def test_random_subgraph_matches_from_edges_construction(pattern, p):
         for host in (complete_blowup(pattern, 6), random_instance(pattern, 6, 0.6, seed)):
             got = random_spanning_subgraph(host, p, seed)
             assert got._adj == naive_random_spanning_subgraph(host, p, seed)._adj
+
+
+def graph_bytes(G):
+    """The graph's JSON plus its rows in both orientations, so a backward
+    row that disagrees with its forward row moves a digest too."""
+    return [G.to_json_dict(), sorted([list(key), list(rows)] for key, rows in G._adj.items())]
+
+
+# SHA-256 of `graph_bytes` over the golden threshold sweep's 220 hosts
+# (K3, n=12, p = 0.5..1.0, 20 seeds each, config seed 2024), then p = 0,
+# 0.5 and 1 on a sparse C5 host, whose rows are not full, and on the
+# complete K4 blow-up
+RANDOM_SUBGRAPH_SHA = "c27f643eeec464fcaf6dfdf6387ac8ec0384028cf0bfcdf2cf2afdab6b17a169"
+
+
+def test_random_subgraph_pins_its_bytes():
+    K3 = Pattern.complete(3)
+    grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
+    rows = []
+    for index, p in enumerate(p for p in grid for _ in range(20)):
+        host = complete_blowup(K3, 12)
+        rows.append(graph_bytes(random_spanning_subgraph(host, p, subseed(2024, "instance", index))))
+    for host in (random_instance(Pattern.cycle(5), 9, 0.6, 3), complete_blowup(Pattern.complete(4), 6)):
+        for p in (0.0, 0.5, 1.0):
+            rows.append(graph_bytes(random_spanning_subgraph(host, p, 7)))
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == RANDOM_SUBGRAPH_SHA
 
 
 def test_subseed_stability():
@@ -187,11 +214,18 @@ def test_space_barrier_every_cycle_hits_u_small():
         assert not ok
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_space_barrier_is_maximal(seed):
+def test_space_barrier_c5_cycles_all_meet_u():
+    # no transversal C5 lies wholly outside U, by brute force over 9^5 tuples
+    for seed in range(2):
+        G, U, _ = space_barrier(Pattern.cycle(5), 10, seed=seed)
+        parts = tuple(range(1, 6))
+        outside = [list(bits(G.full_mask & ~U[p])) for p in parts]
+        assert not naive_has_transversal_tuple(G, parts, outside), seed
+
+
+def assert_barrier_maximal(k, n, seed):
     # the process rejects an edge only if it closes a transversal cycle
     # avoiding U, so every absent outside-outside edge must close one
-    k, n = 4, 8
     G, U, _ = space_barrier(Pattern.cycle(k), n, seed=seed)
     parts = tuple(range(1, k + 1))
     outside = {p: list(bits(G.full_mask & ~U[p])) for p in parts}
@@ -207,6 +241,44 @@ def test_space_barrier_is_maximal(seed):
         H = G.add_edges([(i, a, j, b)])
         sets = [[a] if p == i else [b] if p == j else outside[p] for p in parts]
         assert naive_has_transversal_tuple(H, parts, sets), (i, a, j, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_space_barrier_is_maximal(seed):
+    assert_barrier_maximal(4, 8, seed)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_space_barrier_c5_is_maximal(seed):
+    # C5's arc from the edge's far end round to its near end takes three
+    # steps where C4's takes two
+    assert_barrier_maximal(5, 10, seed)
+
+
+# SHA-256 of `graph_bytes`, U and the report over the refute benchmark's
+# 24 reference barriers (C4, n=8, config seed 1), then C4 n=16, C5 n=10,
+# C6 n=12, a budget that stops among rejections, and hole targets that
+# certify and that do not
+SPACE_BARRIER_SHA = "3c63a0e65212533647a595024a282cf2ec47cb6d8ffaa9242a9744613e17b19c"
+
+
+def test_space_barrier_pins_its_bytes():
+    C4, C5 = Pattern.cycle(4), Pattern.cycle(5)
+    cases = [(C4, 8, {"seed": subseed(1, "instance", index)}) for index in range(24)]
+    cases += [
+        (C4, 16, {"seed": 0}),
+        (C5, 10, {"seed": 0}),
+        (Pattern.cycle(6), 12, {"seed": 0}),
+        (C4, 8, {"seed": 5, "budget": 120}),
+        (C4, 8, {"seed": 29, "hole_target_s": 6}),
+        (C4, 8, {"seed": 0, "hole_target_s": 4}),
+        (C5, 10, {"seed": 1, "hole_target_s": 5}),
+    ]
+    rows = []
+    for pattern, n, kw in cases:
+        G, U, report = space_barrier(pattern, n, **kw)
+        rows.append([graph_bytes(G), list(U), report])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SPACE_BARRIER_SHA
 
 
 def test_space_barrier_validation():

@@ -646,6 +646,47 @@ def test_cover_refutation_is_sound(pattern):
     assert refuted >= 10
 
 
+def unbounded_cover_refutes(through, live, m):
+    """`tiling._cover_refutes` without its stopping rule: every one of the
+    m - 1 picks, and whether the rule would have stopped the greedy."""
+    if not live:
+        return m > 0, False
+    stoppable = False
+    for left in range(m - 1, 0, -1):
+        best = 0
+        for rows in through:
+            for row in rows:
+                if (c := (row & live).bit_count()) > best:
+                    best, kill = c, row
+        stoppable |= best * left < live.bit_count()
+        live &= ~kill
+        if not live:
+            return True, stoppable
+    return False, stoppable
+
+
+def test_cover_stopping_rule_matches_the_unbounded_greedy():
+    # random copy indexes, one vertex per part per copy, with random live
+    # subsets: stopping early never changes the answer, and the rule
+    # fires only where the whole greedy fails
+    stopped = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        k, n = rng.randint(2, 4), rng.randint(1, 6)
+        index = [[rng.randrange(n) for _ in range(k)] for _ in range(rng.randint(0, 60))]
+        through = [
+            [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(n)]
+            for p in range(k)
+        ]
+        live = rng.getrandbits(len(index)) if index else 0
+        m = rng.randint(0, n + 1)
+        want, stoppable = unbounded_cover_refutes(through, live, m)
+        assert tiling._cover_refutes(through, live, m) == want, seed
+        assert not (stoppable and want), seed
+        stopped += stoppable
+    assert stopped >= 50
+
+
 # SHA-256 of the factor search's (index, nodes, max_depth, witness copies)
 # on the golden threshold sweep's 220 instances (K3, n=12, p = 0.5..1.0,
 # 20 seeds each, config seed 2024): a change to the search tree, a
