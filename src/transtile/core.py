@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 GRAPH_FORMAT = "ptg-v1"
@@ -470,17 +470,9 @@ def delta_star(G: PartiteGraph) -> int:
     """Partite minimum degree: worst degree across any pattern edge."""
     if not G.pattern.edges:
         raise ValueError("empty pattern: partite minimum degree undefined")
-    best = G.n
-    for i, j in G.pattern.edges:
-        for a in range(G.n):
-            d = G._adj[(i, j)][a].bit_count()
-            if d < best:
-                best = d
-        for b in range(G.n):
-            d = G._adj[(j, i)][b].bit_count()
-            if d < best:
-                best = d
-    return best
+    # _adj holds both orientations of every pattern edge, so one min over
+    # every stored row takes the worst degree in both directions
+    return min(map(int.bit_count, chain.from_iterable(G._adj.values())))
 
 
 def is_transversal_tuple(G: PartiteGraph, verts: Sequence[int]) -> bool:

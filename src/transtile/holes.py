@@ -23,13 +23,19 @@ H has a bipartite s-hole.  The sets of parts 1..r-3 are branched on as
 s-subsets, keeping the cliques still realizable as one bitmask, and
 the set of part r-2 vertex by vertex, cutting a branch once its H has
 no s-hole (H only grows along a branch).
-`certify_no_hole` asks each tuple once for the given s.  Having an
-s-hole is monotone in s (dropping one vertex from each set of an s-hole
-leaves an (s-1)-hole), so `alpha_star_exact` asks each tuple for
-s = best+1, best+2, ... and stops at the first absence.  Both report
-absence only as a proof, and both refuse n above a cap for r>=3 only;
-r=2 has no cap.  `alpha_star_lower_bound` is a randomized hole finder:
-its holes are verified, but finding none proves nothing, and no
+
+Both exact entries share one decision loop: `_decisions` applies the
+one refusal rule (n above a cap is refused for r>=3 only; r=2 has no
+cap) and yields each clique part tuple with its decision, and
+`_certificate` turns the masks of a found hole into a
+`HoleCertificate` that `verify_hole` has checked.  `certify_no_hole`
+asks each tuple once for the given s and certifies its first hole.
+Having an s-hole is monotone in s (dropping one vertex from each set of
+an s-hole leaves an (s-1)-hole), so `alpha_star_exact` asks each tuple
+for s = best+1, best+2, ... and stops at the first absence; it
+certifies its best hole once, at the end.  Both report absence only as
+a proof.  `alpha_star_lower_bound` is a randomized hole finder: its
+holes are verified, but finding none proves nothing, and no
 certification rests on it.
 """
 
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
 from transtile.search import copy_enumerator, iter_copies
@@ -62,12 +68,12 @@ Exists = Callable[[int, list[int]], Optional[tuple[int, ...]]]
 
 @dataclass(frozen=True)
 class HoleCertificate:
-    """Candidate or verified hole: equal-size subsets on clique parts."""
+    """Equal-size vertex sets, one per part of a pattern-clique part
+    tuple, claimed to be a hole; `verify_hole` decides the claim."""
 
     r: int
     parts: tuple[int, ...]
     sets: tuple[frozenset[int], ...]
-    verified: bool = False
 
     @property
     def s(self) -> int:
@@ -274,32 +280,34 @@ def _hole_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
     return exists
 
 
-def _checked(G: PartiteGraph, witness: HoleCertificate) -> HoleCertificate:
-    """The witness itself, after `verify_hole` confirms it is a hole.
-
-    An explicit raise, not an `assert`: a hole answer rests on this
-    check, and `python -O` strips asserts.
+def _decisions(
+    G: PartiteGraph, r: int, cap: int
+) -> Iterator[tuple[tuple[int, ...], Exists]]:
+    """Yield (parts, exists) for each clique part tuple of size r, under
+    the one refusal rule: n above `cap` is refused for r>=3 only, before
+    any tuple.  The pair search has no cap; for r>=3 the branches on the
+    first r-2 parts grow exponentially with n and r.
     """
+    if r > 2 and G.n > cap:
+        raise ValueError(f"exact mode refused: n={G.n} exceeds cap {cap} for r={r}; raise cap")
+    finder = _pair_finder if r == 2 else _hole_finder
+    for parts in G.pattern.clique_part_tuples(r):
+        yield parts, finder(G, parts)
+
+
+def _certificate(
+    G: PartiteGraph, r: int, parts: tuple[int, ...], masks: Sequence[int]
+) -> HoleCertificate:
+    """The certificate of the hole `masks` on `parts`, once `verify_hole`
+    confirms it.  An explicit raise, not an `assert`: a hole answer rests
+    on this check, and `python -O` strips asserts.
+    """
+    witness = HoleCertificate(r, parts, tuple(frozenset(bits(m)) for m in masks))
     if not verify_hole(G, witness):
         raise RuntimeError(
             f"hole search returned a non-hole on parts {witness.parts}: sets {witness.sets}"
         )
     return witness
-
-
-def _exact_decision(
-    G: PartiteGraph, r: int, cap: int
-) -> Callable[[PartiteGraph, Sequence[int]], Exists]:
-    """The finder for r-tuples, under the one refusal rule: n above `cap`
-    is refused for r>=3 only.  The pair search has no cap; for r>=3 the
-    branches on the first r-2 parts grow exponentially with n and r.
-    """
-    if r > 2 and G.n > cap:
-        raise ValueError(
-            f"exact mode refused: n={G.n} exceeds cap {cap} for r={r}; "
-            "raise cap or use alpha_star_lower_bound"
-        )
-    return _pair_finder if r == 2 else _hole_finder
 
 
 def alpha_star_exact(
@@ -315,28 +323,17 @@ def alpha_star_exact(
     far, stopping at the first s with no hole: holes are monotone in s,
     so that None proves the tuple's maximum.  A tuple replaces the
     witness only when it beats the best; the witness is the hole its
-    last successful decision found.  `explored` sums the branch nodes of
-    every decision: for r>=3 the subset and vertex nodes and the
-    pair-search nodes they ask for.
+    last successful decision found, certified once, at the end.
+    `explored` sums the branch nodes of every decision: for r>=3 the
+    subset and vertex nodes and the pair-search nodes they ask for.
     """
     if not 2 <= r <= G.k:
         raise ValueError(f"hole order r={r} out of range [2..{G.k}]")
-    finder = _exact_decision(G, r, cap)
-    best = 0
-    witness = HoleCertificate(r=r, parts=(), sets=(), verified=True)
-    counter = [0]
-    for parts in G.pattern.clique_part_tuples(r):
-        exists = finder(G, parts)
-        top, found = best, None
-        while top < G.n and (masks := exists(top + 1, counter)) is not None:
-            top, found = top + 1, masks
-        if found is not None:
-            best = top
-            witness = HoleCertificate(
-                r, parts, tuple(frozenset(bits(m)) for m in found), verified=True
-            )
-    if best > 0:
-        _checked(G, witness)
+    best, hole, counter = 0, None, [0]
+    for parts, exists in _decisions(G, r, cap):
+        while best < G.n and (masks := exists(best + 1, counter)) is not None:
+            best, hole = best + 1, (parts, masks)
+    witness = _certificate(G, r, *hole) if hole else HoleCertificate(r, (), ())
     return HoleReport(alpha=best, witness=witness, method="exact", explored=counter[0])
 
 
@@ -352,12 +349,9 @@ def certify_no_hole(G: PartiteGraph, r: int, s: int) -> tuple[bool, str, Optiona
         raise ValueError(f"hole order r={r} or size s={s} out of range")
     if s > G.n:
         return True, "exact", None
-    finder = _exact_decision(G, r, EXACT_CAP_DEFAULT)
-    for parts in G.pattern.clique_part_tuples(r):
-        masks = finder(G, parts)(s, [0])
-        if masks is not None:
-            witness = HoleCertificate(r, parts, tuple(frozenset(bits(m)) for m in masks), True)
-            return False, "exact", _checked(G, witness)
+    for parts, exists in _decisions(G, r, EXACT_CAP_DEFAULT):
+        if (masks := exists(s, [0])) is not None:
+            return False, "exact", _certificate(G, r, parts, masks)
     return True, "exact", None
 
 
@@ -375,13 +369,12 @@ def alpha_star_lower_bound(
         raise ValueError(f"hole order r={r} out of range [2..{G.k}]")
     if not 1 <= s <= G.n:
         raise ValueError(f"hole size s={s} out of range [1..{G.n}]")
-    tuples = G.pattern.clique_part_tuples(r)
-    if not tuples:
+    plans = [(parts, copy_enumerator(G, parts)) for parts in G.pattern.clique_part_tuples(r)]
+    if not plans:
         return None
     for trial in range(trials):
         rng = random.Random((seed * 0x9E3779B1 + trial) & 0xFFFFFFFF)
-        parts = tuples[trial % len(tuples)]
-        first = copy_enumerator(G, parts)
+        parts, first = plans[trial % len(plans)]
         masks = [0] * r
         budget = 40 * (s * r + 4)
         while budget > 0:
@@ -392,7 +385,7 @@ def alpha_star_lower_bound(
                     r, parts, tuple(frozenset(bits(m)) for m in masks)
                 )
                 if verify_hole(G, cand):
-                    return HoleCertificate(r, parts, cand.sets, verified=True)
+                    return cand
                 break
             t = rng.choice([i for i in range(r) if sizes[i] == min(sizes)])
             good = []

@@ -1,4 +1,6 @@
-from itertools import combinations
+import hashlib
+import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +75,7 @@ def test_alpha_exact_complete_is_zero():
     report = alpha_star_exact(PartiteGraph.complete(Pattern.complete(3), 4), 2)
     assert report.alpha == 0
     assert report.method == "exact"
-    assert report.witness.sets == () and report.witness.verified
+    assert report.witness.sets == ()
 
 
 def test_alpha_exact_empty_graph():
@@ -91,7 +93,7 @@ def test_alpha_exact_planted():
     )
     report = alpha_star_exact(G, 2)
     assert report.alpha == 3
-    assert report.witness.s == 3 and report.witness.verified
+    assert report.witness.s == 3 and verify_hole(G, report.witness)
     # r=3 holes need a row of missing triangles; the planted block gives them too
     report3 = alpha_star_exact(G, 3)
     assert report3.alpha == 3
@@ -366,6 +368,31 @@ def test_alpha_r3_node_budget_at_n14():
     assert report.alpha == 7 and report.explored == 50286
 
 
+# SHA-256 of every hole answer over 224 random hosts (K3, K4, C4 and C5,
+# n = 2..8, p = 0.3..0.85, two seeds each): alpha_star_exact's alpha,
+# witness parts, sorted sets and explored for r = 2 and 3, then
+# certify_no_hole's answer and witness for s = 1..n+1
+HOLE_GRID_SHA = "39b836c59fbf6409923e7c3186fb498b136ab4891311c23ac29d95942141387b"
+
+
+def test_hole_answers_are_pinned():
+    rows = []
+    patterns = (Pattern.complete(3), Pattern.complete(4), Pattern.cycle(4), Pattern.cycle(5))
+    for (at, pattern), n, p, seed in product(
+        enumerate(patterns), range(2, 9), (0.3, 0.5, 0.7, 0.85), range(2)
+    ):
+        G = random_instance(pattern, n, p, seed=8000 + 100 * at + 10 * n + seed)
+        for r in (2, 3):
+            report = alpha_star_exact(G, r)
+            w = report.witness
+            rows.append([report.alpha, w.parts, [sorted(u) for u in w.sets], report.explored])
+            for s in range(1, n + 2):
+                ok, regime, w = certify_no_hole(G, r, s)
+                rows.append([ok, regime, w and [w.parts, [sorted(u) for u in w.sets]]])
+    assert len(rows) == 3136
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == HOLE_GRID_SHA
+
+
 @pytest.mark.parametrize("r", (2, 3))
 def test_unverified_witness_raises(monkeypatch, r):
     # the witness check is an explicit raise, so `python -O` keeps it
@@ -390,7 +417,7 @@ def test_lower_bound_planted_found():
         [(1, a, 2, b) for a in (1, 3, 5) for b in (0, 2, 4)]
     )
     cert = alpha_star_lower_bound(G, 2, 3, trials=100, seed=11)
-    assert cert is not None and cert.verified and cert.s == 3
+    assert cert is not None and cert.s == 3
     assert verify_hole(G, cert)
 
 
@@ -436,9 +463,19 @@ def test_certify_pairs_exact_above_cap():
 
 def test_certify_r3_above_cap_refused():
     G = PartiteGraph.complete(Pattern.complete(3), 11)
-    with pytest.raises(ValueError, match="exact mode refused"):
+    refused = r"^exact mode refused: n=11 exceeds cap 10 for r=3; raise cap$"
+    with pytest.raises(ValueError, match=refused):
         certify_no_hole(G, 3, 2)
     assert certify_no_hole(G, 2, 2)[0]
+    # argument checks come first, then the vacuous s > n answer, then the refusal
+    with pytest.raises(ValueError, match="out of range"):
+        certify_no_hole(G, 3, 0)
+    assert certify_no_hole(G, 3, 12) == (True, "exact", None)
+    # the refusal comes before any part tuple, so a pattern without one is refused too
+    with pytest.raises(ValueError, match="exact mode refused"):
+        certify_no_hole(empty_instance(Pattern.cycle(4), 11), 3, 2)
+    with pytest.raises(ValueError, match="exact mode refused"):
+        alpha_star_exact(empty_instance(Pattern.cycle(4), 11), 3)
 
 
 def test_certify_validation():
@@ -466,7 +503,7 @@ def test_certify_matches_exact_hole_number(seed):
             if ok:
                 assert witness is None
             else:
-                assert witness.verified and witness.r == r and witness.s == s
+                assert witness.r == r and witness.s == s
                 assert all(len(u) == s for u in witness.sets)
                 assert verify_hole(G, witness)
 

@@ -115,11 +115,11 @@ def _repeated_scopes(tree: ast.Module) -> list[ast.AST]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_copy_search_planned_per_iteration(path):
-    # a one-off copy search plans the kernel anew; a loop or a recursive
-    # search that asks the same parts under many masks hoists one
-    # `copy_enumerator` instead
+    # a one-off copy search, or a fresh `copy_enumerator`, plans the kernel
+    # anew; a loop or a recursive search that asks the same parts under
+    # many masks hoists one `copy_enumerator` instead
     tree = ast.parse(path.read_text(), filename=str(path))
-    one_off = {"iter_copies"}
+    planners = {"iter_copies", "copy_enumerator"}
     calls = sorted(
         {
             node.lineno
@@ -127,11 +127,11 @@ def test_no_copy_search_planned_per_iteration(path):
             for node in ast.walk(scope)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id in one_off
+            and node.func.id in planners
         }
     )
     assert not calls, (
-        f"{path.name} starts a one-off copy search per iteration on lines {calls}; "
+        f"{path.name} plans a copy search per iteration on lines {calls}; "
         "hoist a copy_enumerator"
     )
 
