@@ -16,8 +16,8 @@
   `trace_back` reads one walk out of the layers.  Transversal paths
   and transversal cycles (one sweep per anchor vertex) are such walks.
 * `has_perfect_matching` decides a perfect matching of a bipartite
-  graph given by neighbour-mask rows.  The factor search's Hall prune
-  and robust-template verification ask it.
+  graph given by neighbour-mask rows.  The factor search's part-1 rule
+  (its Hall prune) and robust-template verification ask it.
 
 All three are complete: an exhausted enumeration, a None sweep or a
 False matching answer is a proof that no copy, walk or perfect matching
@@ -221,8 +221,11 @@ def has_perfect_matching(rows: Sequence[int], left: int, right: int) -> bool:
                 return True
         return False
 
-    for u in bits(left):
-        seen = 0
-        if not augment(u):
-            return False
-    return True
+    try:
+        for u in bits(left):
+            seen = 0
+            if not augment(u):
+                return False
+        return True
+    finally:
+        del augment  # it calls itself: unbind it so its state is freed now, not by the GC

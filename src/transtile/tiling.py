@@ -50,19 +50,18 @@ Search strategy notes
   so on the induced copy every choice (fail-first order, copy order,
   column choice, Hall matchings) would be the same; the masks only skip
   building it.
-* The factor solver prunes by Hall's condition, lazily.  A factor of
+* The part-1 rule prunes by Hall's condition, lazily.  A factor of
   the remaining vertices restricts to a perfect matching between the
   remaining vertices of parts p and q for every pattern edge pq, so a
   node where some such bipartite graph has no perfect matching holds no
   factor.  `has_perfect_matching` from `transtile.search` decides each
-  matching on the graph's own neighbour rows.  The check runs at a node
-  only after its first child has failed, before the second is tried: a
-  search that never backtracks pays nothing for it.  The node runs the
-  check, so both rules prune.  The prune only cuts subtrees without a
-  factor and leaves the branching order alone, so a search that ends
-  within its budget finds the witness the unpruned part-1 search
-  finds, and None is still a proof; only `nodes` and `max_depth`
-  shrink.
+  matching on the graph's own neighbour rows.  The rule checks only
+  after its first child has failed, before it yields the second, and
+  cuts only subtrees without a factor, so a search that ends within its
+  budget finds the witness the unpruned part-1 search finds, and None
+  is still a proof; only `nodes` and `max_depth` shrink.  The column
+  rule does not check, since it almost never cuts there: its one cut is
+  the dead column, so a column-phase None has one kind of leaf.
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
 vertex per part by isolated filler vertices: a 3-vertex path across
@@ -348,13 +347,13 @@ def exact_transversal_factor_search(
 
     The search is one recursive node, which counts one node per copy
     tried.  A node with part 1 covered is solved; otherwise it tries the
-    copies its branching rule yields, in turn, and prunes by Hall's
-    condition once its first child has failed.  Two rules feed it, each
+    copies its branching rule yields, in turn.  Two rules feed it, each
     complete, one per phase.
     1. `part1` yields the copies through the lowest-degree uncovered
-       part-1 vertex.  If the search ends within 2m nodes, its answer
-       and stats are the result, and a factor lists its copies in the
-       order of their part-1 vertices by degree.
+       part-1 vertex, and prunes by Hall's condition once the first has
+       failed.  If the search ends within 2m nodes, its answer and stats
+       are the result, and a factor lists its copies in the order of
+       their part-1 vertices by degree.
     2. Otherwise the search starts again at the root under `column`,
        Knuth's column choice over an index of every copy inside the
        masks: it yields the live copies (those disjoint from every copy
@@ -396,9 +395,6 @@ def exact_transversal_factor_search(
     best_depth = 0
     acc: list[tuple[int, ...]] = []
 
-    def hall_holds(cur: list[int]) -> bool:
-        return all(has_perfect_matching(rows, cur[p], cur[q]) for rows, p, q in hall)
-
     def node(cur: list[int], depth: int, state: int) -> bool:
         # one node of either phase: `rule` yields its moves, each a copy
         # and the state its child starts from
@@ -407,9 +403,7 @@ def exact_transversal_factor_search(
             best_depth = depth
         if not cur[0]:
             return True  # balanced parts: part 1 covered means all are
-        for tried, (found, child) in enumerate(rule(cur, state)):
-            if tried == 1 and not hall_holds(cur):
-                return False
+        for found, child in rule(cur, state):
             if nodes == budget:
                 raise _OverBudget
             nodes += 1
@@ -429,7 +423,11 @@ def exact_transversal_factor_search(
             i += 1
         cand = cur.copy()
         cand[0] = 1 << order[i]
-        return zip(copies(cand), itertools.repeat(i + 1))
+        for tried, move in enumerate(zip(copies(cand), itertools.repeat(i + 1))):
+            # the first child failed: prune by Hall's condition before the second
+            if tried == 1 and not all(has_perfect_matching(r, cur[p], cur[q]) for r, p, q in hall):
+                return
+            yield move
 
     def column(cur: list[int], live: int) -> Iterator:
         # through[p][v] is the mask of index positions of the copies
@@ -469,6 +467,8 @@ def exact_transversal_factor_search(
         rule = column
         live = (1 << len(index)) - 1
         ok = not _cover_refutes(through, live, sizes[0]) and node(list(root[1:]), 0, live)
+    finally:
+        del node  # it calls itself: unbind it so its state is freed now, not by the GC
     stats = SearchStats(nodes=nodes, max_depth=best_depth)
     if not ok:
         return None, stats

@@ -27,6 +27,18 @@ def random_instance(pattern: Pattern, n: int, p: float, seed: int) -> PartiteGra
     return PartiteGraph.from_edges(pattern, n, edges)
 
 
+def edge_process_prefix(n: int, seed: int, t: int) -> PartiteGraph:
+    """The first t edges of the seeded K3 edge process on n vertices per part.
+
+    The process lists the 3n^2 cross edges of the complete K3 blow-up,
+    pair (1, 2), then (1, 3), then (2, 3), with i then j ascending inside
+    each pair, shuffles them with `random.Random(seed)`, and adds them in
+    that order."""
+    edges = [(p, i, q, j) for p, q in ((1, 2), (1, 3), (2, 3)) for i in range(n) for j in range(n)]
+    random.Random(seed).shuffle(edges)
+    return PartiteGraph.from_edges(Pattern.complete(3), n, []).add_edges(edges[:t])
+
+
 def naive_delta_star(G: PartiteGraph) -> int:
     best = G.n
     for i, j in G.pattern.edges:

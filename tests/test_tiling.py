@@ -4,6 +4,7 @@ Oracles here are deliberately dumb: full cartesian products over vertex
 tuples, permutation enumeration for factors. The engine must agree.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -44,7 +45,7 @@ from transtile.tiling import (
 from transtile import tiling
 from transtile.search import has_perfect_matching, iter_copies
 
-from conftest import naive_has_perfect_matching, random_instance
+from conftest import edge_process_prefix, naive_has_perfect_matching, random_instance
 
 
 K3 = Pattern.complete(3)
@@ -691,7 +692,7 @@ def test_cover_stopping_rule_matches_the_unbounded_greedy():
 # on the golden threshold sweep's 220 instances (K3, n=12, p = 0.5..1.0,
 # 20 seeds each, config seed 2024): a change to the search tree, a
 # witness or the generated graphs moves it
-GOLDEN_SWEEP_FACTOR_SHA = "17e1d014689deda522bd43fd734bfa440221f59c6907dc0b85f0234efb457f42"
+GOLDEN_SWEEP_FACTOR_SHA = "7625bab99b4d7a3fc971e04e7a3c1e7357eb1ee7edd5d13ea74f0275c5e99f18"
 # the instances whose part-1 search takes more than 2n = 24 nodes, and so
 # switches to the column phase, and the SHA-256 of the rows of the other
 # 189, recorded before the column phase existed: they must not move
@@ -774,6 +775,36 @@ def test_factor_search_decides_a_sparse_n120_host_by_column_choice():
     assert t is not None and stats.nodes <= 3 * G.n
     Tiling.build(G, t.copies)
     assert len(t.copies) == G.n
+
+
+def test_factor_search_pins_the_hard_n36_prefix():
+    # the n=36 seed-6 edge process: prefix 775 has every vertex in a copy
+    # and no factor, which the column phase proves exhaustively; one more
+    # edge gives a factor
+    t, stats = exact_transversal_factor_search(edge_process_prefix(36, 6, 775), cap=None)
+    assert t is None and (stats.nodes, stats.max_depth) == (4249, 34)
+    G = edge_process_prefix(36, 6, 776)
+    t, stats = exact_transversal_factor_search(G, cap=None)
+    assert t is not None and (stats.nodes, stats.max_depth) == (393, 36)
+    Tiling.build(G, t.copies)
+
+
+def test_factor_search_leaves_no_garbage_cycles():
+    # the recursive closures are unbound when their call ends, so a
+    # search's copy index and bitmaps are freed without waiting for the GC
+    G = sweep_instance(10001, 7)
+    H = complete_blowup(K3, 4)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        t, stats = exact_transversal_factor_search(G)
+        assert t is not None and stats.nodes > 2 * G.n  # the column phase ran
+        assert has_perfect_matching(H._adj[1, 2], H.full_mask, H.full_mask)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _random_masks(rng, n, size):
