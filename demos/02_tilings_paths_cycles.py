@@ -50,7 +50,7 @@ X = [0, mask_of((0, 1)), mask_of(range(4)), mask_of(range(4)), mask_of((0, 1))]
 path = find_transversal_path(H, 1, 4, X)
 print(f"path across parts 1..4: {[tuple(v) for v in path]}")
 cyc = find_transversal_cycle(H, [0] + [H.full_mask] * 4)
-print(f"closing it into a cycle: {[tuple(v) for v in cyc.vertex_ids()]}")
+print(f"closing it into a cycle: {[(p + 1, v) for p, v in enumerate(cyc.verts)]}")
 
 print()
 print("-- the space barrier: a small blocker meets every cycle, so no cycle factor --")

@@ -60,9 +60,9 @@ print()
 # so additions are checked again after each one
 while True:
     rep = check_appendix_invariants(G, T)
-    counts = T.counts()
+    paths = sum(c.kind == "p3" for c in T.copies)
     print(
-        f"{counts['p3']} path + {counts['m2']} matching copies, leftover "
+        f"{paths} path + {len(T.copies) - paths} matching copies, leftover "
         f"{T.leftover_per_part} per part: addition-maximal={rep.maximal}, "
         f"{len(rep.violations)} budget violations, ok={rep.ok}"
     )

@@ -59,5 +59,5 @@ print(
     f"n={H.n}: |R|={R.total_size()} ({R.size_per_part()} per part), "
     f"{len(R.provenance['absorbers'])} absorbers, xi={R.xi:.4f}"
 )
-verdict = verify_absorbing_property(H, R, R.xi, trials=32, seed=1)
+verdict = verify_absorbing_property(H, R, trials=32, seed=1)
 print(f"absorbing property over {verdict.checks} balanced remainders: ok={verdict.ok}")

@@ -35,18 +35,20 @@ each checked with `part_masks` where it enters.  Single vertices and
 copy-like tuples stay (part, index) pairs: connector endpoints and
 absorber targets.
 
-Scale notes.  All thresholds that are asymptotic constants in the
-underlying theory (q, tau, beta_prime, xi) are explicit parameters
-here, sized by the caller for instances of a few dozen vertices per
-part; see AbsorbParams.  An absorber's witnesses are assembled from its
-clique and its connectors' witnesses, with no search.  A set with one
-vertex per part factors only as itself, so an edge check decides it
-with no search either.  Every other factor check runs the exact solver
-on G itself, restricted to per-part masks, so no relabelled copy of the
-graph is built.  Stage sample-x needs a fan at every vertex, but a fan
-depends on v only through its part and its neighbourhoods in the
-sample, so it searches one fan per such class (at most k per sample
-on a complete blow-up, not kn).
+Scale notes.  The thresholds that are asymptotic constants in the
+underlying theory (q, tau, beta_prime) are explicit parameters here,
+sized by the caller for instances of a few dozen vertices per part; see
+AbsorbParams.  The leftover bound xi is the set's own claim: the builder
+records it on the AbsorbingSet, and the verifier reads it there.  An
+absorber's witnesses are assembled from its clique and its connectors'
+witnesses, with no search.  A set with one vertex per part factors only
+as itself, so an edge check decides it with no search either.  Every
+other factor check runs the exact solver on G itself, restricted to
+per-part masks, so no relabelled copy of the graph is built.  Stage
+sample-x needs a fan at every vertex, but a fan depends on v only
+through its part and its neighbourhoods in the sample, so it searches
+one fan per such class (at most k per sample on a complete blow-up,
+not kn).
 `verify_absorbing_property` needs a factor of G[R u U], and R alone is
 most of the graph at the reference parameters (49 to 59 of 60 vertices
 per part in the check-7 and benchmark configs).  So it searches G[R]
@@ -490,7 +492,6 @@ class Template:
     m: int
     beta_m: int
     edges: frozenset[tuple[int, int]]
-    max_degree: int = TEMPLATE_MAX_DEGREE
 
     @property
     def x_size(self) -> int:
@@ -508,42 +509,26 @@ class Template:
     def left_size(self) -> int:
         return self.x_size + self.y_size
 
-    def degree_table(self) -> tuple[list[int], list[int]]:
+    def validate(self) -> None:
+        _check_scale(self.m, self.beta_m)
         left = [0] * self.left_size
         right = [0] * self.z_size
         for l, z in self.edges:
-            left[l] += 1
-            right[z] += 1
-        return left, right
-
-    def validate(self) -> None:
-        _check_scale(self.m, self.beta_m)
-        for l, z in self.edges:
             if not (0 <= l < self.left_size and 0 <= z < self.z_size):
                 raise ValueError(f"template edge ({l},{z}) out of range")
-        left, right = self.degree_table()
+            left[l] += 1
+            right[z] += 1
         worst = max(left + right, default=0)
-        if worst > self.max_degree:
-            raise ValueError(
-                f"template degree {worst} exceeds the cap {self.max_degree}"
-            )
+        if worst > TEMPLATE_MAX_DEGREE:
+            raise ValueError(f"template degree {worst} exceeds the cap {TEMPLATE_MAX_DEGREE}")
 
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
             "beta_m": self.beta_m,
-            "max_degree": self.max_degree,
+            "max_degree": TEMPLATE_MAX_DEGREE,
             "edges": sorted([l, z] for l, z in self.edges),
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "Template":
-        return Template(
-            m=data["m"],
-            beta_m=data["beta_m"],
-            max_degree=data["max_degree"],
-            edges=frozenset((l, z) for l, z in data["edges"]),
-        )
 
 
 def _check_scale(m: int, beta_m: int, prefix: str = "") -> None:
@@ -613,9 +598,7 @@ def generate_template(m: int, beta_m: int, seed: int = 0) -> Optional[Template]:
                 break
         if not ok or max(left_deg) > TEMPLATE_MAX_DEGREE:
             continue
-        cand = Template(
-            m=m, beta_m=beta_m, edges=frozenset(edges), max_degree=TEMPLATE_MAX_DEGREE
-        )
+        cand = Template(m=m, beta_m=beta_m, edges=frozenset(edges))
         if verify_template(cand)[0]:
             return cand
     return None
@@ -647,8 +630,8 @@ class AbsorbParams:
 
 @dataclass(frozen=True)
 class AbsorbingSet:
-    """Balanced set R, as per-part masks, meant to swallow any small
-    balanced leftover."""
+    """Balanced set R, as per-part masks, meant to swallow any balanced
+    leftover U with |U| <= xi*n."""
 
     R: tuple[int, ...]
     xi: float
@@ -816,9 +799,8 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
             for edge, a in absorbers
         ],
     }
-    out = AbsorbingSet(R=tuple(reserved), xi=xi, provenance=provenance)
-    out.validate()
-    return out
+    # stage assemble checked the balance that AbsorbingSet.validate checks
+    return AbsorbingSet(R=tuple(reserved), xi=xi, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -859,12 +841,11 @@ def _absorb_factor(
 def verify_absorbing_property(
     G: PartiteGraph,
     R: AbsorbingSet,
-    xi: float,
     trials: int = 32,
     seed: int = 0,
     exhaustive_limit: int = 256,
 ) -> AbsorbVerdict:
-    """Probe: does G[R u U] factor for balanced U outside R, |U| <= xi*n?
+    """Probe: does G[R u U] factor for balanced U outside R, |U| <= R.xi*n?
 
     Runs exhaustive enumeration when the one-per-part candidate space
     is small enough; otherwise samples `trials` random balanced U.
@@ -880,7 +861,7 @@ def verify_absorbing_property(
     answers are complete).
     """
     k, n = G.k, G.n
-    if xi * n < k:
+    if R.xi * n < k:
         raise ValueError("absorbing verification needs xi*n >= k")
     for name, value, low in (("trials", trials, 1), ("exhaustive_limit", exhaustive_limit, 0)):
         if value < low:
@@ -889,7 +870,7 @@ def verify_absorbing_property(
     outside = [()] + [
         tuple(v for v in range(n) if not (r_masks[p] >> v & 1)) for p in range(1, k + 1)
     ]
-    s_max = min(int(xi * n // k), min(len(o) for o in outside[1:]))
+    s_max = min(int(R.xi * n // k), min(len(o) for o in outside[1:]))
     if s_max < 1:
         return AbsorbVerdict(ok=True, failing=None, checks=0)
     r_factor = functools.cache(lambda: _factor_witness(G, r_masks))

@@ -357,12 +357,6 @@ class PartiteGraph:
         (pu, iu), (pv, iv) = u, v
         return bool(self.nbr_mask(pu, iu, pv) >> iv & 1)
 
-    def edge_count(self) -> int:
-        total = 0
-        for i, j in self.pattern.edges:
-            total += sum(m.bit_count() for m in self._adj[(i, j)])
-        return total
-
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Edges once per unordered pair, in canonical sorted order."""
         for i, j in sorted(self.pattern.edges):
@@ -370,11 +364,6 @@ class PartiteGraph:
             for a in range(self.n):
                 for b in bits(rows[a]):
                     yield (i, a, j, b)
-
-    def vertices(self) -> Iterator[VertexId]:
-        for p in range(1, self.k + 1):
-            for i in range(self.n):
-                yield VertexId(p, i)
 
     # -- derived graphs ----------------------------------------------------
 

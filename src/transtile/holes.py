@@ -75,10 +75,6 @@ class HoleCertificate:
     parts: tuple[int, ...]
     sets: tuple[frozenset[int], ...]
 
-    @property
-    def s(self) -> int:
-        return len(self.sets[0]) if self.sets else 0
-
 
 @dataclass(frozen=True)
 class HoleReport:
@@ -153,7 +149,10 @@ def _pair_hole(non: Sequence[int], s: int, counter: list[int]) -> Optional[tuple
                 return found
         return None
 
-    return rec(list(range(n)), s, 0, (1 << n) - 1)
+    try:
+        return rec(list(range(n)), s, 0, (1 << n) - 1)
+    finally:
+        del rec  # it calls itself: unbind it so its state is freed now, not by the GC
 
 
 def _pair_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
@@ -274,7 +273,10 @@ def _hole_finder(G: PartiteGraph, parts: Sequence[int]) -> Exists:
                     return res
             return None
 
-        out = rec(0, everything, [])
+        try:
+            out = rec(0, everything, [])
+        finally:
+            del grow, rec  # they call themselves: unbind them so their state is freed now
         return tuple(out) if out is not None else None
 
     return exists

@@ -140,7 +140,6 @@ class ResultRecord:
     index: int
     instance: dict
     metrics: dict
-    artifact_version: str = ARTIFACT_VERSION
 
     @property
     def failed(self) -> bool:
@@ -153,7 +152,7 @@ class ResultRecord:
             "index": self.index,
             "instance": self.instance,
             "metrics": self.metrics,
-            "artifact_version": self.artifact_version,
+            "artifact_version": ARTIFACT_VERSION,
         }
 
     @staticmethod
@@ -164,7 +163,6 @@ class ResultRecord:
             index=data["index"],
             instance=data["instance"],
             metrics=data["metrics"],
-            artifact_version=data.get("artifact_version", ARTIFACT_VERSION),
         )
 
 
@@ -225,9 +223,7 @@ def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
 def _scn_absorbing_pipeline(G: PartiteGraph, args: dict, seed: int) -> dict:
     knobs = ("q", "tau", "beta_prime", "m", "beta_m", "connector_t")
     out = build_absorbing_set(G, AbsorbParams(seed=seed, **{key: args[key] for key in knobs}))
-    verdict = verify_absorbing_property(
-        G, out, xi=out.xi, trials=args["verify_trials"], seed=seed
-    )
+    verdict = verify_absorbing_property(G, out, trials=args["verify_trials"], seed=seed)
     return {
         "built": True,
         "total_size": out.total_size(),

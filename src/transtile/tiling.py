@@ -26,42 +26,24 @@ Search strategy notes
   anchor's neighbours; layered reachability is exact for each anchor,
   and all anchors are tried, so this search is complete at every size
   (no fallback needed for negative answers).
-* The factor solver is one recursive node fed by a branching rule:
-  a node is solved when part 1 is covered, and otherwise tries the
-  copies its rule yields.  The part-1 rule yields the copies through
-  the lowest-degree uncovered vertex of part 1 (fail-first ordering).
-  It never sees a vertex of another part that lies in no copy, so past
-  a budget of 2m nodes (m vertices per part) the search starts again
-  under the column rule, Knuth's column choice for exact cover
-  ("Dancing Links", arXiv:cs/0011047) over an index of every copy: it
-  yields the live copies of the uncovered vertex, in any part, in the
-  fewest live copies, and nothing when one lies in none.  Every search
-  past the budget builds that index, whatever its size.  Before the
-  first column node, a greedy cover over the index refutes the root
-  when at most m - 1 vertices meet every copy: m disjoint copies would
-  need m of them, so that None is a proof too.  A root with a factor is
-  never refuted, so this changes no witness and no statistic of a
-  search that finds one.  Both phases are exponential in the worst case
-  and guarded by a size cap; absence answers come with search
-  statistics.
-* The factor solver takes optional per-part root masks and then decides
-  a factor of the induced instance in place, in G's own labels.  The
-  relabelling of `PartiteGraph.induced` is monotone within each part,
-  so on the induced copy every choice (fail-first order, copy order,
-  column choice, Hall matchings) would be the same; the masks only skip
-  building it.
-* The part-1 rule prunes by Hall's condition, lazily.  A factor of
-  the remaining vertices restricts to a perfect matching between the
-  remaining vertices of parts p and q for every pattern edge pq, so a
-  node where some such bipartite graph has no perfect matching holds no
-  factor.  `has_perfect_matching` from `transtile.search` decides each
-  matching on the graph's own neighbour rows.  The rule checks only
-  after its first child has failed, before it yields the second, and
-  cuts only subtrees without a factor, so a search that ends within its
-  budget finds the witness the unpruned part-1 search finds, and None
-  is still a proof; only `nodes` and `max_depth` shrink.  The column
-  rule does not check, since it almost never cuts there: its one cut is
-  the dead column, so a column-phase None has one kind of leaf.
+* The factor solver's phases, witness order, statistics and memory are
+  stated once, in the `exact_transversal_factor_search` docstring.  The
+  reasons behind them, which the code does not show:
+  - The root masks change no choice.  The relabelling of
+    `PartiteGraph.induced` is monotone within each part, so on the
+    induced copy every choice (fail-first order, copy order, column
+    choice, Hall matchings) would be the same; the masks only skip
+    building it.
+  - The Hall prune keeps every witness.  A factor of the remaining
+    vertices restricts to a perfect matching between the remaining
+    vertices of parts p and q for every pattern edge pq, so a node where
+    one of them has none holds no factor.  The prune cuts only such
+    subtrees, so a search that ends within its budget finds the witness
+    the unpruned part-1 search finds, and None is still a proof; only
+    `nodes` and `max_depth` shrink.
+  - The column rule has one cut, the dead column.  The Hall prune almost
+    never cuts there, and a column-phase None with one kind of leaf is a
+    refutation tree that is simple to read.
 
 Mixed tilings use two shapes on cycle patterns, each padded to one
 vertex per part by isolated filler vertices: a 3-vertex path across
@@ -135,9 +117,6 @@ class TransversalCopy:
 
     verts: tuple[int, ...]
 
-    def vertex_ids(self) -> tuple[VertexId, ...]:
-        return tuple(VertexId(p + 1, v) for p, v in enumerate(self.verts))
-
 
 class _DisjointCopies:
     """Masks of `copies`, disjoint copies with one vertex per part each
@@ -190,9 +169,6 @@ class Tiling(_DisjointCopies):
 class SearchStats:
     nodes: int
     max_depth: int
-
-    def to_json_dict(self) -> dict:
-        return {"nodes": self.nodes, "max_depth": self.max_depth}
 
 
 # -- copy search ----------------------------------------------------------------
@@ -253,6 +229,15 @@ def _first_cycle(G: PartiteGraph, masks: Sequence[int]) -> Optional[tuple[int, .
     Anchors on each vertex of the most constrained part and sweeps the
     remaining arc; per anchor the sweep decides existence exactly, and
     every anchor is tried.  `masks` is indexed 1..k (slot 0 ignored).
+
+    Not the copy kernel (`copy_enumerator`), on purpose: a sweep costs one
+    pass per anchor, while the kernel backtracks over partial copies, and
+    most where the answer is None.  On the `outside` masks of
+    `space_barrier(C_k, n, seed=1)` both answer None: C8 at n=48 in 0.9 ms
+    against 544 ms, C6 at n=60 in 1.0 ms against 17.5 ms (Python 3.11,
+    2-core VM).  The kernel also returns other cycles: on 480 random C4-C6
+    hosts (n 6 or 8, keep probability 0.3 to 0.6, 20 seeds) it changed the
+    greedy cycle tiling's copy count on 152.
     """
     k = G.k
     c = min(range(1, k + 1), key=lambda p: (masks[p].bit_count(), p))
@@ -350,20 +335,23 @@ def exact_transversal_factor_search(
     copies its branching rule yields, in turn.  Two rules feed it, each
     complete, one per phase.
     1. `part1` yields the copies through the lowest-degree uncovered
-       part-1 vertex, and prunes by Hall's condition once the first has
-       failed.  If the search ends within 2m nodes, its answer and stats
-       are the result, and a factor lists its copies in the order of
-       their part-1 vertices by degree.
+       part-1 vertex (fail-first), and prunes by Hall's condition once
+       the first has failed.  If the search ends within 2m nodes, its
+       answer and stats are the result, and a factor lists its copies in
+       the order of their part-1 vertices by degree.
     2. Otherwise the search starts again at the root under `column`,
-       Knuth's column choice over an index of every copy inside the
-       masks: it yields the live copies (those disjoint from every copy
-       taken) of the uncovered vertex, in any part, with the fewest of
-       them (ties to the lowest part, then index), in index order, and
-       nothing where that count is 0.  Before its first node, the greedy
-       cover of `_cover_refutes` picks at most m - 1 vertices; if they
-       meet every copy, the answer is None with the part-1 phase's stats.
-       A factor lists its copies in the order they were taken, and
-       `nodes` and `max_depth` count both phases.
+       Knuth's column choice ("Dancing Links", arXiv:cs/0011047) over an
+       index of every copy inside the masks, which also sees a vertex of
+       another part that lies in no copy: it yields the live copies
+       (those disjoint from every copy taken) of the uncovered vertex, in
+       any part, with the fewest of them (ties to the lowest part, then
+       index), in index order, and nothing where that count is 0.  Before
+       its first node, the greedy cover of `_cover_refutes` picks at most
+       m - 1 vertices; if they meet every copy, no m disjoint copies
+       exist, and the answer is None with the part-1 phase's stats.  A
+       root with a factor is never refuted this way.  A factor lists its
+       copies in the order they were taken, and `nodes` and `max_depth`
+       count both phases.
     Every search past the budget builds the whole index, and its memory
     is the column phase's price: one tuple per copy, plus k*n bitmaps
     (one per vertex) with one bit per copy.
@@ -512,14 +500,6 @@ class MixedTiling(_DisjointCopies):
     n: int
     k: int
 
-    @property
-    def p3_copies(self) -> tuple[MixedCopy, ...]:
-        return tuple(c for c in self.copies if c.kind == "p3")
-
-    def counts(self) -> dict:
-        p3 = len(self.p3_copies)
-        return {"p3": p3, "m2": len(self.copies) - p3}
-
     def to_json_dict(self) -> dict:
         return {
             "copies": [c.to_json_dict() for c in self.copies],
@@ -585,23 +565,26 @@ def _realizations(
     try, in turn: the list itself enumerates every realization, a
     one-element random pick yields a single random one.
     """
-    verts = [-1] * (G.k + 1)
-    stars = _shapes(G.k)[choice]
+    return _walk(G, L, _shapes(G.k)[choice], order, [-1] * (G.k + 1), 0, 0, ())
 
-    def walk(s: int, c: int, leaves: tuple[int, ...]) -> Iterator[list[int]]:
-        # pick `leaves` around the chosen centre c, then stars s, s+1, ...
-        if leaves:
-            q, rest = leaves[0], leaves[1:]
-            for verts[q] in order(list(bits(G._adj[c, q][verts[c]] & L[q]))):
-                yield from walk(s, c, rest)
-        elif s == len(stars):
-            yield list(verts)
-        else:
-            c, leaves = stars[s]
-            for verts[c] in order(list(_centres(G, L, c, leaves))):
-                yield from walk(s + 1, c, leaves)
 
-    return walk(0, 0, ())
+def _walk(
+    G: PartiteGraph, L: Sequence[int], stars: tuple, order, verts: list, s: int, c: int, leaves
+) -> Iterator[list[int]]:
+    """The realizations of `_realizations` that pick `leaves` around the
+    chosen centre c, then stars s, s+1, ..., into `verts`.  A module
+    function, not a closure: the generator outlives its caller, and a
+    closure that calls itself would keep its state alive until the GC."""
+    if leaves:
+        q, rest = leaves[0], leaves[1:]
+        for verts[q] in order(list(bits(G._adj[c, q][verts[c]] & L[q]))):
+            yield from _walk(G, L, stars, order, verts, s, c, rest)
+    elif s == len(stars):
+        yield list(verts)
+    else:
+        c, leaves = stars[s]
+        for verts[c] in order(list(_centres(G, L, c, leaves))):
+            yield from _walk(G, L, stars, order, verts, s + 1, c, leaves)
 
 
 def _filled_copy(L: Sequence[int], choice: tuple, verts: list[int], pick) -> MixedCopy:

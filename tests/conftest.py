@@ -142,13 +142,13 @@ def naive_random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> Part
     return PartiteGraph.from_edges(G.pattern, G.n, kept)
 
 
-def naive_verify_absorbing_property(G, R, xi, trials=32, seed=0, exhaustive_limit=256):
+def naive_verify_absorbing_property(G, R, trials=32, seed=0, exhaustive_limit=256):
     """(ok, failing, checks) of `absorbing.verify_absorbing_property` by one
     full exact factor search on G[R u U] per U, the same U in the same order."""
     k, n = G.k, G.n
     r = R.R
     outside = [[v for v in range(n) if not r[p] >> v & 1] for p in range(1, k + 1)]
-    s_max = min(int(xi * n // k), min(len(o) for o in outside))
+    s_max = min(int(R.xi * n // k), min(len(o) for o in outside))
     if s_max < 1:
         return True, None, 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -204,7 +205,8 @@ def test_fan_verdict_per_twin_class_matches_every_vertex(k, n):
         G = random_instance(Pattern.complete(k), n, 0.5 + 0.05 * seed, seed)
         rng = random.Random(seed)
         arena = [0, *(rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(k))]
-        want = all(len(absorbing._fan_sets(G, v, size, arena)) >= size for v in G.vertices())
+        every = [VertexId(p, i) for p in range(1, k + 1) for i in range(n)]
+        want = all(len(absorbing._fan_sets(G, v, size, arena)) >= size for v in every)
         assert absorbing._every_vertex_keeps_a_fan(G, size, arena) == want
         verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
@@ -443,7 +445,7 @@ def test_connector_validate_checks_its_masks(verts, message):
         ),
         (
             lambda G: verify_absorbing_property(
-                G, _set_of([0, 0, 0, 0]), 1.5, exhaustive_limit=-1
+                G, _set_of([0, 0, 0, 0], 1.5), exhaustive_limit=-1
             ),
             "exhaustive_limit >= 0, got -1",
         ),
@@ -735,8 +737,9 @@ def test_template_m2_b1_generates_and_verifies():
     T = generate_template(2, 1, seed=0)
     assert T is not None
     assert verify_template(T) == (True, None)
-    left, right = T.degree_table()
-    assert max(left + right) <= 40
+    left = Counter(l for l, _ in T.edges)
+    right = Counter(z for _, z in T.edges)
+    assert max(*left.values(), *right.values()) <= 40
 
 
 def test_template_degree_cap_one_is_unsatisfiable(monkeypatch):
@@ -791,16 +794,9 @@ def test_template_scale_validation():
         Template(m=1, beta_m=-1, edges=frozenset()).validate()
     with pytest.raises(ValueError, match="out of range"):
         Template(m=1, beta_m=0, edges=frozenset({(3, 0)})).validate()
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        Template(
-            m=1, beta_m=0, edges=frozenset((l, 0) for l in range(3)), max_degree=2
-        ).validate()
-
-
-def test_template_json_round_trip():
-    T = generate_template(2, 1, seed=4)
-    again = Template.from_json_dict(json.loads(json.dumps(T.to_json_dict())))
-    assert again == T
+    with pytest.raises(ValueError, match="degree 41 exceeds the cap 40"):
+        # m=14 has 42 left vertices, so one right vertex can reach degree 41
+        Template(m=14, beta_m=0, edges=frozenset((l, 0) for l in range(41))).validate()
 
 
 def test_template_generation_is_deterministic():
@@ -976,7 +972,7 @@ def test_build_fan_stage_fails_on_empty_graph():
 def test_verify_absorbing_property_on_built_set():
     G = complete_blowup(K3, 90)
     out = build_absorbing_set(G, pipeline_params())
-    v = verify_absorbing_property(G, out, xi=out.xi, trials=3, seed=1)
+    v = verify_absorbing_property(G, out, trials=3, seed=1)
     assert v.ok and v.failing is None and v.checks == 3
 
 
@@ -985,7 +981,7 @@ def test_verify_absorbing_property_finds_isolated_failure():
         [(1, 0, p, a) for p in (2, 3) for a in range(2)]
     )
     empty = AbsorbingSet(R=(0, 0, 0, 0), xi=1.5, provenance={})
-    v = verify_absorbing_property(G, empty, xi=1.5, trials=8, seed=0)
+    v = verify_absorbing_property(G, empty, trials=8, seed=0)
     assert not v.ok and v.checks == 1  # exhaustive scan hits (1,0) first
     assert v.failing[1] == 0b1
 
@@ -994,7 +990,7 @@ def test_verify_absorbing_property_xi_precondition():
     G = complete_blowup(K3, 2)
     empty = AbsorbingSet(R=(0, 0, 0, 0), xi=0.5, provenance={})
     with pytest.raises(ValueError, match="xi\\*n >= k"):
-        verify_absorbing_property(G, empty, xi=0.5)
+        verify_absorbing_property(G, empty)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -1003,13 +999,13 @@ def test_verify_absorbing_property_needs_a_trial(trials):
     G = complete_blowup(K3, 6)
     empty = AbsorbingSet(R=(0, 0, 0, 0), xi=1.5, provenance={})
     with pytest.raises(ValueError, match="trials >= 1"):
-        verify_absorbing_property(G, empty, xi=1.5, trials=trials)
+        verify_absorbing_property(G, empty, trials=trials)
 
 
 def test_verify_absorbing_property_vacuous_when_nothing_outside():
     G = complete_blowup(K3, 2)
     everything = AbsorbingSet(R=(0, 0b11, 0b11, 0b11), xi=1.5, provenance={})
-    v = verify_absorbing_property(G, everything, xi=1.5, trials=4, seed=0)
+    v = verify_absorbing_property(G, everything, trials=4, seed=0)
     assert v.ok and v.checks == 0
 
 
@@ -1047,8 +1043,8 @@ def _r_masks(r: int) -> list[int]:
     return [0] + [(1 << r) - 1] * 3
 
 
-def _set_of(masks) -> AbsorbingSet:
-    return AbsorbingSet(R=tuple(masks), xi=0.0, provenance={})
+def _set_of(masks, xi: float) -> AbsorbingSet:
+    return AbsorbingSet(tuple(masks), xi, {})
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -1058,19 +1054,17 @@ def test_verify_matches_full_search_oracle_on_check7_sets(check7_sets, which):
         {"trials": 100, "seed": 11, "exhaustive_limit": 0},
         {"trials": 1, "seed": 11, "exhaustive_limit": 1000},
     ):
-        v = verify_absorbing_property(G, R, R.xi, **kwargs)
+        v = verify_absorbing_property(G, R, **kwargs)
         assert v.ok
-        assert _verdict(v) == naive_verify_absorbing_property(G, R, R.xi, **kwargs)
+        assert _verdict(v) == naive_verify_absorbing_property(G, R, **kwargs)
 
 
 def test_verify_matches_full_search_oracle_on_complete_n90():
     G = complete_blowup(K3, 90)
     R = build_absorbing_set(G, pipeline_params())
     for limit in (0, 256):
-        v = verify_absorbing_property(G, R, R.xi, trials=20, seed=1, exhaustive_limit=limit)
-        oracle = naive_verify_absorbing_property(
-            G, R, R.xi, trials=20, seed=1, exhaustive_limit=limit
-        )
+        v = verify_absorbing_property(G, R, trials=20, seed=1, exhaustive_limit=limit)
+        oracle = naive_verify_absorbing_property(G, R, trials=20, seed=1, exhaustive_limit=limit)
         assert v.ok and _verdict(v) == oracle
 
 
@@ -1079,10 +1073,8 @@ def test_verify_matches_full_search_oracle_on_random_dense_n60(p, seed):
     G = random_spanning_subgraph(complete_blowup(K3, 60), p, seed)
     R = build_absorbing_set(G, CHECK7_PARAMS["dense"])
     for limit in (0, 256):
-        v = verify_absorbing_property(G, R, R.xi, trials=30, seed=11, exhaustive_limit=limit)
-        oracle = naive_verify_absorbing_property(
-            G, R, R.xi, trials=30, seed=11, exhaustive_limit=limit
-        )
+        v = verify_absorbing_property(G, R, trials=30, seed=11, exhaustive_limit=limit)
+        oracle = naive_verify_absorbing_property(G, R, trials=30, seed=11, exhaustive_limit=limit)
         assert _verdict(v) == oracle
 
 
@@ -1093,13 +1085,11 @@ def test_verify_matches_full_search_oracle_on_small_random_graphs():
     for seed in range(12):
         G = random_instance(K3, 6, 0.5 + 0.04 * seed, seed)
         for r in range(4):
-            R = _set_of(_r_masks(r))
             for xi, limit in ((1.5, 0), (0.5, 256)):
-                v = verify_absorbing_property(
-                    G, R, xi, trials=12, seed=seed, exhaustive_limit=limit
-                )
+                R = _set_of(_r_masks(r), xi)
+                v = verify_absorbing_property(G, R, trials=12, seed=seed, exhaustive_limit=limit)
                 assert _verdict(v) == naive_verify_absorbing_property(
-                    G, R, xi, trials=12, seed=seed, exhaustive_limit=limit
+                    G, R, trials=12, seed=seed, exhaustive_limit=limit
                 )
                 verdicts.append(v.ok)
     assert any(verdicts) and not all(verdicts)
@@ -1136,11 +1126,11 @@ def test_absorb_factor_failure_is_the_full_search_verdict():
     G, r_masks, r_factor = _steps_instance(0.5, 1)
     assert _absorb_factor(G, r_masks, r_factor, [0, 0b10, 0b10, 0b10]) == (3, None)
     # the verifier's exhaustive scan meets this U first
-    R = _set_of(r_masks)
-    v = verify_absorbing_property(G, R, xi=0.75)
+    R = _set_of(r_masks, 0.75)
+    v = verify_absorbing_property(G, R)
     assert not v.ok and v.checks == 1
     assert v.failing == (0, 0b10, 0b10, 0b10)
-    assert _verdict(v) == naive_verify_absorbing_property(G, R, xi=0.75)
+    assert _verdict(v) == naive_verify_absorbing_property(G, R)
 
 
 @pytest.mark.parametrize("k, n", [(3, 8), (4, 5)])
@@ -1172,7 +1162,7 @@ def test_exhaustive_check7_verify_searches_one_large_instance(check7_sets, monke
         return search(G, cap=cap, masks=masks)
 
     monkeypatch.setattr(absorbing, "exact_transversal_factor_search", counted)
-    v = verify_absorbing_property(G, R, R.xi, trials=1, seed=11, exhaustive_limit=1000)
+    v = verify_absorbing_property(G, R, trials=1, seed=11, exhaustive_limit=1000)
     assert v.ok and v.checks == 125
     assert searched == [R.R]
 

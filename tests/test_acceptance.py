@@ -326,12 +326,8 @@ def test_criterion_7_absorbing_pipeline_end_to_end():
     for G, params in ((Ga, pa), (Gb, pb)):
         R = build_absorbing_set(G, params)
         R.validate()
-        randomized = verify_absorbing_property(
-            G, R, R.xi, trials=100, seed=11, exhaustive_limit=0
-        )
-        exhaustive = verify_absorbing_property(
-            G, R, R.xi, trials=1, seed=11, exhaustive_limit=1000
-        )
+        randomized = verify_absorbing_property(G, R, trials=100, seed=11, exhaustive_limit=0)
+        exhaustive = verify_absorbing_property(G, R, trials=1, seed=11, exhaustive_limit=1000)
         # the exhaustive call really enumerated: one check per transversal
         # k-set outside R (125 on the complete instance, 1 on the other)
         space = math.prod(G.n - R.R[p].bit_count() for p in range(1, G.k + 1))

@@ -93,7 +93,7 @@ def test_alpha_exact_planted():
     )
     report = alpha_star_exact(G, 2)
     assert report.alpha == 3
-    assert report.witness.s == 3 and verify_hole(G, report.witness)
+    assert len(report.witness.sets[0]) == 3 and verify_hole(G, report.witness)
     # r=3 holes need a row of missing triangles; the planted block gives them too
     report3 = alpha_star_exact(G, 3)
     assert report3.alpha == 3
@@ -109,7 +109,7 @@ def test_alpha_exact_cap_refusal():
         H = random_instance(Pattern.complete(3), n, 0.5, seed=7000 + n)
         report = alpha_star_exact(H, 2, cap=n - 1)
         assert report.alpha == table_alpha_pair(H) > 0
-        assert report.witness.s == report.alpha and verify_hole(H, report.witness)
+        assert len(report.witness.sets[0]) == report.alpha and verify_hole(H, report.witness)
 
 
 @pytest.mark.parametrize("seed", range(32))
@@ -123,7 +123,7 @@ def test_alpha_pair_matches_table_oracle(seed):
     report = alpha_star_exact(G, 2)
     assert report.alpha == table_alpha_pair(G), (seed, n)
     if report.alpha:
-        assert report.witness.s == report.alpha and verify_hole(G, report.witness)
+        assert len(report.witness.sets[0]) == report.alpha and verify_hole(G, report.witness)
     else:
         assert report.witness.sets == ()
 
@@ -417,14 +417,14 @@ def test_lower_bound_planted_found():
         [(1, a, 2, b) for a in (1, 3, 5) for b in (0, 2, 4)]
     )
     cert = alpha_star_lower_bound(G, 2, 3, trials=100, seed=11)
-    assert cert is not None and cert.s == 3
+    assert cert is not None and len(cert.sets[0]) == 3
     assert verify_hole(G, cert)
 
 
 def test_lower_bound_empty_graph():
     G = empty_instance(Pattern.complete(2), 6)
     cert = alpha_star_lower_bound(G, 2, 6, trials=10, seed=0)
-    assert cert is not None and cert.s == 6
+    assert cert is not None and len(cert.sets[0]) == 6
 
 
 def test_lower_bound_validation():
@@ -444,7 +444,7 @@ def test_certify_exact_regime():
     assert ok and regime == "exact" and witness is None
     H = empty_instance(Pattern.complete(3), 4)
     ok, regime, witness = certify_no_hole(H, 2, 2)
-    assert not ok and regime == "exact" and witness.s >= 2
+    assert not ok and regime == "exact" and len(witness.sets[0]) >= 2
 
 
 def test_certify_pairs_exact_above_cap():
@@ -503,7 +503,7 @@ def test_certify_matches_exact_hole_number(seed):
             if ok:
                 assert witness is None
             else:
-                assert witness.r == r and witness.s == s
+                assert witness.r == r
                 assert all(len(u) == s for u in witness.sets)
                 assert verify_hole(G, witness)
 

@@ -348,6 +348,15 @@ def _statements(path: Path) -> list[tuple[Optional[str], set[str]]]:
     return out
 
 
+def _product_files() -> list[Path]:
+    """The library modules, the benchmark and the acceptance gate."""
+    root = SRC.parent.parent
+    product = [p for p in MODULES if p.name != "__init__.py"]
+    product += sorted((root / "perfbench").glob("*.py"))
+    product.append(root / "tests" / "test_acceptance.py")
+    return product
+
+
 def test_every_exported_function_has_a_product_caller():
     # a product path is the library itself, the benchmark or the
     # acceptance gate; a function only demos and its own tests call is
@@ -357,11 +366,8 @@ def test_every_exported_function_has_a_product_caller():
     # package export needs a caller outside its home module
     import transtile
 
-    root = SRC.parent.parent
     modules = [p for p in MODULES if p.name != "__init__.py"]
-    product = modules + sorted((root / "perfbench").glob("*.py"))
-    product.append(root / "tests" / "test_acceptance.py")
-    statements = {p: _statements(p) for p in product}
+    statements = {p: _statements(p) for p in _product_files()}
 
     def called(name: str, home: Path, at_home: bool, dead: set[str]) -> bool:
         return any(
@@ -389,6 +395,129 @@ def test_every_exported_function_has_a_product_caller():
             if not called(name, home, False, dead):
                 uncalled.append(name)
     assert not uncalled, f"no product path names these exports: {', '.join(uncalled)}"
+
+
+# members no product path reads, kept on purpose: `lab run` loads graph
+# files, and `save` writes them in the byte format the round-trip test pins
+UNREAD_MEMBERS_KEPT = {"PartiteGraph.save"}
+
+
+def _class_members(tree: ast.Module) -> dict[str, list[ast.AST]]:
+    """Each top-level class's body items that define a name: methods,
+    properties and fields."""
+    return {
+        cls.name: [
+            item
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign, ast.Assign))
+        ]
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+    }
+
+
+def _defined_name(item: ast.AST) -> list[str]:
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [item.name]
+    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _attribute_reads(tree: ast.Module) -> list[tuple[Optional[str], str]]:
+    """(reader, name) for every attribute the file reads; the reader is
+    "Class.method" when the read lies in a method of a top-level class,
+    else None."""
+    bodies = {
+        id(node): f"{cls}.{item.name}"
+        for cls, items in _class_members(tree).items()
+        for item in items
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(item)
+    }
+    return [
+        (bodies.get(id(node)), node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_every_public_member_has_a_product_reader():
+    # a public method or property that only demos and tests read is code
+    # to keep correct for no output.  Names are resolved by name alone,
+    # so a name two classes define (`to_json_dict`, `from_json_dict`,
+    # `validate`, ...) is out of scope here.  A member's own body is no
+    # read, and neither is the body of a member nothing reads
+    definers: dict[str, list[str]] = {}
+    members = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for cls, items in _class_members(tree).items():
+            for item in items:
+                for name in _defined_name(item):
+                    definers.setdefault(name, []).append(cls)
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("_"):
+                        members.append(f"{cls}.{item.name}")
+    members = [m for m in members if len(definers[m.split(".")[1]]) == 1]
+    readers: dict[str, set[Optional[str]]] = {}
+    for path in _product_files():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for reader, name in _attribute_reads(tree):
+            readers.setdefault(name, set()).add(reader)
+
+    def read(member: str, dead: set[str]) -> bool:
+        return bool(readers.get(member.split(".")[1], set()) - {member} - dead)
+
+    assert "PartiteGraph.nbr_mask" in members
+    dead: set[str] = set()
+    while more := {m for m in members if not read(m, dead)} - dead:
+        dead |= more
+    assert UNREAD_MEMBERS_KEPT <= dead, "an allowlisted member has a reader now: drop it"
+    unread = sorted(dead - UNREAD_MEMBERS_KEPT)
+    assert not unread, f"no product path reads these members: {', '.join(unread)}"
+
+
+def _recursive_closures(tree: ast.Module):
+    """(definer, closure) for each function nested directly in another
+    function that calls itself by name."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        scope = list(ast.iter_child_nodes(fn))
+        while scope:
+            node = scope.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = {
+                    n.func.id
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                }
+                if node.name in calls:
+                    yield fn, node
+            elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+                scope.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_recursive_closures_are_unbound_in_a_finally(path):
+    # a nested function that calls itself holds its own cell, a reference
+    # cycle that keeps the search state it closes over alive until a full
+    # GC; `del name` in a `finally` of its definer breaks the cycle
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kept = []
+    for fn, closure in _recursive_closures(tree):
+        unbound = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Try)
+            for stmt in node.finalbody
+            if isinstance(stmt, ast.Delete)
+            for target in stmt.targets
+            if isinstance(target, ast.Name)
+        }
+        if closure.name not in unbound:
+            kept.append(f"{fn.name}.{closure.name} (line {closure.lineno})")
+    assert not kept, f"{path.name}: recursive closures never unbound: {', '.join(kept)}"
 
 
 def test_failing_property_test_reports_its_example(tmp_path):
