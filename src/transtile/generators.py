@@ -177,7 +177,10 @@ def space_barrier(
     Every transversal cycle of the result meets U, and |U| = k(n/k - 1)
     is too small to cover a factor, so no transversal cycle factor
     exists.  The partite minimum degree stays >= n/k - 1 because U is
-    completely joined to everything.
+    completely joined to everything.  U is that certificate: the
+    `space_barrier` family hands it through `GenSpec.build` to the lab's
+    factor decision, which checks it (`tiling.cover_refutes_factor`) and
+    searches only if the check fails.
 
     If `hole_target_s` is given, only the shortest prefix of the accepted
     edges that leaves no 2-partite hole of that size is kept (bisection
@@ -196,11 +199,13 @@ def space_barrier(
     full = (1 << n) - 1
     outside = full & ~u_mask
 
+    # keep exactly the edges meeting U on either side: the same rows in
+    # both orientations
+    u_rows = tuple(full if a < u_size else u_mask for a in range(n))
     adj: dict[tuple[int, int], list[int]] = {}
     for i, j in pattern.edges:
-        # keep exactly the edges meeting U on either side
-        adj[(i, j)] = [full if a < u_size else u_mask for a in range(n)]
-        adj[(j, i)] = [full if b < u_size else u_mask for b in range(n)]
+        adj[(i, j)] = list(u_rows)
+        adj[(j, i)] = list(u_rows)
 
     candidates = [
         (i, a, j, b)
@@ -227,7 +232,6 @@ def space_barrier(
         first, *rest = [adj[(p, q)] for p, q in zip(seq, seq[1:])]
         arcs[i] = first, rest, adj[(i, seq[-1])]
 
-    base = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
     kept = []
     tried = 0
     for i, a, j, b in candidates:
@@ -261,6 +265,7 @@ def space_barrier(
         # adj holds the base edges plus exactly the kept ones
         G = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
     else:
+        base = PartiteGraph(pattern, n, dict.fromkeys(adj, u_rows))
         G, added, certified, checks = _first_hole_free(base, kept, 2, hole_target_s)
         if certified:
             tried = candidates.index(kept[added - 1]) + 1 if added else 0
@@ -347,23 +352,24 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 # -- declarative specs --------------------------------------------------------
 
 
-def _random_subgraph(spec: "GenSpec") -> PartiteGraph:
+def _random_subgraph(spec: "GenSpec") -> tuple[PartiteGraph, None]:
     base = complete_blowup(spec.pattern, spec.n)
-    return random_spanning_subgraph(base, spec.args["p"], spec.seed)
+    return random_spanning_subgraph(base, spec.args["p"], spec.seed), None
 
 
-def _hole_suppressed(spec: "GenSpec") -> PartiteGraph:
-    return hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0]
+def _hole_suppressed(spec: "GenSpec") -> tuple[PartiteGraph, None]:
+    return hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0], None
 
 
-def _space_barrier(spec: "GenSpec") -> PartiteGraph:
-    return space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0]
+def _space_barrier(spec: "GenSpec") -> tuple[PartiteGraph, tuple[int, ...]]:
+    G, U, _ = space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)
+    return G, U
 
 
-def _random_split(spec: "GenSpec") -> PartiteGraph:
+def _random_split(spec: "GenSpec") -> tuple[PartiteGraph, None]:
     a = spec.args
     edges = a["host_edges"] if a["host_file"] is None else read_edge_list(a["host_file"])
-    return random_k_split(edges, spec.pattern, spec.seed, m=a["m"])
+    return random_k_split(edges, spec.pattern, spec.seed, m=a["m"]), None
 
 
 def _hole_suppressed_fits(spec: "GenSpec") -> None:
@@ -382,12 +388,14 @@ def _space_barrier_fits(spec: "GenSpec") -> None:
         raise ValueError(f"space_barrier needs gen.n a multiple of k={k}, got {spec.n}")
 
 
-# family -> (declared params, builder).  The builders call the generators
-# by their module names, so a wrapper bound to those names sees each call;
-# hole_suppressed and space_barrier declare their generators' keywords.
+# family -> (declared params, builder).  A builder returns the graph and
+# the cover its family certifies, or None (see `GenSpec.build`).  The
+# builders call the generators by their module names, so a wrapper bound
+# to those names sees each call; hole_suppressed and space_barrier
+# declare their generators' keywords.
 _BUDGET = Param("budget", int | None, None, low=0)
 FAMILIES = {
-    "complete": ((), lambda spec: complete_blowup(spec.pattern, spec.n)),
+    "complete": ((), lambda spec: (complete_blowup(spec.pattern, spec.n), None)),
     "random_subgraph": ((Param("p", float, low=0, high=1),), _random_subgraph),
     "hole_suppressed": (
         (Param("r", int, low=2), Param("s", int, low=1), _BUDGET),
@@ -444,7 +452,14 @@ class GenSpec:
         if self.family in FITS:
             FITS[self.family](self)
 
-    def build(self) -> PartiteGraph:
+    def build(self) -> tuple[PartiteGraph, Optional[tuple[int, ...]]]:
+        """The instance graph and the cover its family certifies, or None.
+
+        A cover is per-part masks that the family claims meet every
+        transversal copy with fewer than n vertices, which proves that no
+        factor exists.  Only `space_barrier` gives one, its U.  It is a
+        claim, not a proof: `tiling.cover_refutes_factor` checks it.
+        """
         return FAMILIES[self.family][1](self)
 
     def to_json_dict(self) -> dict:

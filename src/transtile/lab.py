@@ -43,6 +43,7 @@ from transtile.svg import heatmap, line_plot
 from transtile.tiling import (
     FACTOR_CAP_DEFAULT,
     check_appendix_invariants,
+    cover_refutes_factor,
     exact_transversal_factor_search,
     greedy_clique_tiling,
     greedy_cycle_tiling,
@@ -169,10 +170,18 @@ class ResultRecord:
 # -- scenario bodies ------------------------------------------------------------
 
 
-def _load_instance(desc: dict) -> PartiteGraph:
+def _load_instance(desc: dict) -> tuple[PartiteGraph, Optional[tuple[int, ...]]]:
+    """The instance graph and its family's cover certificate, or None."""
     if "path" in desc:
-        return PartiteGraph.load(desc["path"])
+        return PartiteGraph.load(desc["path"]), None
     return GenSpec.from_json_dict(desc).build()
+
+
+def _exact_admits(G: PartiteGraph, cap: Optional[int]) -> bool:
+    """The exact factor search's cap rule.  A greedy factor or a cover
+    certificate answers only where it holds, so a row the search would
+    refuse stays refused."""
+    return cap is None or G.n <= cap
 
 
 def _greedy_by_pattern(G: PartiteGraph):
@@ -183,7 +192,7 @@ def _greedy_by_pattern(G: PartiteGraph):
     raise ValueError("greedy tiling needs a complete or cycle pattern")
 
 
-def _scn_hole_scan(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_hole_scan(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     report = alpha_star_exact(G, args["r"], cap=args["cap"])
     return {
         "r": args["r"],
@@ -193,12 +202,16 @@ def _scn_hole_scan(G: PartiteGraph, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_greedy_tiling(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_greedy_tiling(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     tiling = _greedy_by_pattern(G)
     return {"copies": len(tiling.copies), "leftover_per_part": tiling.leftover_per_part}
 
 
-def _scn_factor_decision(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_factor_decision(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+    # a cover that passes its check proves absence with no search node;
+    # one that fails it is ignored, and the search decides
+    if cover is not None and _exact_admits(G, args["cap"]) and cover_refutes_factor(G, cover):
+        return {"exists": False, "copies": 0, "nodes": 0, "max_depth": 0}
     tiling, stats = exact_transversal_factor_search(G, cap=args["cap"])
     return {
         "exists": tiling is not None,
@@ -208,7 +221,7 @@ def _scn_factor_decision(G: PartiteGraph, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_absorber_census(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     target = args["target"]
     if target is None:
         target = [(p, 0) for p in range(1, G.k + 1)]
@@ -220,7 +233,7 @@ def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_absorbing_pipeline(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_absorbing_pipeline(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     knobs = ("q", "tau", "beta_prime", "m", "beta_m", "connector_t")
     out = build_absorbing_set(G, AbsorbParams(seed=seed, **{key: args[key] for key in knobs}))
     verdict = verify_absorbing_property(G, out, trials=args["verify_trials"], seed=seed)
@@ -233,7 +246,7 @@ def _scn_absorbing_pipeline(G: PartiteGraph, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_appendix_invariants(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_appendix_invariants(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     tiling = maximal_mixed_tiling(G, seed=seed)
     report = check_appendix_invariants(G, tiling)
     return {
@@ -245,14 +258,14 @@ def _scn_appendix_invariants(G: PartiteGraph, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
+def _scn_threshold_sweep(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
     # degree floor, the exact factor decision, and the greedy leftover.
     # A greedy tiling with no leftover is a factor, so it answers first,
     # unless the exact search would refuse the instance's size
     greedy = _greedy_by_pattern(G)
     cap = args["cap"]
-    exists = greedy.leftover_per_part == 0 and (cap is None or G.n <= cap)
+    exists = greedy.leftover_per_part == 0 and _exact_admits(G, cap)
     if not exists:
         exists = exact_transversal_factor_search(G, cap=cap)[0] is not None
     return {
@@ -263,8 +276,10 @@ def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
 
 
 # name -> (fixed CSV metric columns, declared params, body); the body
-# reads the params parsed at config load, and metrics it returns outside
-# its columns stay in the JSON mirror and never reach the CSV
+# takes the instance graph, its cover certificate or None (see
+# `_load_instance`), the params parsed at config load and a seed, and
+# metrics it returns outside its columns stay in the JSON mirror and
+# never reach the CSV
 _INSTANCES = Param("instances", int, 1, low=1)
 _FACTOR_CAP = Param("cap", int | None, FACTOR_CAP_DEFAULT, low=0)
 SCENARIOS: dict[str, tuple[tuple[str, ...], tuple[Param, ...], Callable]] = {
@@ -363,8 +378,8 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     records = []
     for index, desc, extra in _worklist(config):
         try:
-            G = _load_instance(desc)
-            metrics = {**extra, **body(G, config.args, subseed(config.seed, "run", index))}
+            G, cover = _load_instance(desc)
+            metrics = {**extra, **body(G, cover, config.args, subseed(config.seed, "run", index))}
         except Exception as exc:  # per-instance boundary: record, keep running
             metrics = {**extra, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
         records.append(

@@ -6,8 +6,8 @@ leftover is automatically balanced because every copy consumes exactly
 one vertex per part.  A *factor* is a tiling with empty leftover.
 
 Every search that takes a vertex set per part takes it as per-part
-masks (see `core.part_masks`): the path and cycle searches and the
-factor search.  Each checks its masks at the call and raises ValueError
+masks (see `core.part_masks`): the path and cycle searches, the
+factor search and the cover check.  Each checks its masks at the call and raises ValueError
 on a short list, a bit at or above n, or a negative mask.  An empty slot
 holds no vertex, so a path or cycle search through that part answers
 None, and that None is a proof.
@@ -88,6 +88,7 @@ from transtile.core import (
 from transtile.search import (
     copy_enumerator,
     has_perfect_matching,
+    iter_copies,
     sweep,
     trace_back,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "find_transversal_cycle",
     "greedy_cycle_tiling",
     "exact_transversal_factor_search",
+    "cover_refutes_factor",
     "maximal_mixed_tiling",
     "check_appendix_invariants",
 ]
@@ -461,6 +463,26 @@ def exact_transversal_factor_search(
     if not ok:
         return None, stats
     return Tiling(tuple(map(TransversalCopy, acc)), G.n, G.k), stats
+
+
+def cover_refutes_factor(G: PartiteGraph, cover: Sequence[int]) -> bool:
+    """True when `cover` proves that G has no factor; False proves nothing.
+
+    `cover` is per-part masks (see `core.part_masks`), such as the U of
+    `space_barrier`.  It proves absence when it has fewer than n vertices
+    and every transversal copy meets it: a factor's n disjoint copies
+    would each need a vertex of their own in it.  Both are checked here,
+    so a cover is never trusted.  The copy scan runs on the masks outside
+    the cover, with the anchor sweep of `_first_cycle` on a cycle pattern
+    and the copy kernel on any other; each scan's None is a proof.
+    """
+    cover = part_masks(G, cover, "cover masks")
+    if sum(m.bit_count() for m in cover) >= G.n:
+        return False
+    outside = [0, *(G.full_mask & ~m for m in cover[1:])]
+    if G.pattern.is_cycle:
+        return _first_cycle(G, outside) is None
+    return next(iter_copies(G, range(1, G.k + 1), outside[1:]), None) is None
 
 
 # -- mixed tilings -------------------------------------------------------------------

@@ -24,6 +24,7 @@ from transtile.generators import (
     subseed,
 )
 from transtile.holes import alpha_star_exact
+from transtile.tiling import cover_refutes_factor
 
 
 # -- complete blow-ups ---------------------------------------------------------
@@ -262,23 +263,49 @@ def test_space_barrier_c5_is_maximal(seed):
 SPACE_BARRIER_SHA = "3c63a0e65212533647a595024a282cf2ec47cb6d8ffaa9242a9744613e17b19c"
 
 
+SPACE_BARRIER_CASES = [
+    (Pattern.cycle(4), 8, {"seed": subseed(1, "instance", index)}) for index in range(24)
+] + [
+    (Pattern.cycle(4), 16, {"seed": 0}),
+    (Pattern.cycle(5), 10, {"seed": 0}),
+    (Pattern.cycle(6), 12, {"seed": 0}),
+    (Pattern.cycle(4), 8, {"seed": 5, "budget": 120}),
+    (Pattern.cycle(4), 8, {"seed": 29, "hole_target_s": 6}),
+    (Pattern.cycle(4), 8, {"seed": 0, "hole_target_s": 4}),
+    (Pattern.cycle(5), 10, {"seed": 1, "hole_target_s": 5}),
+]
+
+
 def test_space_barrier_pins_its_bytes():
-    C4, C5 = Pattern.cycle(4), Pattern.cycle(5)
-    cases = [(C4, 8, {"seed": subseed(1, "instance", index)}) for index in range(24)]
-    cases += [
-        (C4, 16, {"seed": 0}),
-        (C5, 10, {"seed": 0}),
-        (Pattern.cycle(6), 12, {"seed": 0}),
-        (C4, 8, {"seed": 5, "budget": 120}),
-        (C4, 8, {"seed": 29, "hole_target_s": 6}),
-        (C4, 8, {"seed": 0, "hole_target_s": 4}),
-        (C5, 10, {"seed": 1, "hole_target_s": 5}),
-    ]
     rows = []
-    for pattern, n, kw in cases:
+    for pattern, n, kw in SPACE_BARRIER_CASES:
         G, U, report = space_barrier(pattern, n, **kw)
         rows.append([graph_bytes(G), list(U), report])
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SPACE_BARRIER_SHA
+
+
+def test_every_space_barrier_cover_passes_its_check():
+    # U is the certificate the lab's factor decision checks: every
+    # variant's U must pass, the pinned ones and an empty budget alike
+    cases = SPACE_BARRIER_CASES + [(Pattern.cycle(4), 8, {"seed": 5, "budget": 0})]
+    for pattern, n, kw in cases:
+        G, U, _ = space_barrier(pattern, n, **kw)
+        assert cover_refutes_factor(G, U), (pattern.k, n, kw)
+
+
+def test_only_space_barrier_specs_carry_a_cover():
+    # the spec hands the generator's own graph and U over unchanged
+    spec = GenSpec("space_barrier", Pattern.cycle(4), 8, seed=3, params={"hole_target_s": 6})
+    G, U, _ = space_barrier(Pattern.cycle(4), 8, seed=3, hole_target_s=6)
+    assert spec.build() == (G, U)
+    K3 = Pattern.complete(3)
+    for family, params in [
+        ("complete", {}),
+        ("random_subgraph", {"p": 0.5}),
+        ("hole_suppressed", {"r": 2, "s": 2}),
+        ("random_split", {"host_edges": [[0, 1], [1, 2]], "m": 6}),
+    ]:
+        assert GenSpec(family, K3, 2, seed=1, params=params).build()[1] is None, family
 
 
 def test_space_barrier_validation():
@@ -392,8 +419,8 @@ def test_genspec_round_trip_and_determinism(tmp_path):
     data = json.loads(json.dumps(spec.to_json_dict()))
     again = GenSpec.from_json_dict(data)
     assert again == spec
-    g1 = spec.build()
-    g2 = again.build()
+    g1, _ = spec.build()
+    g2, _ = again.build()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     g1.save(p1)
     g2.save(p2)

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transtile import generators
 from transtile.core import Pattern, PartiteGraph
-from transtile.generators import GenSpec, complete_blowup
+from transtile.generators import GenSpec, complete_blowup, subseed
 from transtile.lab import (
     ExperimentConfig,
     ResultRecord,
@@ -29,6 +30,11 @@ from transtile.lab import (
     render_csv,
     render_json,
     run,
+)
+from transtile.tiling import (
+    cover_refutes_factor,
+    exact_transversal_factor_search,
+    find_transversal_cycle,
 )
 
 K3 = Pattern.complete(3)
@@ -244,6 +250,76 @@ def test_factor_decision_on_space_barrier_is_absence_proof():
     assert record.metrics["exists"] is False and record.metrics["copies"] == 0
 
 
+def test_factor_decision_refutes_space_barriers_by_their_cover():
+    # the generator's U passes its check, so these rows take no search
+    # node; on the n=16 barrier of instance 4 the search's own greedy
+    # cover strays outside U, and the search alone runs for over 10 s
+    cases = [(Pattern.cycle(4), 16, 5), (Pattern.cycle(6), 60, 1), (Pattern.cycle(8), 48, 1)]
+    for pattern, n, instances in cases:
+        cfg = ExperimentConfig(
+            scenario="factor_decision",
+            gen=GenSpec(family="space_barrier", pattern=pattern, n=n),
+            params={"instances": instances, "cap": None},
+            seed=1,
+        )
+        records = run(cfg)
+        assert records[-1].instance["seed"] == subseed(1, "instance", instances - 1)
+        for record in records:
+            assert record.metrics == {"exists": False, "copies": 0, "nodes": 0, "max_depth": 0}
+
+
+def test_factor_decision_checks_a_cover_only_under_the_cap():
+    # the exact search refuses n=16 under the default cap 12, and so the
+    # cover, which would answer, is not asked either
+    cfg = ExperimentConfig(
+        scenario="factor_decision",
+        gen=GenSpec(family="space_barrier", pattern=Pattern.cycle(4), n=16),
+        params={"instances": 5},
+        seed=1,
+    )
+    records = run(cfg)
+    assert records[4].instance["seed"] == subseed(1, "instance", 4)
+    for record in records:
+        assert record.failed and "exact mode refused" in record.metrics["error"]
+
+
+@pytest.mark.parametrize("bad", ["too large", "avoided", "on a factor"])
+def test_factor_decision_ignores_a_cover_that_fails_its_check(monkeypatch, bad):
+    # a generator whose cover fails the check gets the search's answer,
+    # nodes included, so "no" is never taken on trust
+    real = generators.space_barrier
+
+    def fake(pattern, n, seed=0, **kw):
+        G, U, report = real(pattern, n, seed=seed, **kw)
+        if bad == "too large":
+            U = (0,) + (G.full_mask,) * pattern.k
+        elif bad == "avoided":
+            found = find_transversal_cycle(G, [0] + [G.full_mask] * pattern.k)
+            U = (0, *(m & ~(1 << v) for m, v in zip(U[1:], found.verts)))
+        else:
+            G = complete_blowup(pattern, n)
+        return G, U, report
+
+    monkeypatch.setattr(generators, "space_barrier", fake)
+    cfg = ExperimentConfig(
+        scenario="factor_decision",
+        gen=GenSpec(family="space_barrier", pattern=Pattern.cycle(4), n=8),
+        params={"instances": 3},
+        seed=1,
+    )
+    for record in run(cfg):
+        G, U = GenSpec.from_json_dict(record.instance).build()
+        assert not cover_refutes_factor(G, U)
+        tiling, stats = exact_transversal_factor_search(G)
+        assert record.metrics == {
+            "exists": tiling is not None,
+            "copies": 0 if tiling is None else len(tiling.copies),
+            "nodes": stats.nodes,
+            "max_depth": stats.max_depth,
+        }
+        assert record.metrics["exists"] is (bad == "on a factor")
+
+
 def test_greedy_tiling_scenario_covers_complete_blowup():
     cfg = ExperimentConfig(
         scenario="greedy_tiling",
@@ -373,7 +449,7 @@ def test_sweep_instances_are_reloadable_and_recomputable():
     records = run(sweep_config())
     from transtile.core import delta_star
     for r in records:
-        G = GenSpec.from_json_dict(r.instance).build()
+        G, _ = GenSpec.from_json_dict(r.instance).build()
         assert delta_star(G) == r.metrics["delta_star"]
 
 

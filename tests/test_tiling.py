@@ -35,6 +35,7 @@ from transtile.tiling import (
     Tiling,
     TransversalCopy,
     check_appendix_invariants,
+    cover_refutes_factor,
     exact_transversal_factor_search,
     find_transversal_cycle,
     find_transversal_path,
@@ -45,7 +46,12 @@ from transtile.tiling import (
 from transtile import tiling
 from transtile.search import has_perfect_matching, iter_copies
 
-from conftest import edge_process_prefix, naive_has_perfect_matching, random_instance
+from conftest import (
+    edge_process_prefix,
+    naive_has_perfect_matching,
+    naive_has_transversal_tuple,
+    random_instance,
+)
 
 
 K3 = Pattern.complete(3)
@@ -614,9 +620,77 @@ def test_factor_search_refutes_the_n12_barriers_by_cover():
     # meets every copy, and the greedy cover refutes each at the column
     # phase's root
     for index in range(24):
-        G = GenSpec("space_barrier", C4, 12, seed=subseed(1, "instance", index)).build()
+        G, _ = GenSpec("space_barrier", C4, 12, seed=subseed(1, "instance", index)).build()
         t, stats = exact_transversal_factor_search(G)
         assert t is None and stats.nodes <= 2 * G.n, index
+
+
+# -- cover certificates ------------------------------------------------------------
+
+
+def naive_cover_refutes(G, cover):
+    # fewer than n vertices, and no tuple outside the cover is a copy
+    outside = [[v for v in range(G.n) if not cover[p] >> v & 1] for p in range(1, G.k + 1)]
+    size = sum(m.bit_count() for m in cover[1:])
+    return size < G.n and not naive_has_transversal_tuple(G, range(1, G.k + 1), outside)
+
+
+# K3 is also C3, so it takes the cycle sweep; K4 takes the copy kernel
+@pytest.mark.parametrize(
+    "pattern", [K3, C4, C5, Pattern.complete(4)], ids=["K3", "C4", "C5", "K4"]
+)
+def test_cover_refutes_factor_matches_a_naive_scan(pattern):
+    rng = random.Random(f"cover:{pattern.k}:{pattern.is_cycle}")
+    verdicts = set()
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        G = random_instance(pattern, n, rng.choice([0.3, 0.5, 0.7, 0.9]), seed=trial)
+        q = rng.choice([0.1, 0.25, 0.5])
+        cover = [0] + [
+            mask_of(v for v in range(n) if rng.random() < q) for _ in range(pattern.k)
+        ]
+        expected = naive_cover_refutes(G, cover)
+        assert cover_refutes_factor(G, cover) is expected, (trial, cover)
+        verdicts.add(expected)
+    assert verdicts == {True, False}  # both answers were exercised
+
+
+def test_cover_refutes_factor_refuses_a_cover_too_large_or_avoided():
+    G, U, _ = space_barrier(C4, 8, seed=5)
+    assert cover_refutes_factor(G, U)
+    # U plus one more vertex per part still meets every copy, but its
+    # 8 = n vertices could each lie in their own copy of a factor
+    big = [0] + [m | 1 << (G.n - 1) for m in U[1:]]
+    assert sum(m.bit_count() for m in big) == G.n
+    assert not cover_refutes_factor(G, big)
+    # a copy through U avoids U without its own vertices
+    found = find_transversal_cycle(G, full_masks(G))
+    avoided = [0] + [m & ~(1 << v) for m, v in zip(U[1:], found.verts)]
+    assert not cover_refutes_factor(G, avoided)
+    # the complete blow-up has a factor: no cover of fewer than n vertices passes
+    H = complete_blowup(C4, 3)
+    assert not cover_refutes_factor(H, [0, 0b11, 0, 0, 0])
+    assert not cover_refutes_factor(H, [0, 0, 0, 0, 0])
+
+
+def test_cover_refutes_factor_on_long_cycles_and_cliques():
+    # a cycle pattern takes the anchor sweep, K4 the copy kernel
+    G, U, _ = space_barrier(Pattern.cycle(8), 24, seed=1)
+    assert cover_refutes_factor(G, U)
+    # K4, n=3, each part-1 to part-2 edge at vertex 0 of one side: every
+    # clique meets those two vertices, and one with neither ends there
+    K4 = Pattern.complete(4)
+    edges = [
+        (i, a, j, b)
+        for i, j in K4.edge_list()
+        for a in range(3)
+        for b in range(3)
+        if (i, j) != (1, 2) or 0 in (a, b)
+    ]
+    H = PartiteGraph.from_edges(K4, 3, edges)
+    assert cover_refutes_factor(H, [0, 1, 1, 0, 0])
+    assert exact_transversal_factor_search(H)[0] is None
+    assert not cover_refutes_factor(H, [0, 1, 0, 0, 0])
 
 
 def copy_index(G, masks):
@@ -720,7 +794,7 @@ def sweep_instance(config_seed, index, p=0.5):
         n=12,
         seed=subseed(config_seed, "instance", index),
         params={"p": p},
-    ).build()
+    ).build()[0]
 
 
 def test_factor_search_pins_the_golden_sweep():
@@ -750,7 +824,7 @@ REFUTE_BARRIER_SHA = "fc71983f1febbaf72a36e4f29246b15da01a915f221fe31a7aa9b6bde6
 def test_factor_search_pins_the_refute_barriers():
     rows = []
     for index in range(24):
-        G = GenSpec("space_barrier", C4, 8, seed=subseed(1, "instance", index)).build()
+        G, _ = GenSpec("space_barrier", C4, 8, seed=subseed(1, "instance", index)).build()
         t, stats = exact_transversal_factor_search(G)
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
@@ -868,6 +942,7 @@ MASK_ENTRIES = {
     "factor_search": (K3, lambda G, m: exact_transversal_factor_search(G, None, m)),
     "cycle": (C4, find_transversal_cycle),
     "path": (C4, lambda G, m: find_transversal_path(G, 1, 4, m)),
+    "cover": (C4, cover_refutes_factor),
     "induced": (K3, lambda G, m: G.induced(m)),
     "absorbing_R": (
         K3,
