@@ -36,7 +36,7 @@ print(f"  leftover never exceeds the hole size: {tiling.leftover_per_part} <= {a
 
 print()
 print("-- exact factor decision, both answers carry evidence --")
-full, stats = exact_transversal_factor_search(G, cap=12)
+full, stats = exact_transversal_factor_search(G)
 if full is None:
     print(f"no factor exists (search closed {stats.nodes} nodes, that is the proof)")
 else:

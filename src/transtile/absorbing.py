@@ -146,7 +146,7 @@ def _factor_witness(
     if all(m.bit_count() == 1 for m in masks[1:]):
         verts = tuple(m.bit_length() - 1 for m in masks[1:])
         return (TransversalCopy(verts),) if is_transversal_tuple(G, verts) else None
-    tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
+    tiling, _ = exact_transversal_factor_search(G, masks)
     return None if tiling is None else tiling.copies
 
 
@@ -832,9 +832,7 @@ def _absorb_factor(
             swap = _factor_witness(G, _union([0, *(1 << i for i in c.verts)], u_masks))
             if swap is not None:
                 return 2, r_factor[:t] + r_factor[t + 1 :] + swap
-    tiling, _ = exact_transversal_factor_search(
-        G, cap=None, masks=_union(r_masks, u_masks)
-    )
+    tiling, _ = exact_transversal_factor_search(G, _union(r_masks, u_masks))
     return 3, None if tiling is None else tiling.copies
 
 

@@ -342,10 +342,11 @@ def read_edge_list(path) -> list[tuple[int, int]]:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected `u v`, got {line!r}")
-            out.append((int(fields[0]), int(fields[1])))
+            try:
+                u, v = map(int, line.split())
+            except ValueError:  # a field count other than 2, or a field not an integer
+                raise ValueError(f"{path}:{lineno}: expected `u v`, got {line!r}") from None
+            out.append((u, v))
     return out
 
 

@@ -41,7 +41,6 @@ from transtile.generators import GenSpec, subseed
 from transtile.holes import EXACT_CAP_DEFAULT, alpha_star_exact
 from transtile.svg import heatmap, line_plot
 from transtile.tiling import (
-    FACTOR_CAP_DEFAULT,
     check_appendix_invariants,
     cover_refutes_factor,
     exact_transversal_factor_search,
@@ -51,6 +50,8 @@ from transtile.tiling import (
 )
 
 ARTIFACT_VERSION = "lab-v1"
+# the default size cap of every exact factor decision (see `_admit`)
+FACTOR_CAP_DEFAULT = 12
 
 
 def canonical_json(data) -> str:
@@ -177,11 +178,15 @@ def _load_instance(desc: dict) -> tuple[PartiteGraph, Optional[tuple[int, ...]]]
     return GenSpec.from_json_dict(desc).build()
 
 
-def _exact_admits(G: PartiteGraph, cap: Optional[int]) -> bool:
-    """The exact factor search's cap rule.  A greedy factor or a cover
-    certificate answers only where it holds, so a row the search would
-    refuse stays refused."""
-    return cap is None or G.n <= cap
+def _admit(G: PartiteGraph, cap: Optional[int]) -> None:
+    """The size rule of every exact factor decision: refuse n above the
+    cap, unless the cap is None.  It runs before any cover check, greedy
+    tiling or search, so a refused instance is refused whatever would
+    have answered it."""
+    if cap is not None and G.n > cap:
+        raise ValueError(
+            f"exact mode refused: n={G.n} exceeds cap {cap}; pass a larger cap to force"
+        )
 
 
 def _greedy_by_pattern(G: PartiteGraph):
@@ -208,11 +213,12 @@ def _scn_greedy_tiling(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
 
 
 def _scn_factor_decision(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+    _admit(G, args["cap"])
     # a cover that passes its check proves absence with no search node;
     # one that fails it is ignored, and the search decides
-    if cover is not None and _exact_admits(G, args["cap"]) and cover_refutes_factor(G, cover):
+    if cover is not None and cover_refutes_factor(G, cover):
         return {"exists": False, "copies": 0, "nodes": 0, "max_depth": 0}
-    tiling, stats = exact_transversal_factor_search(G, cap=args["cap"])
+    tiling, stats = exact_transversal_factor_search(G)
     return {
         "exists": tiling is not None,
         "copies": 0 if tiling is None else len(tiling.copies),
@@ -261,13 +267,10 @@ def _scn_appendix_invariants(G: PartiteGraph, cover, args: dict, seed: int) -> d
 def _scn_threshold_sweep(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
     # degree floor, the exact factor decision, and the greedy leftover.
-    # A greedy tiling with no leftover is a factor, so it answers first,
-    # unless the exact search would refuse the instance's size
+    # A greedy tiling with no leftover is a factor, so it answers first
+    _admit(G, args["cap"])
     greedy = _greedy_by_pattern(G)
-    cap = args["cap"]
-    exists = greedy.leftover_per_part == 0 and _exact_admits(G, cap)
-    if not exists:
-        exists = exact_transversal_factor_search(G, cap=cap)[0] is not None
+    exists = greedy.leftover_per_part == 0 or exact_transversal_factor_search(G)[0] is not None
     return {
         "delta_star": delta_star(G),
         "exists": exists,
@@ -586,7 +589,8 @@ def _cmd_verify(args) -> int:
             report = alpha_star_exact(G, 2)
             print(f"holes: alpha_star_2 = {report.alpha} ({report.method})")
         elif args.what == "factor":
-            tiling, stats = exact_transversal_factor_search(G, cap=args.cap)
+            _admit(G, args.cap)
+            tiling, stats = exact_transversal_factor_search(G)
             verdict = "exists" if tiling is not None else "none (proof)"
             print(f"factor: {verdict}, {stats.nodes} nodes")
         else:

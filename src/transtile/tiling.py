@@ -110,8 +110,6 @@ __all__ = [
     "check_appendix_invariants",
 ]
 
-FACTOR_CAP_DEFAULT = 12
-
 
 @dataclass(frozen=True)
 class TransversalCopy:
@@ -287,14 +285,14 @@ class _OverBudget(Exception):
     """The part-1 phase of the factor search would pass its node budget."""
 
 
-def _cover_refutes(through: list[list[int]], live: int, m: int) -> bool:
+def _cover_refutes(rows: list[int], live: int, m: int) -> bool:
     """True when a greedy cover of at most m - 1 vertices meets every copy
     in `live`, which proves there is no factor.
 
-    `through[p][v]` masks the copies through vertex v of part p + 1.  A
-    factor of m copies needs m distinct vertices to meet them all, so a
-    smaller cover is a proof.  Each pick is the vertex in the most live
-    copies, ties to the lowest part, then index; False says only that
+    `rows` masks, per vertex, the copies through it, in (part, index)
+    order.  A factor of m copies needs m distinct vertices to meet them
+    all, so a smaller cover is a proof.  Each pick is the vertex in the
+    most live copies, the first in `rows` on a tie; False says only that
     the greedy found no smaller cover.  No pick meets more live copies
     than the one before it, so once the best count times the picks left
     falls short of the live copies, the greedy cannot finish: it stops
@@ -303,23 +301,18 @@ def _cover_refutes(through: list[list[int]], live: int, m: int) -> bool:
     if not live:
         return m > 0
     for left in range(m - 1, 0, -1):
-        best = 0
-        for rows in through:
-            for row in rows:
-                if (c := (row & live).bit_count()) > best:
-                    best, kill = c, row
+        counts = [(r & live).bit_count() for r in rows]
+        best = max(counts)
         if best * left < live.bit_count():
             return False
-        live &= ~kill
+        live &= ~rows[counts.index(best)]
         if not live:
             return True
     return False
 
 
 def exact_transversal_factor_search(
-    G: PartiteGraph,
-    cap: Optional[int] = FACTOR_CAP_DEFAULT,
-    masks: Optional[Sequence[int]] = None,
+    G: PartiteGraph, masks: Optional[Sequence[int]] = None
 ) -> tuple[Optional[Tiling], SearchStats]:
     """Complete factor decision with search statistics.
 
@@ -329,8 +322,8 @@ def exact_transversal_factor_search(
     every part, all below n; None means the whole graph.  Returns
     (factor, stats) or (None, stats); None is a proof of absence.  A
     factor is a `Tiling` of G in G's own labels whose leftover is
-    exactly the complement of the masks.  Refuses a mask size m above
-    the cap unless cap is None.
+    exactly the complement of the masks.  The search has no size cap:
+    a caller that bounds its work checks the size first, as `lab` does.
 
     The search is one recursive node, which counts one node per copy
     tried.  A node with part 1 covered is solved; otherwise it tries the
@@ -344,19 +337,23 @@ def exact_transversal_factor_search(
     2. Otherwise the search starts again at the root under `column`,
        Knuth's column choice ("Dancing Links", arXiv:cs/0011047) over an
        index of every copy inside the masks, which also sees a vertex of
-       another part that lies in no copy: it yields the live copies
-       (those disjoint from every copy taken) of the uncovered vertex, in
-       any part, with the fewest of them (ties to the lowest part, then
-       index), in index order, and nothing where that count is 0.  Before
-       its first node, the greedy cover of `_cover_refutes` picks at most
-       m - 1 vertices; if they meet every copy, no m disjoint copies
-       exist, and the answer is None with the part-1 phase's stats.  A
-       root with a factor is never refuted this way.  A factor lists its
-       copies in the order they were taken, and `nodes` and `max_depth`
-       count both phases.
+       another part that lies in no copy.  Its state is `(live, rows)`:
+       `live` masks the copies disjoint from every copy taken, and `rows`
+       holds one bitmap per uncovered vertex, in (part, index) order, of
+       the copies through it.  It yields the live copies of the first
+       vertex with the fewest of them (so ties go to the lowest part,
+       then index), in index order, and nothing where that count is 0;
+       each child drops the k rows of its copy.  Before its first node,
+       the greedy cover of `_cover_refutes` picks at most m - 1 vertices
+       from the root's rows; if they meet every copy, no m disjoint
+       copies exist, and the answer is None with the part-1 phase's
+       stats.  A root with a factor is never refuted this way.  A factor
+       lists its copies in the order they were taken, and `nodes` and
+       `max_depth` count both phases.
     Every search past the budget builds the whole index, and its memory
-    is the column phase's price: one tuple per copy, plus k*n bitmaps
-    (one per vertex) with one bit per copy.
+    is the column phase's price: one tuple per copy, plus k*m bitmaps
+    (one per root vertex) with one bit per copy, and a list of at most
+    k*m references per node on the search path.
     """
     k = G.k
     if masks is None:
@@ -366,10 +363,6 @@ def exact_transversal_factor_search(
     sizes = sorted({root[p].bit_count() for p in range(1, k + 1)})
     if len(sizes) != 1:
         raise ValueError(f"factor masks unbalanced: sizes {sizes}")
-    if cap is not None and sizes[0] > cap:
-        raise ValueError(
-            f"exact mode refused: n={sizes[0]} exceeds cap {cap}; pass a larger cap to force"
-        )
     rows1 = [(G._adj[1, q], root[q]) for q in G.pattern.neighbors(1)]
     order = sorted(
         bits(root[1]),
@@ -385,7 +378,7 @@ def exact_transversal_factor_search(
     best_depth = 0
     acc: list[tuple[int, ...]] = []
 
-    def node(cur: list[int], depth: int, state: int) -> bool:
+    def node(cur: list[int], depth: int, state) -> bool:
         # one node of either phase: `rule` yields its moves, each a copy
         # and the state its child starts from
         nonlocal nodes, best_depth
@@ -419,25 +412,24 @@ def exact_transversal_factor_search(
                 return
             yield move
 
-    def column(cur: list[int], live: int) -> Iterator:
-        # through[p][v] is the mask of index positions of the copies
-        # through vertex v of part p; live masks the copies still disjoint
-        # from every copy taken
-        least = None
-        for p, m in enumerate(cur):
-            rows = through[p]
-            for v in bits(m):
-                c = (rows[v] & live).bit_count()
-                if least is None or c < least:
-                    if not c:
-                        return  # a dead column: no copy covers v
-                    least, pick = c, rows[v] & live
-        for i in bits(pick):
+    def column(cur: list[int], state: tuple[int, list[int]]) -> Iterator:
+        live, rows = state
+        counts = [(r & live).bit_count() for r in rows]
+        least = min(counts)
+        if not least:
+            return  # a dead column: no live copy covers that vertex
+        for i in bits(rows[counts.index(least)] & live):
             found = index[i]
-            kill = 0
-            for rows, v in zip(through, found):
-                kill |= rows[v]
-            yield found, live & ~kill
+            # a live copy's vertices are all uncovered, and the row of its
+            # part-p vertex v follows the rows of the earlier parts and of
+            # the uncovered part-p vertices below v
+            child, kill, start, at = [], 0, 0, 0
+            for m, v in zip(cur, found):
+                j = at + (m & ((1 << v) - 1)).bit_count()
+                kill |= rows[j]
+                child += rows[start:j]
+                start, at = j + 1, at + m.bit_count()
+            yield found, (live & ~kill, child + rows[start:])
 
     rule = part1
     try:
@@ -452,11 +444,11 @@ def exact_transversal_factor_search(
         for i, found in enumerate(index):
             for p, v in enumerate(found):
                 maps[p][v][i >> 3] |= 1 << (i & 7)
-        through = [[int.from_bytes(b, "little") for b in part] for part in maps]
-        del maps  # the buffers, as large as `through`, are spent
+        rows = [int.from_bytes(maps[p][v], "little") for p in range(k) for v in bits(root[p + 1])]
+        del maps  # the buffers, as large as `rows`, are spent
         rule = column
         live = (1 << len(index)) - 1
-        ok = not _cover_refutes(through, live, sizes[0]) and node(list(root[1:]), 0, live)
+        ok = not _cover_refutes(rows, live, sizes[0]) and node(list(root[1:]), 0, (live, rows))
     finally:
         del node  # it calls itself: unbind it so its state is freed now, not by the GC
     stats = SearchStats(nodes=nodes, max_depth=best_depth)

@@ -154,7 +154,7 @@ def naive_verify_absorbing_property(G, R, trials=32, seed=0, exhaustive_limit=25
 
     def factors(u_sets) -> bool:
         masks = [0] + [r[p] | mask_of(u_sets[p - 1]) for p in range(1, k + 1)]
-        return exact_transversal_factor_search(G, cap=None, masks=masks)[0] is not None
+        return exact_transversal_factor_search(G, masks)[0] is not None
 
     if s_max == 1 and math.prod(map(len, outside)) <= exhaustive_limit:
         candidates = [[[v] for v in pick] for pick in product(*outside)]

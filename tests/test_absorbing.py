@@ -1142,7 +1142,7 @@ def test_factor_witness_of_a_k_set_is_the_search_verdict(k, n):
         G = random_spanning_subgraph(complete_blowup(Pattern.complete(k), n), p, seed)
         for pick in product(range(n), repeat=k):
             masks = [0, *(1 << v for v in pick)]
-            tiling, _ = exact_transversal_factor_search(G, cap=None, masks=masks)
+            tiling, _ = exact_transversal_factor_search(G, masks)
             want = None if tiling is None else tiling.copies
             assert _factor_witness(G, masks) == want
             answers.add(want is None)
@@ -1157,9 +1157,9 @@ def test_exhaustive_check7_verify_searches_one_large_instance(check7_sets, monke
     searched = []
     search = absorbing.exact_transversal_factor_search
 
-    def counted(G, cap=None, masks=None):
+    def counted(G, masks=None):
         searched.append(tuple(masks))
-        return search(G, cap=cap, masks=masks)
+        return search(G, masks)
 
     monkeypatch.setattr(absorbing, "exact_transversal_factor_search", counted)
     v = verify_absorbing_property(G, R, trials=1, seed=11, exhaustive_limit=1000)

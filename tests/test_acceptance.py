@@ -77,7 +77,7 @@ def _balanced_factorable(G: PartiteGraph, verts) -> bool:
     if len({masks[p].bit_count() for p in range(1, G.k + 1)}) != 1:
         return False
     H, _ = G.induced(masks)
-    tiling, _ = exact_transversal_factor_search(H, cap=None)
+    tiling, _ = exact_transversal_factor_search(H)
     return tiling is not None
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -402,6 +403,9 @@ def test_read_edge_list(tmp_path):
     assert read_edge_list(f) == [(0, 1), (2, 3), (1, 2)]
     f.write_text("0 1 2\n")
     with pytest.raises(ValueError, match="expected"):
+        read_edge_list(f)
+    f.write_text("0 1\n1 x\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(f))}:2: expected `u v`, got '1 x'$"):
         read_edge_list(f)
 
 

@@ -494,10 +494,10 @@ def test_factor_agrees_with_permutation_scan(pattern, seed):
 
 
 def test_factor_cap_refusal():
+    # the size cap is the lab's rule: the search itself decides n=13,
+    # above the lab's default cap of 12
     G = complete_blowup(Pattern.complete(2), 13)
-    with pytest.raises(ValueError, match="exact mode refused"):
-        exact_transversal_factor_search(G)
-    t, _ = exact_transversal_factor_search(G, cap=None)
+    t, _ = exact_transversal_factor_search(G)
     assert t is not None and len(t.copies) == 13
 
 
@@ -543,7 +543,7 @@ def assert_same_as_unpruned(G):
     # alone and must find the unpruned witness; past the budget the
     # column phase finds its own, so only the answer and the work bound
     # are compared there
-    t, stats = exact_transversal_factor_search(G, cap=None)
+    t, stats = exact_transversal_factor_search(G)
     ref, ref_nodes = unpruned_factor_search(G)
     assert (t is None) == (ref is None)
     if t is not None:
@@ -585,7 +585,7 @@ def test_witness_cases_cover_the_column_phase(monkeypatch):
         for seed in range(20):
             G = witness_case(pattern, seed)
             before = len(calls)
-            stats = exact_transversal_factor_search(G, cap=None)[1]
+            stats = exact_transversal_factor_search(G)[1]
             ran = len(calls) - before
             assert ran in (0, 1)
             assert ran or stats.nodes <= 2 * G.n
@@ -693,14 +693,20 @@ def test_cover_refutes_factor_on_long_cycles_and_cliques():
     assert not cover_refutes_factor(H, [0, 1, 0, 0, 0])
 
 
-def copy_index(G, masks):
-    """The column phase's `through` bitmaps and live mask, built naively."""
-    index = list(copies_in(G, masks))
-    through = [
-        [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(G.n)]
-        for p in range(G.k)
+def flat_rows(index, k, masks):
+    """Per vertex of `masks` (indexed 1..k), in (part, index) order, the
+    bitmap of the copies of `index` through it, built naively."""
+    return [
+        sum(1 << i for i, c in enumerate(index) if c[p] == v)
+        for p in range(k)
+        for v in bits(masks[p + 1])
     ]
-    return through, (1 << len(index)) - 1
+
+
+def copy_index(G, masks):
+    """The column phase's root rows and live mask, built naively."""
+    index = list(copies_in(G, masks))
+    return flat_rows(index, G.k, masks), (1 << len(index)) - 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -708,9 +714,9 @@ def test_cover_refutation_needs_fewer_than_m_vertices(n):
     # every copy of the complete blow-up meets part 1, so n vertices hit
     # them all, but no fewer: the factor exists and must not be refuted
     G = complete_blowup(K3, n)
-    through, live = copy_index(G, full_masks(G))
-    assert not tiling._cover_refutes(through, live, n)
-    assert tiling._cover_refutes(through, live, n + 1)
+    rows, live = copy_index(G, full_masks(G))
+    assert not tiling._cover_refutes(rows, live, n)
+    assert tiling._cover_refutes(rows, live, n + 1)
 
 
 @pytest.mark.parametrize("pattern", [K3, C4, C5])
@@ -724,14 +730,14 @@ def test_cover_refutation_is_sound(pattern):
         G = random_instance(pattern, n, rng.uniform(0.3, 0.9), seed)
         size = rng.randint(1, n)
         masks = [0] + [_random_masks(rng, n, size) for _ in range(pattern.k)]
-        through, live = copy_index(G, masks)
-        if tiling._cover_refutes(through, live, size):
+        rows, live = copy_index(G, masks)
+        if tiling._cover_refutes(rows, live, size):
             refuted += live != 0  # a root with no copy is refuted by 0 picks
             assert unpruned_factor_search(G.induced(masks)[0])[0] is None, seed
     assert refuted >= 10
 
 
-def unbounded_cover_refutes(through, live, m):
+def unbounded_cover_refutes(rows, live, m):
     """`tiling._cover_refutes` without its stopping rule: every one of the
     m - 1 picks, and whether the rule would have stopped the greedy."""
     if not live:
@@ -739,10 +745,9 @@ def unbounded_cover_refutes(through, live, m):
     stoppable = False
     for left in range(m - 1, 0, -1):
         best = 0
-        for rows in through:
-            for row in rows:
-                if (c := (row & live).bit_count()) > best:
-                    best, kill = c, row
+        for row in rows:
+            if (c := (row & live).bit_count()) > best:
+                best, kill = c, row
         stoppable |= best * left < live.bit_count()
         live &= ~kill
         if not live:
@@ -759,17 +764,59 @@ def test_cover_stopping_rule_matches_the_unbounded_greedy():
         rng = random.Random(seed)
         k, n = rng.randint(2, 4), rng.randint(1, 6)
         index = [[rng.randrange(n) for _ in range(k)] for _ in range(rng.randint(0, 60))]
-        through = [
-            [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(n)]
-            for p in range(k)
-        ]
+        rows = flat_rows(index, k, [0] + [(1 << n) - 1] * k)
         live = rng.getrandbits(len(index)) if index else 0
         m = rng.randint(0, n + 1)
-        want, stoppable = unbounded_cover_refutes(through, live, m)
-        assert tiling._cover_refutes(through, live, m) == want, seed
+        want, stoppable = unbounded_cover_refutes(rows, live, m)
+        assert tiling._cover_refutes(rows, live, m) == want, seed
         assert not (stoppable and want), seed
         stopped += stoppable
     assert stopped >= 50
+
+
+def nested_cover_refutes(through, live, m):
+    """The greedy cover on per-(part, vertex) bitmaps `through[p][v]`,
+    scanned part by part, as it ran before the rows were flat: the oracle
+    for `tiling._cover_refutes` on the flat rows."""
+    if not live:
+        return m > 0
+    for left in range(m - 1, 0, -1):
+        best = 0
+        for part in through:
+            for row in part:
+                if (c := (row & live).bit_count()) > best:
+                    best, kill = c, row
+        if best * left < live.bit_count():
+            return False
+        live &= ~kill
+        if not live:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("pattern", [K3, C4, C5])
+def test_cover_on_flat_rows_matches_the_nested_greedy(pattern):
+    # random hosts, root masks and live masks: the flat scan must pick as
+    # the per-part scan did, so the verdict is the same
+    verdicts = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        G = random_instance(pattern, n, rng.uniform(0.3, 0.9), seed)
+        size = rng.randint(1, n)
+        masks = [0] + [_random_masks(rng, n, size) for _ in range(pattern.k)]
+        index = list(copies_in(G, masks))
+        through = [
+            [sum(1 << i for i, c in enumerate(index) if c[p] == v) for v in range(n)]
+            for p in range(pattern.k)
+        ]
+        rows = flat_rows(index, pattern.k, masks)
+        live = rng.getrandbits(len(index)) if index else 0
+        for m in range(size + 2):
+            want = nested_cover_refutes(through, live, m)
+            assert tiling._cover_refutes(rows, live, m) == want, (seed, m)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # SHA-256 of the factor search's (index, nodes, max_depth, witness copies)
@@ -801,7 +848,7 @@ def test_factor_search_pins_the_golden_sweep():
     grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
     rows = []
     for index, p in enumerate(p for p in grid for _ in range(20)):
-        t, stats = exact_transversal_factor_search(sweep_instance(2024, index, p), cap=12)
+        t, stats = exact_transversal_factor_search(sweep_instance(2024, index, p))
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
     kept = [row for row in rows if row[0] not in GOLDEN_SWEEP_SWITCHED]
@@ -855,7 +902,7 @@ def test_factor_search_decides_a_sparse_n120_host_by_column_choice():
     # and the column phase takes one copy per vertex after the 240-node
     # budget
     G = random_spanning_subgraph(complete_blowup(K3, 120), 0.4, seed=2)
-    t, stats = exact_transversal_factor_search(G, cap=None)
+    t, stats = exact_transversal_factor_search(G)
     assert t is not None and stats.nodes <= 3 * G.n
     Tiling.build(G, t.copies)
     assert len(t.copies) == G.n
@@ -865,12 +912,20 @@ def test_factor_search_pins_the_hard_n36_prefix():
     # the n=36 seed-6 edge process: prefix 775 has every vertex in a copy
     # and no factor, which the column phase proves exhaustively; one more
     # edge gives a factor
-    t, stats = exact_transversal_factor_search(edge_process_prefix(36, 6, 775), cap=None)
+    t, stats = exact_transversal_factor_search(edge_process_prefix(36, 6, 775))
     assert t is None and (stats.nodes, stats.max_depth) == (4249, 34)
     G = edge_process_prefix(36, 6, 776)
-    t, stats = exact_transversal_factor_search(G, cap=None)
+    t, stats = exact_transversal_factor_search(G)
     assert t is not None and (stats.nodes, stats.max_depth) == (393, 36)
     Tiling.build(G, t.copies)
+
+
+def test_factor_search_pins_the_hard_n48_prefix():
+    # the n=48 seed-3 edge process at prefix 1139: no factor, proved by a
+    # column-phase tree 46 deep, which pins the column choice's tie order
+    # deeper than the n=36 pin (depth 34)
+    t, stats = exact_transversal_factor_search(edge_process_prefix(48, 3, 1139))
+    assert t is None and (stats.nodes, stats.max_depth) == (37844, 46)
 
 
 def test_factor_search_leaves_no_garbage_cycles():
@@ -913,8 +968,8 @@ def test_factor_on_masks_matches_induced_instance(pattern, seed):
     size = rng.randint(1, n)
     masks = [0] + [_random_masks(rng, n, size) for _ in range(pattern.k)]
     H, keep = G.induced(masks)
-    ref, ref_stats = exact_transversal_factor_search(H, None)
-    t, stats = exact_transversal_factor_search(G, None, masks)
+    ref, ref_stats = exact_transversal_factor_search(H)
+    t, stats = exact_transversal_factor_search(G, masks)
     assert stats == ref_stats
     assert (t is None) == (ref is None)
     if t is not None:
@@ -927,19 +982,19 @@ def test_factor_on_masks_matches_induced_instance(pattern, seed):
 
 def test_factor_on_masks_whole_graph_is_the_default():
     G = random_instance(K3, 5, 0.7, 3)
-    t, stats = exact_transversal_factor_search(G, None)
-    assert exact_transversal_factor_search(G, None, [0] + [G.full_mask] * 3) == (t, stats)
+    t, stats = exact_transversal_factor_search(G)
+    assert exact_transversal_factor_search(G, [0] + [G.full_mask] * 3) == (t, stats)
 
 
 def test_factor_on_masks_rejects_unbalanced_masks():
     G = complete_blowup(K3, 4)
     with pytest.raises(ValueError, match="unbalanced"):
-        exact_transversal_factor_search(G, None, [0, 0b11, 0b11, 0b1])
+        exact_transversal_factor_search(G, [0, 0b11, 0b11, 0b1])
 
 
 # every public entry that takes per-part masks, as (pattern, call)
 MASK_ENTRIES = {
-    "factor_search": (K3, lambda G, m: exact_transversal_factor_search(G, None, m)),
+    "factor_search": (K3, exact_transversal_factor_search),
     "cycle": (C4, find_transversal_cycle),
     "path": (C4, lambda G, m: find_transversal_path(G, 1, 4, m)),
     "cover": (C4, cover_refutes_factor),
@@ -961,17 +1016,6 @@ def test_mask_entries_reject_bad_masks(entry, last):
     masks = [0] + [0b1] * (G.k - 1) + ([] if last is None else [last])
     with pytest.raises(ValueError, match=rf"need slots 1\.\.{G.k} with bits below n=4$"):
         call(G, masks)
-
-
-def test_factor_on_masks_cap_counts_the_mask_size():
-    G = complete_blowup(Pattern.complete(2), 13)
-    masks = [0, (1 << 12) - 1, (1 << 13) - 2]
-    t, _ = exact_transversal_factor_search(G, 12, masks)
-    assert t is not None and len(t.copies) == 12
-    with pytest.raises(ValueError, match="n=13 exceeds cap 12"):
-        exact_transversal_factor_search(G, 12, [0, G.full_mask, G.full_mask])
-    with pytest.raises(ValueError, match="n=3 exceeds cap 2"):
-        exact_transversal_factor_search(G, 2, [0, 0b111, 0b111])
 
 
 @pytest.mark.parametrize("pattern", [K3, C4])
