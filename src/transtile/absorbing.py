@@ -64,9 +64,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations, islice, product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from transtile.core import (
     PartiteGraph,
@@ -216,8 +216,7 @@ def _connector_args(
     return u, v
 
 
-@dataclass(frozen=True)
-class Connector:
+class Connector(NamedTuple):
     """Set joining two same-part vertices: both sides factor with it."""
 
     pair: tuple[VertexId, VertexId]
@@ -379,8 +378,7 @@ def find_connector(
 # -- absorbers -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Absorber:
+class Absorber(NamedTuple):
     """Set A for a transversal k-set: A and A union the set both factor."""
 
     target: tuple[VertexId, ...]
@@ -480,8 +478,7 @@ def disjoint_absorbers(
 # -- robust templates -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """Bipartite gadget (X u Y, Z): every m-subset of X still matches Z.
 
     Left indices 0..m+beta_m-1 are X, the next 2m are Y; right indices
@@ -607,8 +604,7 @@ def generate_template(m: int, beta_m: int, seed: int = 0) -> Optional[Template]:
 # -- absorbing-set assembly -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbsorbParams:
+class AbsorbParams(NamedTuple):
     """Desk-scale knobs for the absorbing-set pipeline.
 
     q sizes the X samples (|X_i| = round(q*n)); tau budgets |R|;
@@ -783,7 +779,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
         )
     xi = k / n
     provenance = {
-        "params": asdict(params),
+        "params": params._asdict(),
         "fan_min": fan_min,
         "sample_attempts": attempt + 1,
         "x": [sorted(xs[i]) for i in range(k)],
@@ -803,8 +799,7 @@ def build_absorbing_set(G: PartiteGraph, params: AbsorbParams) -> AbsorbingSet:
     return AbsorbingSet(R=tuple(reserved), xi=xi, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class AbsorbVerdict:
+class AbsorbVerdict(NamedTuple):
     ok: bool
     failing: Optional[tuple[int, ...]]
     checks: int

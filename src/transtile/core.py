@@ -135,8 +135,7 @@ _PAIRS = list[tuple[int, int]]
 _NUMBERS = list[float]
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One declared param of a JSON object: key, kind, default and range.
 
     `kind` is int (a JSON integer), float (any JSON number, read as a

@@ -42,11 +42,10 @@ certification rests on it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from transtile.core import PartiteGraph, bits, mask_of
 from transtile.search import copy_enumerator, iter_copies
@@ -66,8 +65,7 @@ EXACT_CAP_DEFAULT = 10
 Exists = Callable[[int, list[int]], Optional[tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class HoleCertificate:
+class HoleCertificate(NamedTuple):
     """Equal-size vertex sets, one per part of a pattern-clique part
     tuple, claimed to be a hole; `verify_hole` decides the claim."""
 
@@ -76,8 +74,7 @@ class HoleCertificate:
     sets: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class HoleReport:
+class HoleReport(NamedTuple):
     """Outcome of a hole computation, tagged with the regime that ran."""
 
     alpha: int

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from transtile.absorbing import (
     AbsorbParams,
@@ -132,8 +132,7 @@ class ExperimentConfig:
         )
 
 
-@dataclass
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """One instance outcome.  It holds no wall time: files must not
     depend on machine speed."""
 
@@ -159,12 +158,13 @@ class ResultRecord:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ResultRecord":
+        """Load a record; any malformed field raises ValueError naming it."""
         return ResultRecord(
-            config_hash=data["config_hash"],
-            scenario=data["scenario"],
-            index=data["index"],
-            instance=data["instance"],
-            metrics=data["metrics"],
+            config_hash=json_field(data, "config_hash", str, "record"),
+            scenario=json_field(data, "scenario", str, "record"),
+            index=json_field(data, "index", int, "record"),
+            instance=json_field(data, "instance", dict, "record"),
+            metrics=json_field(data, "metrics", dict, "record"),
         )
 
 
@@ -470,7 +470,7 @@ def write_json(records: Sequence[ResultRecord], path: str) -> None:
 def load_records(path: str) -> list[ResultRecord]:
     with open(path) as fh:
         body = json.load(fh)
-    return [ResultRecord.from_json_dict(d) for d in body["records"]]
+    return [ResultRecord.from_json_dict(d) for d in json_field(body, "records", list, "results")]
 
 
 # -- plotting --------------------------------------------------------------------

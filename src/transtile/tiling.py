@@ -76,7 +76,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from transtile.core import (
     PartiteGraph,
@@ -111,8 +111,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransversalCopy:
+class TransversalCopy(NamedTuple):
     """One vertex per part: verts[p-1] is the index chosen in part p."""
 
     verts: tuple[int, ...]
@@ -165,8 +164,7 @@ class Tiling(_DisjointCopies):
         return t
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     max_depth: int
 
@@ -480,8 +478,7 @@ def cover_refutes_factor(G: PartiteGraph, cover: Sequence[int]) -> bool:
 # -- mixed tilings -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixedCopy:
+class MixedCopy(NamedTuple):
     """One vertex per part; `kind` and `anchor` say which are non-isolated.
 
     kind "p3": path verts[a-1] - verts[a] - verts[a+1] on parts
@@ -689,8 +686,7 @@ def maximal_mixed_tiling(G: PartiteGraph, seed: int = 0) -> MixedTiling:
     return MixedTiling(tuple(copies), G.n, G.k)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     maximal: bool
     vacuous: bool
     violations: tuple[tuple, ...] = ()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -186,6 +187,36 @@ def test_svg_escape_matches_saxutils():
 
     for text in ("", "plain", "a & b", "<tag>", "&amp;", "\"q\" 'a' & <>", "p<0.5 & s>2"):
         assert escape(text) == sax_escape(text)
+
+
+# each keeps what a NamedTuple cannot carry: a custom __init__ (Pattern), a
+# private field (PartiteGraph), params parsed in __post_init__ (GenSpec,
+# ExperimentConfig), a base whose len() is not the field count (Tiling,
+# MixedTiling) or a field left out of == (AbsorbingSet)
+DATACLASSES_KEPT = {
+    "core.Pattern",
+    "core.PartiteGraph",
+    "generators.GenSpec",
+    "lab.ExperimentConfig",
+    "tiling.Tiling",
+    "tiling.MixedTiling",
+    "absorbing.AbsorbingSet",
+}
+
+
+def test_plain_records_are_named_tuples():
+    # a frozen dataclass execs six generated methods at import, about
+    # 0.6 ms each class on every fresh interpreter; a record that only
+    # stores fields is a NamedTuple instead
+    found = {
+        f"{name}.{cls.__name__}"
+        for name in (p.stem for p in MODULES)
+        for cls in vars(importlib.import_module(f"transtile.{name}")).values()
+        if isinstance(cls, type)
+        and cls.__module__ == f"transtile.{name}"
+        and dataclasses.is_dataclass(cls)
+    }
+    assert found == DATACLASSES_KEPT
 
 
 def _is_params(node: ast.AST) -> bool:

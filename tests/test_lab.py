@@ -939,3 +939,9 @@ def test_cli_verify_negative_cap_is_a_config_error(tmp_path, capsys):
 def test_cli_plot_error_exits_one(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "missing.json"), "--out", "x.svg"]) == 1
     assert "plot error" in capsys.readouterr().err
+    # results files of the wrong shape
+    for name, body in (("list.json", "[1,2]"), ("ints.json", '{"records": [5]}')):
+        (tmp_path / name).write_text(body)
+        assert main(["plot", str(tmp_path / name), "--out", str(tmp_path / "x.svg")]) == 1
+        assert "plot error" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
