@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -230,11 +231,16 @@ class Pattern:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", frozenset(norm))
 
+    # a Pattern is frozen and hashable, so every caller of one k shares
+    # one instance (`is_cycle` and each JSON round trip included); a k
+    # that raises is not cached and raises again
     @staticmethod
+    @cache
     def complete(k: int) -> "Pattern":
         return Pattern(k, combinations(range(1, k + 1), 2))
 
     @staticmethod
+    @cache
     def cycle(k: int) -> "Pattern":
         if k < 3:
             raise ValueError(f"cycle pattern needs k >= 3, got k={k}")

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional
 
-from transtile.core import Param, Pattern, PartiteGraph
+from transtile.core import Param, Pattern, PartiteGraph, bits
 from transtile.core import json_field, json_params
 from transtile.holes import certify_no_hole
 
@@ -71,21 +71,23 @@ def random_spanning_subgraph(G: PartiteGraph, p: float, seed: int) -> PartiteGra
     # each kept edge is an edge of G, so it joins adjacent parts, lies in
     # range and comes up once: the rows are built without from_edges' checks
     adj: dict[tuple[int, int], tuple[int, ...]] = {}
+    # each distinct host row's (column, column bit) pairs, listed once
+    columns: dict[int, tuple[tuple[int, int], ...]] = {}
     for i, j in sorted(G.pattern.edges):
         draw = rng_for(seed, "pair", i, j).random
         fwd = []
         back = [0] * G.n
         for a, row in enumerate(G._adj[(i, j)]):
+            if row not in columns:
+                columns[row] = tuple((b, 1 << b) for b in bits(row))
             # one draw per edge of the row, in ascending column order; a
             # kept edge goes into its backward row as it is drawn
             bit = 1 << a
             kept = 0
-            while row:
-                low = row & -row
+            for b, low in columns[row]:
                 if draw() < p:
                     kept |= low
-                    back[low.bit_length() - 1] |= bit
-                row ^= low
+                    back[b] |= bit
             fwd.append(kept)
         adj[(i, j)] = tuple(fwd)
         adj[(j, i)] = tuple(back)
@@ -169,10 +171,13 @@ def space_barrier(
     vertices of each part, deletes every edge with both ends outside U,
     then runs a constrained random process that re-adds outside edges
     one by one, rejecting any edge that would close a transversal cycle
-    avoiding U.  Each candidate is tested before it is added, by one walk
-    round the rest of the cycle, and only a kept edge is added.
-    Rejection is permanent (more edges only create more cycles), so a
-    single shuffled pass reaches a maximal admissible set.
+    avoiding U.  Each candidate comes bound to the rows its test reads,
+    so the pass looks nothing up per candidate: it is tested before it is
+    added, by one walk round the rest of the cycle, and only a kept edge
+    is added.  Rejection is permanent (more edges only create more
+    cycles), so a single shuffled pass reaches a maximal admissible set.
+    Without a hole target, `candidates_tried` is the budget, or every
+    candidate if that is fewer.
 
     Every transversal cycle of the result meets U, and |U| = k(n/k - 1)
     is too small to cover a factor, so no transversal cycle factor
@@ -207,67 +212,65 @@ def space_barrier(
         adj[(i, j)] = list(u_rows)
         adj[(j, i)] = list(u_rows)
 
-    candidates = [
-        (i, a, j, b)
-        for i, j in sorted(pattern.edges)
-        for a in range(u_size, n)
-        for b in range(u_size, n)
-    ]
+    # each sorted cycle edge (i, i + 1) is oriented i -> i + 1 once, and
+    # the wrap edge (1, k) runs k -> 1.  An edge (i,a)-(j,b) of the
+    # orientation i -> j closes a transversal cycle avoiding U iff a walk
+    # from b round the arc from j to the part before i, staying outside
+    # U, ends at a neighbour of a (a itself is outside U).  So each edge
+    # binds its rows once: the arc's steps, the closing rows from i to the
+    # part before it and the pair's own two row lists.  The first step
+    # starts from the one vertex b, and the last stops at the first vertex
+    # with a neighbour of a outside U.  The walk never reads the pair
+    # (i, j), so a candidate is tested before it is added, and all rows
+    # are the process's own lists, which see every edge kept so far.  A
+    # candidate is (edge, bound rows, a, b) with a in the edge's tail, so
+    # the wrap edge's ends come swapped.  Before the seeded shuffle the
+    # list runs by sorted edge, then a, then b of the edge as sorted
+    candidates = []
+    span = range(u_size, n)
+    for i, j in sorted(pattern.edges):
+        wrap = (i, j) == (1, k)
+        edge = tail, head = (k, 1) if wrap else (i, j)
+        seq = [(tail + t) % k + 1 for t in range(k - 1)]
+        first, *middle, last = [adj[(p, q)] for p, q in zip(seq, seq[1:])]
+        bound = first, middle, last, adj[(tail, seq[-1])], adj[edge], adj[(head, tail)]
+        candidates += [
+            (edge, bound, b, a) if wrap else (edge, bound, a, b) for a in span for b in span
+        ]
     rng_for(seed, "order").shuffle(candidates)
-    if budget is None:
-        budget = len(candidates)
-
-    # per orientation i -> j = i + 1 (mod k), the neighbour rows of each
-    # step of the arc from j round to the part before i (the first apart,
-    # as it starts from the one vertex b), and the closing
-    # rows from i to the part before it: an edge (i,a)-(j,b) closes a
-    # transversal cycle avoiding U iff a walk from b along the steps,
-    # staying outside U, ends at a neighbour of a (a itself is outside U).
-    # The walk never reads the pair (i, j), so the edge is tested before
-    # it is added, and the rows are the process's own lists, which see
-    # every edge kept so far
-    arcs = {}
-    for i in range(1, k + 1):
-        seq = [(i + t) % k + 1 for t in range(k - 1)]
-        first, *rest = [adj[(p, q)] for p, q in zip(seq, seq[1:])]
-        arcs[i] = first, rest, adj[(i, seq[-1])]
+    window = candidates[:budget]
 
     kept = []
-    tried = 0
-    for i, a, j, b in candidates:
-        if tried >= budget:
-            break
-        tried += 1
-        # orient so that pj follows pi on the cycle; sorted cycle edges
-        # are (i, i+1) except the wrap edge (1, k)
-        if i == 1 and j == k:
-            pi, pa, pj, pb = k, b, 1, a
-        else:
-            pi, pa, pj, pb = i, a, j, b
-        first, rest, close = arcs[pi]
-        layer = first[pb] & outside
-        for rows in rest:
+    for cand in window:
+        _, (first, middle, last, close, fwd, back), a, b = cand
+        layer = first[b] & outside
+        for rows in middle:
             reach = 0
             while layer:
                 low = layer & -layer
                 reach |= rows[low.bit_length() - 1]
                 layer ^= low
             layer = reach & outside
-            if not layer:
-                break
-        if layer & close[pa]:
-            continue
-        adj[(pi, pj)][pa] |= 1 << pb
-        adj[(pj, pi)][pb] |= 1 << pa
-        kept.append((i, a, j, b))
-    added, certified, checks = len(kept), None, 0
+        target = close[a] & outside
+        while layer:
+            low = layer & -layer
+            if last[low.bit_length() - 1] & target:
+                break  # the edge would close a cycle avoiding U
+            layer ^= low
+        else:
+            fwd[a] |= 1 << b
+            back[b] |= 1 << a
+            kept.append(cand)
+    added, certified, checks, tried = len(kept), None, 0, len(window)
     if hole_target_s is None:
         # adj holds the base edges plus exactly the kept ones
         G = PartiteGraph(pattern, n, {key: tuple(v) for key, v in adj.items()})
     else:
         base = PartiteGraph(pattern, n, dict.fromkeys(adj, u_rows))
-        G, added, certified, checks = _first_hole_free(base, kept, 2, hole_target_s)
+        edges = [(i, a, j, b) for (i, j), _, a, b in kept]
+        G, added, certified, checks = _first_hole_free(base, edges, 2, hole_target_s)
         if certified:
+            # the shuffled position of the last kept edge
             tried = candidates.index(kept[added - 1]) + 1 if added else 0
     U = (0,) + (u_mask,) * k
     report = {

@@ -29,6 +29,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
+# `svg` is imported by `emit_plot` on use, as only `lab plot` draws.  The
+# other modules stay imported at load, here and in the package: the
+# benchmark's tracer (perfbench/spans.py) runs `import transtile` and
+# then reads each module it wraps from sys.modules, absorbing included
 from transtile.absorbing import (
     AbsorbParams,
     build_absorbing_set,
@@ -39,7 +43,6 @@ from transtile.absorbing import (
 from transtile.core import Param, PartiteGraph, delta_star, json_field, json_params
 from transtile.generators import GenSpec, subseed
 from transtile.holes import EXACT_CAP_DEFAULT, alpha_star_exact
-from transtile.svg import heatmap, line_plot
 from transtile.tiling import (
     check_appendix_invariants,
     cover_refutes_factor,
@@ -476,6 +479,15 @@ def load_records(path: str) -> list[ResultRecord]:
 # -- plotting --------------------------------------------------------------------
 
 
+def _plot_number(r: ResultRecord, col: str) -> float:
+    """Metric `col` of `r` as a float; raises ValueError naming it if it
+    is missing or not a number (a bool reads as 0 or 1)."""
+    value = r.metrics.get(col)
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"record {r.index}: metric {col!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def emit_plot(records: Sequence[ResultRecord], kind: str, path: str) -> str:
     """Render records to a self-contained SVG file; returns the path.
 
@@ -483,7 +495,11 @@ def emit_plot(records: Sequence[ResultRecord], kind: str, path: str) -> str:
     the rows that did not fail; any other scenario plots its numeric
     metric columns per instance.
     """
+    from transtile.svg import heatmap, line_plot
+
     scenario = _scenario_of(records, "plot")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; pick from {tuple(SCENARIOS)}")
     if kind not in ("line", "heatmap"):
         raise ValueError(f"unknown plot kind {kind!r}")
     sweep = scenario == "threshold_sweep"
@@ -491,9 +507,7 @@ def emit_plot(records: Sequence[ResultRecord], kind: str, path: str) -> str:
         by_p: dict[float, list[float]] = {}
         for r in records:
             if not r.failed:
-                by_p.setdefault(float(r.metrics["p"]), []).append(
-                    float(r.metrics["exists"])
-                )
+                by_p.setdefault(_plot_number(r, "p"), []).append(_plot_number(r, "exists"))
         cols = ["exists"] if by_p else []
     else:
         cols = [
@@ -525,7 +539,10 @@ def emit_plot(records: Sequence[ResultRecord], kind: str, path: str) -> str:
             title=scenario,
         )
     else:
-        grid = [[float(r.metrics.get(c) or 0) for c in cols] for r in records]
+        grid = [
+            [0.0 if r.metrics.get(c) is None else _plot_number(r, c) for c in cols]
+            for r in records
+        ]
         svg = heatmap(
             grid,
             "metric",
@@ -569,7 +586,7 @@ def _cmd_plot(args) -> int:
     try:
         records = load_records(args.results)
         emit_plot(records, args.kind, args.out)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.out}")

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,35 @@ def test_pattern_validation():
         Pattern(3, [(1, 4)])
     with pytest.raises(ValueError):
         Pattern.cycle(2)
+
+
+def test_pattern_constructors_share_one_pattern_per_k():
+    for k in (3, 4, 5):
+        assert Pattern.cycle(k) is Pattern.cycle(k)
+        assert Pattern.complete(k) is Pattern.complete(k)
+        assert Pattern.from_json_dict({"kind": "cycle", "k": k}) is Pattern.cycle(k)
+        assert Pattern.from_json_dict({"kind": "complete", "k": k}) is Pattern.complete(k)
+        for cached in (Pattern.cycle(k), Pattern.complete(k)):
+            built = Pattern(k, cached.edge_list())
+            assert built is not cached
+            assert built == cached and hash(built) == hash(cached)
+    # a call that raises is not cached, so it raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="k >= 3"):
+            Pattern.cycle(2)
+
+
+def test_pattern_shape_flags_match_their_definitions():
+    # every edge set on k <= 5 parts: complete is every pair, and a cycle
+    # is exactly the ring 1 - 2 - ... - k - 1 on k >= 3 parts
+    for k in range(2, 6):
+        pairs = list(combinations(range(1, k + 1), 2))
+        ring = {(min(i, i % k + 1), max(i, i % k + 1)) for i in range(1, k + 1)}
+        for take in product((False, True), repeat=len(pairs)):
+            edges = {e for e, t in zip(pairs, take) if t}
+            P = Pattern(k, edges)
+            assert P.is_complete == (len(edges) == len(pairs)), (k, edges)
+            assert P.is_cycle == (k >= 3 and edges == ring), (k, edges)
 
 
 def test_clique_part_tuples():

@@ -285,6 +285,34 @@ def test_space_barrier_pins_its_bytes():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SPACE_BARRIER_SHA
 
 
+# SHA-256 of the same rows over C7 n=14 and C8 n=16 at seeds 0-2, whose
+# arcs take five and six steps, then a C7 budget that stops among
+# rejections and a C8 hole target that certifies after rejections
+SPACE_BARRIER_LONG_ARC_SHA = "214dfd1c655de1c7d836dbb11668c7037b09ad8134c016d65ce80b661d94fe55"
+
+
+def test_space_barrier_pins_its_long_arc_bytes():
+    cases = [(Pattern.cycle(k), 2 * k, {"seed": seed}) for k in (7, 8) for seed in range(3)]
+    cases += [
+        (Pattern.cycle(7), 14, {"seed": 0, "budget": 150}),
+        (Pattern.cycle(8), 16, {"seed": 1, "hole_target_s": 10}),
+    ]
+    rows = []
+    for pattern, n, kw in cases:
+        G, U, report = space_barrier(pattern, n, **kw)
+        rows.append([graph_bytes(G), list(U), report])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SPACE_BARRIER_LONG_ARC_SHA
+
+
+@pytest.mark.parametrize("k, n", [(4, 8), (5, 10), (7, 14)])
+def test_space_barrier_tries_the_budget_or_every_candidate(k, n):
+    # each of the k pattern edges offers (n - n/k + 1)^2 outside pairs
+    every = k * (n - n // k + 1) ** 2
+    for budget in (0, 1, 10**6):
+        _, _, report = space_barrier(Pattern.cycle(k), n, seed=2, budget=budget)
+        assert report["candidates_tried"] == min(budget, every), budget
+
+
 def test_every_space_barrier_cover_passes_its_check():
     # U is the certificate the lab's factor decision checks: every
     # variant's U must pass, the pinned ones and an empty budget alike

@@ -163,21 +163,37 @@ def test_no_orphaned_private_helpers():
     assert not orphans, f"private helpers nothing reads: {', '.join(orphans)}"
 
 
-def test_lab_import_loads_no_network_or_xml_stack():
-    # xml.sax.saxutils drags in urllib, http, ssl and email, about 40 ms of
-    # set-up per run; modules the interpreter loads at start-up (site and
-    # .pth hooks) are not transtile's doing and are left out
+def _loaded_by_lab_import() -> list[str]:
+    """Modules a fresh interpreter loads for `import transtile.lab`;
+    those it loads at start-up (site and .pth hooks) are not transtile's
+    doing and are left out."""
     code = (
         "import sys; before = set(sys.modules); import transtile.lab; "
         "print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_lab_import_loads_no_network_or_xml_stack():
+    # xml.sax.saxutils drags in urllib, http, ssl and email, about 40 ms of
+    # set-up per run
+    out = _loaded_by_lab_import()
     assert "transtile.lab" in out
     heavy = sorted(m for m in out if m.split(".")[0] in {"urllib", "http", "ssl", "email", "xml"})
     assert not heavy, f"import transtile.lab loads {', '.join(heavy)}"
+
+
+def test_lab_import_compiles_no_svg_but_every_traced_module():
+    # only `lab plot` draws, so emit_plot imports svg on use.  The
+    # benchmark's tracer runs `import transtile` and then reads each module
+    # it wraps from sys.modules, so those modules load with the package
+    out = _loaded_by_lab_import()
+    assert "transtile.svg" not in out
+    traced = {module for module, _ in _span_targets()}
+    assert traced and not traced - set(out), sorted(traced - set(out))
 
 
 def test_svg_escape_matches_saxutils():
@@ -275,11 +291,9 @@ def test_mixed_shape_readers_name_no_shape_kind():
     assert not named, f"shape kinds named outside the star table: {named}"
 
 
-def test_benchmark_span_targets_resolve():
-    # the benchmark's tracer wraps each TARGETS entry of perfbench/spans.py
-    # by name, at its defining module: a module function, or a
-    # `Class.method` in the class's own __dict__.  Deleting or renaming
-    # one breaks the traced benchmark, so it fails here first
+def _span_targets() -> list[tuple[str, str]]:
+    """(module, attribute) of each TARGETS entry in perfbench/spans.py,
+    read from its source."""
     spans = SRC.parent.parent / "perfbench" / "spans.py"
     tree = ast.parse(spans.read_text(), filename=str(spans))
     targets = next(
@@ -288,9 +302,17 @@ def test_benchmark_span_targets_resolve():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
     )
+    return [tuple(ast.literal_eval(e) for e in entry.elts[1:3]) for entry in targets]
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's tracer wraps each TARGETS entry of perfbench/spans.py
+    # by name, at its defining module: a module function, or a
+    # `Class.method` in the class's own __dict__.  Deleting or renaming
+    # one breaks the traced benchmark, so it fails here first
+    targets = _span_targets()
     missing = []
-    for entry in targets:
-        module, attr = (ast.literal_eval(e) for e in entry.elts[1:3])
+    for module, attr in targets:
         scope = vars(importlib.import_module(module))
         *owner, name = attr.split(".")
         if owner:

@@ -944,4 +944,21 @@ def test_cli_plot_error_exits_one(tmp_path, capsys):
         (tmp_path / name).write_text(body)
         assert main(["plot", str(tmp_path / name), "--out", str(tmp_path / "x.svg")]) == 1
         assert "plot error" in capsys.readouterr().err
+    # well-formed records that cannot be plotted: the message names the
+    # metric or the scenario
+    cases = [
+        ("threshold_sweep", [{"p": [1], "exists": 1}], "line", "metric 'p'"),
+        ("factor_decision", [{"nodes": 3}, {"nodes": [3]}], "heatmap", "metric 'nodes'"),
+        ("nope", [{"p": 0.5}], "line", "unknown scenario 'nope'"),
+    ]
+    for scenario, metrics, kind, named in cases:
+        rows = [
+            {"config_hash": "h", "scenario": scenario, "index": t, "instance": {}, "metrics": m}
+            for t, m in enumerate(metrics)
+        ]
+        (tmp_path / "r.json").write_text(json.dumps({"records": rows}))
+        out = ["--kind", kind, "--out", str(tmp_path / "x.svg")]
+        assert main(["plot", str(tmp_path / "r.json"), *out]) == 1, scenario
+        err = capsys.readouterr().err
+        assert err.startswith("plot error: ") and named in err, err
     assert not (tmp_path / "x.svg").exists()
