@@ -25,7 +25,7 @@ absorption thresholds in this package are phrased in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -297,13 +297,16 @@ class PartiteGraph:
 
     `_adj[(i, j)][a]` is the bitmask of part-j neighbors of vertex
     (i, a); both orientations of every pattern edge are stored and kept
-    symmetric.  Construct via `from_edges`, `complete`, or the
-    generator functions; do not mutate.
+    symmetric.  `cover`, per-part masks or None, claims that no factor
+    exists (see `tiling.cover_refutes_factor`, which checks the claim);
+    == ignores it, and no derived graph keeps it.  Construct via
+    `from_edges`, `complete`, or the generator functions; do not mutate.
     """
 
     pattern: Pattern
     n: int
     _adj: dict[tuple[int, int], tuple[int, ...]]
+    cover: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_edges(
@@ -426,13 +429,16 @@ class PartiteGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
+        data = {
             "format": GRAPH_FORMAT,
             "k": self.k,
             "n": self.n,
             "pattern_edges": [list(e) for e in self.pattern.edge_list()],
             "edges": [list(e) for e in self.iter_edges()],
         }
+        if self.cover is not None:  # the key is optional: a cover-less file has none
+            data["cover"] = [[p, i] for p in range(1, self.k + 1) for i in bits(self.cover[p])]
+        return data
 
     @staticmethod
     def from_json_dict(data: dict) -> "PartiteGraph":
@@ -442,9 +448,17 @@ class PartiteGraph:
         pattern = Pattern(
             json_field(data, "k", int, "graph"), json_rows(data, "pattern_edges", 2, "graph")
         )
-        return PartiteGraph.from_edges(
+        G = PartiteGraph.from_edges(
             pattern, json_field(data, "n", int, "graph"), json_rows(data, "edges", 4, "graph")
         )
+        if "cover" not in data:
+            return G
+        rows = json_rows(data, "cover", 2, "graph")
+        try:
+            cover = vertex_masks(G, rows)
+        except ValueError as exc:
+            raise ValueError(f"graph.cover: {exc}") from None
+        return PartiteGraph(pattern, G.n, G._adj, tuple(cover))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -15,7 +15,7 @@ hole_suppressed     shortest prefix of a random edge order that leaves no
 space_barrier       complete blow-up of a cycle pattern, thinned so that
                     every transversal cycle meets a set U too small to
                     cover a factor, so no transversal cycle factor exists;
-                    delta* >= n/k - 1
+                    delta* >= n/k - 1.  The graph carries U as its `cover`
 random_split        balanced uniform k-split of an arbitrary host edge list
 """
 
@@ -182,9 +182,9 @@ def space_barrier(
     Every transversal cycle of the result meets U, and |U| = k(n/k - 1)
     is too small to cover a factor, so no transversal cycle factor
     exists.  The partite minimum degree stays >= n/k - 1 because U is
-    completely joined to everything.  U is that certificate: the
-    `space_barrier` family hands it through `GenSpec.build` to the lab's
-    factor decision, which checks it (`tiling.cover_refutes_factor`) and
+    completely joined to everything.  U is that certificate: G has no
+    `cover`, the `space_barrier` family attaches U as one, and the lab's
+    factor decision checks it (`tiling.cover_refutes_factor`) and
     searches only if the check fails.
 
     If `hole_target_s` is given, only the shortest prefix of the accepted
@@ -356,24 +356,24 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 # -- declarative specs --------------------------------------------------------
 
 
-def _random_subgraph(spec: "GenSpec") -> tuple[PartiteGraph, None]:
+def _random_subgraph(spec: "GenSpec") -> PartiteGraph:
     base = complete_blowup(spec.pattern, spec.n)
-    return random_spanning_subgraph(base, spec.args["p"], spec.seed), None
+    return random_spanning_subgraph(base, spec.args["p"], spec.seed)
 
 
-def _hole_suppressed(spec: "GenSpec") -> tuple[PartiteGraph, None]:
-    return hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0], None
+def _hole_suppressed(spec: "GenSpec") -> PartiteGraph:
+    return hole_suppressed_process(spec.pattern, spec.n, seed=spec.seed, **spec.args)[0]
 
 
-def _space_barrier(spec: "GenSpec") -> tuple[PartiteGraph, tuple[int, ...]]:
+def _space_barrier(spec: "GenSpec") -> PartiteGraph:
     G, U, _ = space_barrier(spec.pattern, spec.n, seed=spec.seed, **spec.args)
-    return G, U
+    return PartiteGraph(G.pattern, G.n, G._adj, U)
 
 
-def _random_split(spec: "GenSpec") -> tuple[PartiteGraph, None]:
+def _random_split(spec: "GenSpec") -> PartiteGraph:
     a = spec.args
     edges = a["host_edges"] if a["host_file"] is None else read_edge_list(a["host_file"])
-    return random_k_split(edges, spec.pattern, spec.seed, m=a["m"]), None
+    return random_k_split(edges, spec.pattern, spec.seed, m=a["m"])
 
 
 def _hole_suppressed_fits(spec: "GenSpec") -> None:
@@ -392,14 +392,14 @@ def _space_barrier_fits(spec: "GenSpec") -> None:
         raise ValueError(f"space_barrier needs gen.n a multiple of k={k}, got {spec.n}")
 
 
-# family -> (declared params, builder).  A builder returns the graph and
-# the cover its family certifies, or None (see `GenSpec.build`).  The
-# builders call the generators by their module names, so a wrapper bound
-# to those names sees each call; hole_suppressed and space_barrier
+# family -> (declared params, builder).  A builder returns the instance
+# graph; space_barrier's carries its U as `cover` (see `GenSpec.build`).
+# The builders call the generators by their module names, so a wrapper
+# bound to those names sees each call; hole_suppressed and space_barrier
 # declare their generators' keywords.
 _BUDGET = Param("budget", int | None, None, low=0)
 FAMILIES = {
-    "complete": ((), lambda spec: (complete_blowup(spec.pattern, spec.n), None)),
+    "complete": ((), lambda spec: complete_blowup(spec.pattern, spec.n)),
     "random_subgraph": ((Param("p", float, low=0, high=1),), _random_subgraph),
     "hole_suppressed": (
         (Param("r", int, low=2), Param("s", int, low=1), _BUDGET),
@@ -456,13 +456,10 @@ class GenSpec:
         if self.family in FITS:
             FITS[self.family](self)
 
-    def build(self) -> tuple[PartiteGraph, Optional[tuple[int, ...]]]:
-        """The instance graph and the cover its family certifies, or None.
-
-        A cover is per-part masks that the family claims meet every
-        transversal copy with fewer than n vertices, which proves that no
-        factor exists.  Only `space_barrier` gives one, its U.  It is a
-        claim, not a proof: `tiling.cover_refutes_factor` checks it.
+    def build(self) -> PartiteGraph:
+        """The instance graph.  Only a `space_barrier` graph carries a
+        `cover`, its U; for every other family `cover` is None.  A cover
+        is a claim, not a proof: `tiling.cover_refutes_factor` checks it.
         """
         return FAMILIES[self.family][1](self)
 

@@ -174,10 +174,10 @@ class ResultRecord(NamedTuple):
 # -- scenario bodies ------------------------------------------------------------
 
 
-def _load_instance(desc: dict) -> tuple[PartiteGraph, Optional[tuple[int, ...]]]:
-    """The instance graph and its family's cover certificate, or None."""
+def _load_instance(desc: dict) -> PartiteGraph:
+    """The instance graph, with the cover its file or family carries."""
     if "path" in desc:
-        return PartiteGraph.load(desc["path"]), None
+        return PartiteGraph.load(desc["path"])
     return GenSpec.from_json_dict(desc).build()
 
 
@@ -200,7 +200,7 @@ def _greedy_by_pattern(G: PartiteGraph):
     raise ValueError("greedy tiling needs a complete or cycle pattern")
 
 
-def _scn_hole_scan(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_hole_scan(G: PartiteGraph, args: dict, seed: int) -> dict:
     report = alpha_star_exact(G, args["r"], cap=args["cap"])
     return {
         "r": args["r"],
@@ -210,16 +210,16 @@ def _scn_hole_scan(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_greedy_tiling(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_greedy_tiling(G: PartiteGraph, args: dict, seed: int) -> dict:
     tiling = _greedy_by_pattern(G)
     return {"copies": len(tiling.copies), "leftover_per_part": tiling.leftover_per_part}
 
 
-def _scn_factor_decision(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_factor_decision(G: PartiteGraph, args: dict, seed: int) -> dict:
     _admit(G, args["cap"])
     # a cover that passes its check proves absence with no search node;
     # one that fails it is ignored, and the search decides
-    if cover is not None and cover_refutes_factor(G, cover):
+    if G.cover is not None and cover_refutes_factor(G, G.cover):
         return {"exists": False, "copies": 0, "nodes": 0, "max_depth": 0}
     tiling, stats = exact_transversal_factor_search(G)
     return {
@@ -230,7 +230,7 @@ def _scn_factor_decision(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_absorber_census(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_absorber_census(G: PartiteGraph, args: dict, seed: int) -> dict:
     target = args["target"]
     if target is None:
         target = [(p, 0) for p in range(1, G.k + 1)]
@@ -242,7 +242,7 @@ def _scn_absorber_census(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
     }
 
 
-def _scn_absorbing_pipeline(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_absorbing_pipeline(G: PartiteGraph, args: dict, seed: int) -> dict:
     knobs = ("q", "tau", "beta_prime", "m", "beta_m", "connector_t")
     out = build_absorbing_set(G, AbsorbParams(seed=seed, **{key: args[key] for key in knobs}))
     verdict = verify_absorbing_property(G, out, trials=args["verify_trials"], seed=seed)
@@ -255,7 +255,7 @@ def _scn_absorbing_pipeline(G: PartiteGraph, cover, args: dict, seed: int) -> di
     }
 
 
-def _scn_appendix_invariants(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_appendix_invariants(G: PartiteGraph, args: dict, seed: int) -> dict:
     tiling = maximal_mixed_tiling(G, seed=seed)
     report = check_appendix_invariants(G, tiling)
     return {
@@ -267,7 +267,7 @@ def _scn_appendix_invariants(G: PartiteGraph, cover, args: dict, seed: int) -> d
     }
 
 
-def _scn_threshold_sweep(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
+def _scn_threshold_sweep(G: PartiteGraph, args: dict, seed: int) -> dict:
     # instance already carries its keep-probability; measure the
     # degree floor, the exact factor decision, and the greedy leftover.
     # A greedy tiling with no leftover is a factor, so it answers first
@@ -282,7 +282,7 @@ def _scn_threshold_sweep(G: PartiteGraph, cover, args: dict, seed: int) -> dict:
 
 
 # name -> (fixed CSV metric columns, declared params, body); the body
-# takes the instance graph, its cover certificate or None (see
+# takes the instance graph (with its `cover`, if any: see
 # `_load_instance`), the params parsed at config load and a seed, and
 # metrics it returns outside its columns stay in the JSON mirror and
 # never reach the CSV
@@ -384,8 +384,8 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
     records = []
     for index, desc, extra in _worklist(config):
         try:
-            G, cover = _load_instance(desc)
-            metrics = {**extra, **body(G, cover, config.args, subseed(config.seed, "run", index))}
+            G = _load_instance(desc)
+            metrics = {**extra, **body(G, config.args, subseed(config.seed, "run", index))}
         except Exception as exc:  # per-instance boundary: record, keep running
             metrics = {**extra, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
         records.append(
@@ -606,10 +606,9 @@ def _cmd_verify(args) -> int:
             report = alpha_star_exact(G, 2)
             print(f"holes: alpha_star_2 = {report.alpha} ({report.method})")
         elif args.what == "factor":
-            _admit(G, args.cap)
-            tiling, stats = exact_transversal_factor_search(G)
-            verdict = "exists" if tiling is not None else "none (proof)"
-            print(f"factor: {verdict}, {stats.nodes} nodes")
+            answer = _scn_factor_decision(G, {"cap": args.cap}, 0)
+            verdict = "exists" if answer["exists"] else "none (proof)"
+            print(f"factor: {verdict}, {answer['nodes']} nodes")
         else:
             target = [(p, 0) for p in range(1, G.k + 1)]
             a = find_absorber(G, target, connector_t=1)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +14,7 @@ from transtile.core import (
     is_transversal_tuple,
     part_masks,
 )
+from transtile.generators import random_spanning_subgraph
 
 
 # -- patterns ---------------------------------------------------------------
@@ -187,6 +189,50 @@ def test_load_validates():
     data["edges"].append([1, 0, 2, 0])
     with pytest.raises(ValueError, match="twice"):
         PartiteGraph.from_json_dict(data)
+
+
+@pytest.mark.parametrize("cover", [None, (0, 0b11, 0, 0b101, 0b1)], ids=["none", "masks"])
+def test_round_trip_keeps_the_cover(tmp_path, cover):
+    # the key is optional: a cover-less file has none and re-saves byte
+    # for byte; a cover is written as [part, index] rows and read back
+    G = random_instance(Pattern.cycle(4), 5, 0.4, seed=99)
+    replace(G, cover=cover).save(tmp_path / "g.json")
+    rows = None if cover is None else [[1, 0], [1, 1], [3, 0], [3, 2], [4, 0]]
+    assert json.loads((tmp_path / "g.json").read_text()).get("cover") == rows
+    H = PartiteGraph.load(tmp_path / "g.json")
+    assert H == G and H.cover == cover
+    H.save(tmp_path / "h.json")
+    assert (tmp_path / "g.json").read_bytes() == (tmp_path / "h.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ([1, 0, 0], r"graph\.cover\[1\] must be 2 integers"),
+        ([1, 5], r"graph\.cover: vertex \(1, 5\) is not in G"),
+        ([5, 0], r"graph\.cover: vertex \(5, 0\) is not in G"),
+    ],
+    ids=["width 3", "index n", "part k+1"],
+)
+def test_load_refuses_a_malformed_cover(row, named):
+    data = PartiteGraph.complete(Pattern.cycle(4), 5).to_json_dict()
+    data["cover"] = [[1, 0], row]
+    with pytest.raises(ValueError, match=named):
+        PartiteGraph.from_json_dict(data)
+
+
+def test_no_derived_graph_keeps_the_cover():
+    twin = PartiteGraph.complete(Pattern.cycle(4), 4)
+    G = replace(twin, cover=(0, 0b1, 0b1, 0b1, 0b1))
+    # == ignores the cover: a covered graph equals its cover-less twin
+    assert G == twin and twin.cover is None and G.cover is not None
+    derived = [
+        G.add_edges([(1, 0, 2, 0)]),
+        G.delete_edges([(1, 0, 2, 0)]),
+        G.induced([0, 0b11, 0b11, 0b11, 0b11])[0],
+        random_spanning_subgraph(G, 0.5, seed=1),
+    ]
+    assert all(H.cover is None for H in derived)
 
 
 def test_json_fields():

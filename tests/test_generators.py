@@ -326,7 +326,8 @@ def test_only_space_barrier_specs_carry_a_cover():
     # the spec hands the generator's own graph and U over unchanged
     spec = GenSpec("space_barrier", Pattern.cycle(4), 8, seed=3, params={"hole_target_s": 6})
     G, U, _ = space_barrier(Pattern.cycle(4), 8, seed=3, hole_target_s=6)
-    assert spec.build() == (G, U)
+    built = spec.build()
+    assert built == G and built.cover == U
     K3 = Pattern.complete(3)
     for family, params in [
         ("complete", {}),
@@ -334,7 +335,7 @@ def test_only_space_barrier_specs_carry_a_cover():
         ("hole_suppressed", {"r": 2, "s": 2}),
         ("random_split", {"host_edges": [[0, 1], [1, 2]], "m": 6}),
     ]:
-        assert GenSpec(family, K3, 2, seed=1, params=params).build()[1] is None, family
+        assert GenSpec(family, K3, 2, seed=1, params=params).build().cover is None, family
 
 
 def test_space_barrier_validation():
@@ -451,8 +452,8 @@ def test_genspec_round_trip_and_determinism(tmp_path):
     data = json.loads(json.dumps(spec.to_json_dict()))
     again = GenSpec.from_json_dict(data)
     assert again == spec
-    g1, _ = spec.build()
-    g2, _ = again.build()
+    g1 = spec.build()
+    g2 = again.build()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     g1.save(p1)
     g2.save(p2)

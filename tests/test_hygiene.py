@@ -98,6 +98,23 @@ def test_no_relabelling_outside_core(path):
     assert not calls, f"{path.name} calls .induced( on lines {calls}; pass masks instead"
 
 
+def test_only_core_and_lab_read_the_cover():
+    # a graph's cover is a claim that only the lab's factor decision
+    # checks; the searches also decide induced root masks, where the whole
+    # graph's cover proves nothing, so no other module reads `.cover`
+    readers = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [
+            n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "cover"
+        ]
+        if lines:
+            readers[path.name] = lines
+    assert "lab.py" in readers
+    strays = {name: lines for name, lines in readers.items() if name not in ("core.py", "lab.py")}
+    assert not strays, f"only core.py and lab.py may read .cover: {strays}"
+
+
 def _repeated_scopes(tree: ast.Module) -> list[ast.AST]:
     """Code that runs again and again: loop bodies, while tests, recursive functions."""
     out: list[ast.AST] = []

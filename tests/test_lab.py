@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transtile import generators
-from transtile.core import Pattern, PartiteGraph
+from transtile.core import Pattern, PartiteGraph, bits
 from transtile.generators import GenSpec, complete_blowup, subseed
 from transtile.lab import (
     ExperimentConfig,
@@ -283,10 +283,23 @@ def test_factor_decision_checks_a_cover_only_under_the_cap():
         assert record.failed and "exact mode refused" in record.metrics["error"]
 
 
+def _searched(G: PartiteGraph) -> dict:
+    """The factor decision's metrics on G when the search decides it."""
+    tiling, stats = exact_transversal_factor_search(G)
+    return {
+        "exists": tiling is not None,
+        "copies": 0 if tiling is None else len(tiling.copies),
+        "nodes": stats.nodes,
+        "max_depth": stats.max_depth,
+    }
+
+
 @pytest.mark.parametrize("bad", ["too large", "avoided", "on a factor"])
-def test_factor_decision_ignores_a_cover_that_fails_its_check(monkeypatch, bad):
-    # a generator whose cover fails the check gets the search's answer,
-    # nodes included, so "no" is never taken on trust
+def test_factor_decision_ignores_a_cover_that_fails_its_check(
+    monkeypatch, tmp_path, capsys, bad
+):
+    # a generator or a graph file whose cover fails the check gets the
+    # search's answer, nodes included, so "no" is never taken on trust
     real = generators.space_barrier
 
     def fake(pattern, n, seed=0, **kw):
@@ -308,16 +321,58 @@ def test_factor_decision_ignores_a_cover_that_fails_its_check(monkeypatch, bad):
         seed=1,
     )
     for record in run(cfg):
-        G, U = GenSpec.from_json_dict(record.instance).build()
-        assert not cover_refutes_factor(G, U)
-        tiling, stats = exact_transversal_factor_search(G)
-        assert record.metrics == {
-            "exists": tiling is not None,
-            "copies": 0 if tiling is None else len(tiling.copies),
-            "nodes": stats.nodes,
-            "max_depth": stats.max_depth,
-        }
+        G = GenSpec.from_json_dict(record.instance).build()
+        assert not cover_refutes_factor(G, G.cover)
+        assert record.metrics == _searched(G)
         assert record.metrics["exists"] is (bad == "on a factor")
+
+    # a C4 n=8 barrier file whose cover key is edited the same way ("on a
+    # factor": the file's edges are the complete blow-up's), read by a
+    # `gen` path row and by `lab verify`
+    G, U, _ = fake(Pattern.cycle(4), 8, seed=5)
+    data = G.to_json_dict()
+    data["cover"] = [[p, i] for p in range(1, G.k + 1) for i in bits(U[p])]
+    path = tmp_path / "barrier.json"
+    path.write_text(json.dumps(data))
+    loaded = PartiteGraph.load(path)
+    assert loaded.cover == U and not cover_refutes_factor(loaded, U)
+    expected = _searched(loaded)
+    assert expected["exists"] is (bad == "on a factor")
+    (record,) = run(ExperimentConfig(scenario="factor_decision", gen=str(path)))
+    assert record.metrics == expected
+    assert main(["verify", str(path), "--what", "factor"]) == 0
+    verdict = "exists" if expected["exists"] else "none (proof)"
+    assert capsys.readouterr().out == f"factor: {verdict}, {expected['nodes']} nodes\n"
+
+
+def test_a_barrier_file_keeps_its_cover(tmp_path, capsys):
+    # the C4 n=16 barrier of instance 4 (config seed 1), saved: its cover
+    # answers with no search node, through `lab verify` and through a
+    # `gen` path row.  Saved without it, the search alone was still
+    # running after 10 s
+    path = str(tmp_path / "barrier16.json")
+    spec = GenSpec("space_barrier", Pattern.cycle(4), 16, seed=subseed(1, "instance", 4))
+    spec.build().save(path)
+    assert main(["verify", path, "--what", "factor", "--cap", "16"]) == 0
+    assert capsys.readouterr().out == "factor: none (proof), 0 nodes\n"
+    (record,) = run(ExperimentConfig(scenario="factor_decision", gen=path, params={"cap": None}))
+    assert record.metrics == {"exists": False, "copies": 0, "nodes": 0, "max_depth": 0}
+    # the cap rule still runs first
+    assert main(["verify", path, "--what", "factor"]) == 2
+    assert "exact mode refused: n=16 exceeds cap 12" in capsys.readouterr().err
+
+
+def test_a_malformed_cover_fails_like_a_malformed_graph(tmp_path, capsys):
+    # `lab verify` cannot load the file (exit 1); a `gen` path row fails
+    # on its own
+    data = complete_blowup(Pattern.cycle(4), 4).to_json_dict()
+    data["cover"] = [[1, 0], [1, 4]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--what", "factor"]) == 1
+    assert "config error: graph.cover: vertex (1, 4) is not in G" in capsys.readouterr().err
+    (record,) = run(ExperimentConfig(scenario="factor_decision", gen=str(path)))
+    assert record.failed and "graph.cover" in record.metrics["error"]
 
 
 def test_greedy_tiling_scenario_covers_complete_blowup():
@@ -449,7 +504,7 @@ def test_sweep_instances_are_reloadable_and_recomputable():
     records = run(sweep_config())
     from transtile.core import delta_star
     for r in records:
-        G, _ = GenSpec.from_json_dict(r.instance).build()
+        G = GenSpec.from_json_dict(r.instance).build()
         assert delta_star(G) == r.metrics["delta_star"]
 
 

@@ -620,7 +620,7 @@ def test_factor_search_refutes_the_n12_barriers_by_cover():
     # meets every copy, and the greedy cover refutes each at the column
     # phase's root
     for index in range(24):
-        G, _ = GenSpec("space_barrier", C4, 12, seed=subseed(1, "instance", index)).build()
+        G = GenSpec("space_barrier", C4, 12, seed=subseed(1, "instance", index)).build()
         t, stats = exact_transversal_factor_search(G)
         assert t is None and stats.nodes <= 2 * G.n, index
 
@@ -841,7 +841,7 @@ def sweep_instance(config_seed, index, p=0.5):
         n=12,
         seed=subseed(config_seed, "instance", index),
         params={"p": p},
-    ).build()[0]
+    ).build()
 
 
 def test_factor_search_pins_the_golden_sweep():
@@ -871,7 +871,7 @@ REFUTE_BARRIER_SHA = "fc71983f1febbaf72a36e4f29246b15da01a915f221fe31a7aa9b6bde6
 def test_factor_search_pins_the_refute_barriers():
     rows = []
     for index in range(24):
-        G, _ = GenSpec("space_barrier", C4, 8, seed=subseed(1, "instance", index)).build()
+        G = GenSpec("space_barrier", C4, 8, seed=subseed(1, "instance", index)).build()
         t, stats = exact_transversal_factor_search(G)
         copies = None if t is None else [list(c.verts) for c in t.copies]
         rows.append([index, stats.nodes, stats.max_depth, copies])
