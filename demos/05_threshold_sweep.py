@@ -15,7 +15,8 @@ The same run works from the command line:
 import pathlib
 import tempfile
 
-from transtile import ExperimentConfig, GenSpec, Pattern, emit_plot, run
+from transtile import GenSpec, Pattern
+from transtile.lab import ExperimentConfig, emit_plot, run
 
 with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
     out = pathlib.Path(tmp)

@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 # `svg` is imported by `emit_plot` on use, as only `lab plot` draws.  The
-# other modules stay imported at load, here and in the package: the
-# benchmark's tracer (perfbench/spans.py) runs `import transtile` and
-# then reads each module it wraps from sys.modules, absorbing included
+# other modules stay imported at load: the benchmark's tracer
+# (perfbench/spans.py) reads each module it wraps from sys.modules once
+# its caller has imported this module (the package root does not)
 from transtile.absorbing import (
     AbsorbParams,
     build_absorbing_set,
     disjoint_absorbers,
-    find_absorber,
     verify_absorbing_property,
 )
 from transtile.core import Param, PartiteGraph, delta_star, json_field, json_params
@@ -442,7 +441,7 @@ def render_csv(records: Sequence[ResultRecord]) -> str:
                 r.index,
                 canonical_json(r.instance),
                 *(_csv_cell(r.metrics.get(c)) for c in columns),
-                _csv_cell(bool(r.metrics.get("failed", False))),
+                _csv_cell(r.failed),
                 _csv_cell(r.metrics.get("error", "")),
             ]
         )
@@ -603,20 +602,19 @@ def _cmd_verify(args) -> int:
         return 1
     try:
         if args.what == "holes":
-            report = alpha_star_exact(G, 2)
-            print(f"holes: alpha_star_2 = {report.alpha} ({report.method})")
+            answer = _scn_hole_scan(G, {"r": 2, "cap": EXACT_CAP_DEFAULT}, 0)
+            print(f"holes: alpha_star_2 = {answer['alpha']} ({answer['method']})")
         elif args.what == "factor":
             answer = _scn_factor_decision(G, {"cap": args.cap}, 0)
             verdict = "exists" if answer["exists"] else "none (proof)"
             print(f"factor: {verdict}, {answer['nodes']} nodes")
         else:
-            target = [(p, 0) for p in range(1, G.k + 1)]
-            a = find_absorber(G, target, connector_t=1)
-            if a is None:
-                print("absorber: none found for the lowest-index target")
+            census = {"target": None, "count_target": 1, "connector_t": 1}
+            answer = _scn_absorber_census(G, census, 0)
+            if answer["found"]:
+                print(f"absorber: found, {answer['vertices_used']} vertices")
             else:
-                size = sum(m.bit_count() for m in a.verts[1:])
-                print(f"absorber: found, {size} vertices (t={a.t})")
+                print("absorber: none found for the lowest-index target")
     except ValueError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return 2

@@ -180,12 +180,12 @@ def test_no_orphaned_private_helpers():
     assert not orphans, f"private helpers nothing reads: {', '.join(orphans)}"
 
 
-def _loaded_by_lab_import() -> list[str]:
-    """Modules a fresh interpreter loads for `import transtile.lab`;
+def _loaded_by(statement: str) -> list[str]:
+    """Modules a fresh interpreter loads for the import `statement`;
     those it loads at start-up (site and .pth hooks) are not transtile's
     doing and are left out."""
     code = (
-        "import sys; before = set(sys.modules); import transtile.lab; "
+        f"import sys; before = set(sys.modules); {statement}; "
         "print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -197,7 +197,7 @@ def _loaded_by_lab_import() -> list[str]:
 def test_lab_import_loads_no_network_or_xml_stack():
     # xml.sax.saxutils drags in urllib, http, ssl and email, about 40 ms of
     # set-up per run
-    out = _loaded_by_lab_import()
+    out = _loaded_by("import transtile.lab")
     assert "transtile.lab" in out
     heavy = sorted(m for m in out if m.split(".")[0] in {"urllib", "http", "ssl", "email", "xml"})
     assert not heavy, f"import transtile.lab loads {', '.join(heavy)}"
@@ -205,12 +205,20 @@ def test_lab_import_loads_no_network_or_xml_stack():
 
 def test_lab_import_compiles_no_svg_but_every_traced_module():
     # only `lab plot` draws, so emit_plot imports svg on use.  The
-    # benchmark's tracer runs `import transtile` and then reads each module
-    # it wraps from sys.modules, so those modules load with the package
-    out = _loaded_by_lab_import()
+    # benchmark's tracer reads each module it wraps from sys.modules after
+    # its caller imports `lab`, so those modules load with `lab`
+    out = _loaded_by("import transtile.lab")
     assert "transtile.svg" not in out
     traced = {module for module, _ in _span_targets()}
     assert traced and not traced - set(out), sorted(traced - set(out))
+
+
+def test_package_import_loads_neither_the_runner_nor_svg():
+    # the library does not load its own CLI: `lab` imports the package,
+    # never the reverse
+    out = _loaded_by("import transtile")
+    assert "transtile.core" in out
+    assert not {"transtile.lab", "transtile.svg"} & set(out), out
 
 
 def test_svg_escape_matches_saxutils():

@@ -12,6 +12,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -962,6 +964,55 @@ def test_cli_plot_and_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "factor: exists" in out and "alpha_star_2 = 0" in out
     assert "absorber: found" in out
+
+    # every check prints what a one-instance `lab run` of its scenario
+    # measures on the same file
+    def measured(path: str, scenario: str, **params) -> dict:
+        [record] = run(ExperimentConfig(scenario=scenario, gen=path, params=params))
+        return record.metrics
+
+    def verified(path: str, what: str) -> str:
+        assert main(["verify", path, "--what", what]) == 0
+        return capsys.readouterr().out
+
+    hole = measured(graph_path, "hole_scan", r=2)
+    assert verified(graph_path, "holes") == (
+        f"holes: alpha_star_2 = {hole['alpha']} ({hole['method']})\n"
+    )
+    factor = measured(graph_path, "factor_decision")
+    assert factor["exists"]
+    assert verified(graph_path, "factor") == f"factor: exists, {factor['nodes']} nodes\n"
+    wide = measured(wide_path, "absorber_census", count_target=1)
+    assert wide["found"] == 1
+    assert verified(wide_path, "absorber") == (
+        f"absorber: found, {wide['vertices_used']} vertices\n"
+    )
+    tight = measured(graph_path, "absorber_census", count_target=1)
+    assert tight["found"] == 0 and tight["vertices_used"] == 0
+    assert verified(graph_path, "absorber") == (
+        "absorber: none found for the lowest-index target\n"
+    )
+
+
+def test_module_form_runs_lab_once(tmp_path):
+    # `python -m transtile.lab` is the `lab` script: the package root does
+    # not import `lab`, so runpy executes it once, with no RuntimeWarning
+    graph_path = str(tmp_path / "g.json")
+    with open(graph_path, "w") as fh:
+        json.dump(complete_blowup(K3, 3).to_json_dict(), fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(generators.__file__)))
+    verify = ["-m", "transtile.lab", "verify", graph_path, "--what", "holes"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", *verify],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "holes: alpha_star_2 = 0 (exact)\n",
+        "",
+    )
 
 
 def test_cli_verify_holes_ignores_the_factor_cap(tmp_path, capsys):
